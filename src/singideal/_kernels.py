@@ -1,45 +1,22 @@
-"""Hot numeric kernels with numba acceleration and a pure-numpy fallback.
+"""The mod-p rank certificate for exact rational ranks.
 
-Two kernels live here:
-
-* ``gram_power_iteration`` -- dominant eigenvalue of a symmetric PSD Gram
-  matrix via power iteration from the normalized all-ones vector.
-* ``rank_mod_p`` -- row-reduction rank of an integer matrix modulo a prime,
-  used as a sound full-column-rank certificate for exact rational ranks
-  (rank mod p never exceeds the rational rank).
-
-Set the environment variable ``SINGIDEAL_NO_NUMBA=1`` to force the numpy
-path; otherwise the numba-jitted versions are used when numba imports.
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+``rank_mod_p`` is the row-reduction rank of an integer matrix modulo a
+prime.  Rank mod p never exceeds the rational rank, so full column rank
+mod ``CERT_PRIME`` is a sound certificate of full rational column rank.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 # 2^31 - 1: prime, and (p-1)^2 fits comfortably in int64
 CERT_PRIME = 2147483647
 
-
-def _gram_power_iteration_py(gram, tol, max_iter):
-    n = gram.shape[0]
-    x = np.full(n, 1.0 / np.sqrt(n))
-    est = 0.0
-    for _ in range(max_iter):
-        y = gram.dot(x)
-        nrm = np.sqrt(np.sum(y * y))
-        if nrm <= 0.0:
-            return 0.0
-        x = y / nrm
-        if abs(nrm - est) <= tol * max(nrm, 1.0):
-            return nrm
-        est = nrm
-    return est
+# there is one numpy backend; singbench/run.py records this in every run
+USING_NUMBA = False
 
 
-def _rank_mod_p_py(mat, p):
+def rank_mod_p(mat, p):
     """Vectorized mod-p Gaussian elimination; `mat` is int64 and consumed."""
     mat = np.mod(mat, p)
     rows, cols = mat.shape
@@ -65,56 +42,3 @@ def _rank_mod_p_py(mat, p):
                 rows_below * pivval - np.outer(rows_below[:, c], mat[r]), p)
         r += 1
     return r
-
-
-def _rank_mod_p_loops(mat, p):
-    mat = np.mod(mat, p)
-    rows, cols = mat.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = -1
-        for i in range(r, rows):
-            if mat[i, c] != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            for j in range(cols):
-                tmp = mat[r, j]
-                mat[r, j] = mat[piv, j]
-                mat[piv, j] = tmp
-        pivval = mat[r, c]
-        for i in range(r + 1, rows):
-            factor = mat[i, c]
-            if factor == 0:
-                continue
-            for j in range(c, cols):
-                mat[i, j] = (mat[i, j] * pivval - factor * mat[r, j]) % p
-        r += 1
-    return r
-
-
-_want_numba = os.environ.get("SINGIDEAL_NO_NUMBA", "") not in ("1", "true", "yes")
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-    _gram_power_iteration_jit = njit(cache=True)(_gram_power_iteration_py)
-    _rank_mod_p_jit = njit(cache=True)(_rank_mod_p_loops)
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-    _gram_power_iteration_jit = None
-    _rank_mod_p_jit = None
-
-USING_NUMBA = HAS_NUMBA and _want_numba
-
-if USING_NUMBA:
-    gram_power_iteration = _gram_power_iteration_jit
-    rank_mod_p = _rank_mod_p_jit
-else:
-    gram_power_iteration = _gram_power_iteration_py
-    rank_mod_p = _rank_mod_p_py

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -55,8 +56,8 @@ class RunConfig:
             raise SpecError("depth must be >= 1")
         if self.trials < 1:
             raise SpecError("trials must be >= 1")
-        if self.tol <= 0:
-            raise SpecError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise SpecError("tol must be finite and positive")
 
 
 def _load_json_arg(arg: str, what: str) -> dict:

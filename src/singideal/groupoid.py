@@ -232,9 +232,9 @@ def involution(groupoid: FiniteGroupoid, f: GroupoidFunction) -> GroupoidFunctio
     return GroupoidFunction(groupoid, vals)
 
 
-def kernel_of_q_dimension(group: FiniteGroup, family: SubgroupFamily,
-                          groupoid: Optional[FiniteGroupoid] = None) -> int:
-    """Exact dimension of {a : q(a) = 0}, assembled from the groupoid arrows."""
+def _q_rows(group: FiniteGroup, family: SubgroupFamily,
+            groupoid: Optional[FiniteGroupoid]) -> exact.RationalMatrix:
+    """One 0/1 row per arrow, marking the group elements of its coset."""
     if groupoid is None:
         groupoid = build_coset_groupoid(group, family)
     n = group.order
@@ -244,22 +244,19 @@ def kernel_of_q_dimension(group: FiniteGroup, family: SubgroupFamily,
         for x in a.payload:
             row[x] = 1
         rows.append(row)
-    return exact.kernel_dim(exact.RationalMatrix.from_rows(rows, cols=n))
+    return exact.RationalMatrix.from_rows(rows, cols=n)
+
+
+def kernel_of_q_dimension(group: FiniteGroup, family: SubgroupFamily,
+                          groupoid: Optional[FiniteGroupoid] = None) -> int:
+    """Exact dimension of {a : q(a) = 0}, assembled from the groupoid arrows."""
+    return exact.kernel_dim(_q_rows(group, family, groupoid))
 
 
 def kernel_of_q_basis(group: FiniteGroup, family: SubgroupFamily,
                       groupoid: Optional[FiniteGroupoid] = None) -> List[tuple]:
     """Exact basis of {a : q(a) = 0}; the third kernel route."""
-    if groupoid is None:
-        groupoid = build_coset_groupoid(group, family)
-    n = group.order
-    rows = []
-    for a in groupoid.arrows:
-        row = [0] * n
-        for x in a.payload:
-            row[x] = 1
-        rows.append(row)
-    return exact.kernel_basis(exact.RationalMatrix.from_rows(rows, cols=n))
+    return exact.kernel_basis(_q_rows(group, family, groupoid))
 
 
 def reduction_groupoid(groupoid: FiniteGroupoid, units: Sequence[int]):

@@ -22,8 +22,9 @@ import numpy as np
 
 from . import exact
 from .exact import RationalMatrix
-from .groups import (FiniteGroup, SubgroupFamily, cosets_of_subgroup,
-                     distinct_cosets, minimal_subgroups, subgroup_generated)
+from .groups import (FiniteGroup, SubgroupFamily, _is_prime,
+                     cosets_of_subgroup, distinct_cosets, minimal_subgroups,
+                     subgroup_generated)
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -240,14 +241,3 @@ def abelian_AI_criterion(group: FiniteGroup) -> bool:
         if _is_prime(p):
             per_prime.setdefault(p, set()).add(subgroup_generated(group, (g,)))
     return all(len(subs) <= 1 for subs in per_prime.values())
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True

@@ -7,6 +7,9 @@ norm-equation limit collapses to a single evaluation: the reduced norm of
 the compression p a p (p the indicator of the identity arrows over X)
 must equal the reduced norm of the restriction of a to the reduction
 groupoid over X.
+
+Every operator norm is the square root of the top eigenvalue of a Gram
+matrix, from one symmetric eigensolve at every dimension.
 """
 
 from __future__ import annotations
@@ -16,13 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import gram_power_iteration
 from .groupoid import (FiniteGroupoid, GroupoidFunction, convolve,
                        reduction_groupoid, restrict_function, unit_indicator)
-
-POWER_TOL = 1e-10
-POWER_MAX_ITER = 10_000
-_EXACT_EIG_DIM = 64
 
 
 def function_floats(f: GroupoidFunction) -> np.ndarray:
@@ -46,34 +44,19 @@ def regular_rep_matrix(groupoid: FiniteGroupoid, f: GroupoidFunction,
     return vals[idx]
 
 
-def spectral_norm(m, tol: float = POWER_TOL) -> float:
-    """Largest singular value via power iteration on the Gram matrix.
-
-    Starts from the normalized all-ones vector and stops on relative
-    change below ``tol``.  For dimensions up to 64 the estimate is
-    cross-checked against a direct symmetric eigencomputation of the Gram
-    matrix; the larger value wins, since the all-ones seed can be exactly
-    orthogonal to the dominant eigenvector while the Rayleigh estimate
-    only ever approaches the true norm from below.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def spectral_norm(m) -> float:
+    """Largest singular value: the root of the Gram matrix's top eigenvalue."""
     a = np.asarray(m, dtype=np.float64)
     if a.size == 0:
         return 0.0
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    gram = a.T @ a
-    lam = float(gram_power_iteration(gram, tol, POWER_MAX_ITER))
-    if gram.shape[0] <= _EXACT_EIG_DIM:
-        lam = max(lam, float(np.linalg.eigvalsh(gram)[-1]))
-    return math.sqrt(max(lam, 0.0))
+    return math.sqrt(max(float(np.linalg.eigvalsh(a.T @ a)[-1]), 0.0))
 
 
-def reduced_norm(groupoid: FiniteGroupoid, f: GroupoidFunction,
-                 tol: float = POWER_TOL) -> float:
+def reduced_norm(groupoid: FiniteGroupoid, f: GroupoidFunction) -> float:
     """Sup over units of the operator norm of left convolution by f."""
-    return max(spectral_norm(regular_rep_matrix(groupoid, f, u), tol)
+    return max(spectral_norm(regular_rep_matrix(groupoid, f, u))
                for u in range(len(groupoid.units)))
 
 
@@ -85,7 +68,7 @@ def compress_to_units(groupoid: FiniteGroupoid, f: GroupoidFunction,
 
 
 def verify_norm_equation(groupoid: FiniteGroupoid, units: Sequence[int],
-                         f: GroupoidFunction, tol: float = POWER_TOL) -> float:
+                         f: GroupoidFunction) -> float:
     """|  ||f restricted to the reduction over X||_r  -  ||p f p||_r  |.
 
     Every subset of a finite discrete unit space is locally invariant and
@@ -96,6 +79,6 @@ def verify_norm_equation(groupoid: FiniteGroupoid, units: Sequence[int],
     if not units:
         raise ValueError("unit subset must be non-empty")
     reduced, kept = reduction_groupoid(groupoid, units)
-    lhs = reduced_norm(reduced, restrict_function(reduced, kept, f), tol)
-    rhs = reduced_norm(groupoid, compress_to_units(groupoid, f, units), tol)
+    lhs = reduced_norm(reduced, restrict_function(reduced, kept, f))
+    rhs = reduced_norm(groupoid, compress_to_units(groupoid, f, units))
     return abs(lhs - rhs)

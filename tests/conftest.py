@@ -2,22 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from singideal.groups import (FiniteGroup, conjugation_closure,
                               cyclic, dihedral, direct_product,
                               enumerate_subgroups, quaternion_group,
                               symmetric_group)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_jit_kernels():
-    """Compile the jitted kernels up front so runtime budgets measure the
-    algorithms, not a first-call JIT."""
-    from singideal import _kernels
-    _kernels.gram_power_iteration(np.eye(2), 1e-10, 10)
-    _kernels.rank_mod_p(np.eye(2, dtype=np.int64), _kernels.CERT_PRIME)
 
 
 def build_catalog():

@@ -153,6 +153,16 @@ def test_normcheck_exit_codes(capsys, monkeypatch):
     assert json.loads(out)["within_tol"] is False
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-8"])
+def test_normcheck_rejects_bad_tol(capsys, tol):
+    code = main(["normcheck", "--group", '{"kind":"cyclic","n":2}',
+                 "--family", '{"subgroups":[[0,1]]}', "--trials", "1",
+                 f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == EXIT_PARSE and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
 def test_out_file_and_group_file(capsys, tmp_path):
     spec_path = tmp_path / "group.json"
     spec_path.write_text('{"kind":"cyclic","n":2}')

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from singideal import _kernels
 from singideal.groupoid import (GroupoidFunction, build_coset_groupoid,
                                 convolve, delta, involution, unit_indicator)
 from singideal.groups import (conjugation_closure, cyclic, make_family,
@@ -38,13 +39,11 @@ def test_spectral_norm_basics():
     assert spectral_norm(np.zeros((3, 3))) == 0.0
     with pytest.raises(ValueError):
         spectral_norm(np.array([[np.nan]]))
-    with pytest.raises(ValueError):
-        spectral_norm(np.eye(2), tol=0)
 
 
 def test_spectral_norm_survives_orthogonal_seed():
-    # the all-ones seed is an eigenvector of the SMALLER eigenvalue here;
-    # the Gram eigen cross-check must still recover the true norm
+    # all-ones is an eigenvector of the SMALLER Gram eigenvalue here, so an
+    # iteration started from it would never see the true norm
     m = np.array([[2.0, -1.0], [-1.0, 2.0]])
     gram_top = max(np.linalg.eigvalsh(m.T @ m))
     assert spectral_norm(m) == pytest.approx(math.sqrt(gram_top), abs=1e-10)
@@ -155,20 +154,36 @@ def test_cstar_identity():
         assert abs(n_sq - n * n) < 1e-6
 
 
-def test_numba_and_numpy_kernels_agree():
-    from singideal import _kernels
+def test_norm_and_rank_kernels_match_references():
     rng = np.random.default_rng(12)
-    for _ in range(20):
-        a = rng.normal(size=(10, 10))
-        gram = a.T @ a
-        v_py = _kernels._gram_power_iteration_py(gram, 1e-12, 10_000)
-        if _kernels.HAS_NUMBA:
-            v_jit = _kernels._gram_power_iteration_jit(gram, 1e-12, 10_000)
-            assert v_py == pytest.approx(v_jit, rel=1e-9)
-    for _ in range(20):
-        m = rng.integers(0, 5, size=(12, 8)).astype(np.int64)
-        r_py = _kernels._rank_mod_p_py(m.copy(), _kernels.CERT_PRIME)
-        assert r_py == np.linalg.matrix_rank(m.astype(float))
-        if _kernels.HAS_NUMBA:
-            r_jit = _kernels._rank_mod_p_jit(m.copy(), _kernels.CERT_PRIME)
-            assert r_py == r_jit
+    # both sides of 64 dimensions, against numpy's SVD-based 2-norm
+    for n in (10, 64, 65, 140):
+        for _ in range(5):
+            a = rng.normal(size=(n, n))
+            assert spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-10)
+    # I - shift: all-ones spans the Gram null space; the norm is
+    # max_k |1 - exp(2 pi i k / n)| = 2 sin(pi floor(n/2) / n)
+    for n in (65, 70):
+        m = np.eye(n) - np.roll(np.eye(n), 1, axis=0)
+        assert np.allclose((m.T @ m) @ np.ones(n), 0.0)
+        expected = 2 * math.sin(math.pi * (n // 2) / n)
+        assert spectral_norm(m) == pytest.approx(expected, rel=1e-12)
+        assert np.linalg.norm(m, 2) == pytest.approx(expected, rel=1e-12)
+    # the same matrices reached through the group algebra of C65 and C70
+    for n, expected in ((65, 1.99942), (70, 2.0)):
+        g = cyclic(n)
+        gpd = build_coset_groupoid(g, make_family(g, [(0,)]))
+        pos = {a.payload[0]: a.index for a in gpd.arrows}
+        vals = [Fraction(0)] * n
+        vals[pos[1]], vals[pos[0]] = Fraction(1), Fraction(-1)
+        f = GroupoidFunction(gpd, tuple(vals))
+        ref = max(np.linalg.norm(regular_rep_matrix(gpd, f, u), 2)
+                  for u in range(len(gpd.units)))
+        assert reduced_norm(gpd, f) == pytest.approx(ref, rel=1e-12)
+        assert reduced_norm(gpd, f) == pytest.approx(expected, abs=1e-5)
+    # the mod-p rank certificate against the float rank, full and deficient
+    for k in (8, 5, 3, 1, 0):
+        for _ in range(8):
+            m = rng.integers(0, 5, size=(12, k)) @ rng.integers(0, 5, size=(k, 8))
+            assert (_kernels.rank_mod_p(m.copy(), _kernels.CERT_PRIME)
+                    == np.linalg.matrix_rank(m.astype(float)))
