@@ -6,10 +6,14 @@ with pivots chosen as the first non-zero entry in column order.  Kernel
 bases are read off the reduced row echelon form, which is canonical, so
 bases and witnesses are reproducible across platforms.
 
-The single concession to speed is a sound mod-p certificate: the rank of
-an integer matrix mod p never exceeds its rational rank, so full column
-rank mod p proves a trivial kernel.  Deficient cases always fall through
-to exact elimination.
+Machine integers enter only through the mod-p rank (``_kernels``), and
+only as a sound certificate: the rank of an integer matrix mod p never
+exceeds its rational rank.  Here, full column rank mod p proves a trivial
+kernel and deficient cases fall through to exact elimination.
+``ideals.class_I_check`` uses the same bound the other way round: after
+substituting an integerised kernel basis of dimension d into the matrix
+exactly, a mod-p rank of cols - d proves that the basis spans the whole
+kernel, and a shorter mod-p rank is decided by ``rank``.
 """
 
 from __future__ import annotations
@@ -73,6 +77,10 @@ def _as_rows(m) -> Tuple[List[list], int]:
 
 
 def _clear_denominators(row: Sequence) -> List[int]:
+    # fast path: an all-int row (the 0/1 constraint rows) skips the
+    # isinstance(x, Fraction) checks, which go through the numbers ABCs
+    if set(map(type, row)) <= {int}:
+        return list(row)
     mult = 1
     for x in row:
         if isinstance(x, Fraction):
@@ -80,7 +88,7 @@ def _clear_denominators(row: Sequence) -> List[int]:
     out = []
     for x in row:
         if isinstance(x, Fraction):
-            out.append(int(x * mult))
+            out.append(x.numerator * (mult // x.denominator))
         else:
             out.append(int(x) * mult)
     return out

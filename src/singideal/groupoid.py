@@ -234,14 +234,20 @@ def involution(groupoid: FiniteGroupoid, f: GroupoidFunction) -> GroupoidFunctio
 
 def _q_rows(group: FiniteGroup, family: SubgroupFamily,
             groupoid: Optional[FiniteGroupoid]) -> exact.RationalMatrix:
-    """One 0/1 row per arrow, marking the group elements of its coset."""
+    """One 0/1 row per arrow, marking the group elements of its coset.
+
+    Without a groupoid the rows come straight from ``distinct_cosets``,
+    which are the arrow payloads of ``build_coset_groupoid`` in order.
+    """
     if groupoid is None:
-        groupoid = build_coset_groupoid(group, family)
+        payloads = [c.elements for c in distinct_cosets(group, family)]
+    else:
+        payloads = [a.payload for a in groupoid.arrows]
     n = group.order
     rows = []
-    for a in groupoid.arrows:
+    for payload in payloads:
         row = [0] * n
-        for x in a.payload:
+        for x in payload:
             row[x] = 1
         rows.append(row)
     return exact.RationalMatrix.from_rows(rows, cols=n)

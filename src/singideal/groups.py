@@ -199,7 +199,7 @@ def make_group(spec: dict, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         raise ValueError("group spec must be a dict with a 'kind' key")
     kind = spec["kind"]
     if kind == "cyclic":
-        n = int(spec["n"])
+        n = _spec_int(spec["n"], "n")
         if n > max_order:
             raise SizeCapError(f"order {n} exceeds cap {max_order}")
         return cyclic(n)
@@ -207,9 +207,9 @@ def make_group(spec: dict, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         factors = [make_group(f, max_order=max_order) for f in spec["factors"]]
         return direct_product(factors, max_order=max_order)
     if kind == "symmetric":
-        return symmetric_group(int(spec["n"]))
+        return symmetric_group(_spec_int(spec["n"], "n"))
     if kind == "dihedral":
-        n = int(spec["n"])
+        n = _spec_int(spec["n"], "n")
         if 2 * n > max_order:
             raise SizeCapError(f"order {2 * n} exceeds cap {max_order}")
         return dihedral(n)
@@ -218,6 +218,15 @@ def make_group(spec: dict, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if kind == "cayley":
         return cayley_group(spec["table"], max_order=max_order)
     raise ValueError(f"unknown group kind {kind!r}")
+
+
+def _spec_int(value, what: str) -> int:
+    """An integral JSON number: 6 and 6.0 pass, 1.5, true and "6" do not."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or (isinstance(value, float) and value.is_integer())):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +259,15 @@ def is_subgroup(group: FiniteGroup, elems: Sequence[int]) -> bool:
     if 0 not in s:
         return False
     return all(group.mul(a, b) in s for a in s for b in s)
+
+
+def _require_subgroup(group: FiniteGroup, sub: Sequence[int]) -> None:
+    """Raise ValueError unless ``sub`` lists elements of a subgroup."""
+    for x in sub:
+        if not 0 <= x < group.order:
+            raise ValueError(f"element {x} out of range for order {group.order}")
+    if not is_subgroup(group, sub):
+        raise ValueError(f"{tuple(sub)} is not a subgroup")
 
 
 def enumerate_subgroups(group: FiniteGroup, max_order: int = DEFAULT_LATTICE_CAP) -> list:
@@ -308,8 +326,7 @@ def make_family(group: FiniteGroup, subgroups: Iterable[Sequence[int]],
     """
     members = _canonical_members(subgroups)
     for sub in members:
-        if not is_subgroup(group, sub):
-            raise ValueError(f"{sub} is not a subgroup")
+        _require_subgroup(group, sub)
     closed = _canonical_members(
         conjugate_subgroup(group, g, sub) for sub in members for g in group.elements())
     if closed != members:
@@ -326,8 +343,7 @@ def conjugation_closure(group: FiniteGroup, seeds: Iterable[Sequence[int]]) -> S
     """Smallest conjugation-invariant family containing the seed subgroups."""
     seeds = [tuple(sorted(s)) for s in seeds]
     for sub in seeds:
-        if not is_subgroup(group, sub):
-            raise ValueError(f"{sub} is not a subgroup")
+        _require_subgroup(group, sub)
     members = _canonical_members(
         conjugate_subgroup(group, g, sub) for sub in seeds for g in group.elements())
     return SubgroupFamily(group, members)
@@ -409,8 +425,7 @@ def distinct_cosets(group: FiniteGroup, family: SubgroupFamily) -> list:
 def subgroup_as_group(group: FiniteGroup, sub: Sequence[int]) -> FiniteGroup:
     """The subgroup as a standalone group, re-indexed in sorted element order."""
     sub = tuple(sorted(sub))
-    if not is_subgroup(group, sub):
-        raise ValueError(f"{sub} is not a subgroup")
+    _require_subgroup(group, sub)
     pos = {x: i for i, x in enumerate(sub)}
     table = [[pos[group.mul(a, b)] for b in sub] for a in sub]
     return FiniteGroup(table, name=f"{group.name}|{list(sub)}")
@@ -438,11 +453,10 @@ def parse_family(group: FiniteGroup, spec: dict, auto_close: bool = True) -> Sub
     if spec.get("minimal"):
         return minimal_subgroups(group)
     if "conjugacy_class_of" in spec:
-        seed = tuple(sorted(int(x) for x in spec["conjugacy_class_of"]))
-        if not is_subgroup(group, seed):
-            raise ValueError(f"{seed} is not a subgroup")
+        seed = [_spec_int(x, "subgroup element") for x in spec["conjugacy_class_of"]]
         return conjugation_closure(group, [seed])
     if "subgroups" in spec:
-        subs = [tuple(int(x) for x in s) for s in spec["subgroups"]]
+        subs = [tuple(_spec_int(x, "subgroup element") for x in s)
+                for s in spec["subgroups"]]
         return make_family(group, subs, auto_close=auto_close)
     raise ValueError("family spec needs 'subgroups', 'minimal' or 'conjugacy_class_of'")

@@ -1,16 +1,22 @@
 """Vanishing tests for the singular-ideal analogues of a group with a
 subgroup family, integer witnesses, and the intersection-property verdicts.
 
-Two kernels are computed through deliberately separate routes:
+Two kernels describe the same subspace of the group algebra:
 
 * the *algebraic* kernel -- solutions of the coset-sum equations
   sum_{h in gX} a(h) = 0, one linear constraint per distinct coset;
 * the *full* kernel -- group-algebra elements annihilated by every
-  quasi-regular permutation representation attached to the family,
-  assembled entry-by-entry from the representation matrices.
+  quasi-regular permutation representation attached to the family.
 
-For a finite group the two subspaces coincide; a mismatch is an internal
-consistency failure, never a mathematical outcome.
+Entry (i, j) of the representation on G/X, as a function of g, is the
+indicator of c_i X c_j^-1, a left coset of the conjugate c_j X c_j^-1.
+For a conjugation-invariant family the deduplicated entry rows are
+therefore exactly the coset rows, so both kernels are the kernel of one
+0/1 matrix and are computed by one exact elimination.  Two checks that
+can fail back this up: ``_check_entry_sets`` confirms the identity above
+from the Cayley table, and ``_certify_kernel`` substitutes the basis into
+the matrix and confirms its dimension with a mod-p rank.  A failure of
+either is an internal consistency failure, never a mathematical outcome.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import exact
+from ._kernels import CERT_PRIME, rank_mod_p
 from .exact import RationalMatrix
 from .groups import (FiniteGroup, SubgroupFamily, _is_prime,
                      cosets_of_subgroup, distinct_cosets, minimal_subgroups,
@@ -28,7 +35,7 @@ from .groups import (FiniteGroup, SubgroupFamily, _is_prime,
 
 
 class InternalInconsistencyError(RuntimeError):
-    """The algebraic and full kernels disagree: an implementation bug."""
+    """A kernel consistency check failed: an implementation bug."""
 
 
 class NotAbelianError(ValueError):
@@ -142,39 +149,93 @@ def quasi_regular_matrix(group: FiniteGroup, sub: Sequence[int], g: int) -> Rati
     return RationalMatrix.from_rows(rows, cols=k)
 
 
-def _stacked_representation_rows(group: FiniteGroup, family: SubgroupFamily) -> np.ndarray:
-    """Rows of the linearized map a -> (lambda_X(a))_X, one per matrix entry.
+def _check_entry_sets(group: FiniteGroup, family: SubgroupFamily) -> None:
+    """Confirm that the stacked representation rows are the coset rows.
 
-    Row (X, i, j) holds, for each column g, the (i, j) entry of the coset
-    permutation matrix of g.  Duplicate rows are removed before
-    elimination; the kernel is unchanged.
+    For each member X with coset representatives c_0 < c_1 < ..., the
+    entry set c_i X c_j^-1 must be a left coset of c_j X c_j^-1, that
+    conjugate must be a family member, and every family coset must occur
+    as some entry set.  All lookups are (k, k, |X|) table gathers, one
+    block per member; no row of length |G| is built.
     """
-    n = group.order
-    blocks = []
-    for sub in family.members:
-        cosets = cosets_of_subgroup(group, sub)
-        k = len(cosets)
-        elem_to_coset = np.empty(n, dtype=np.int64)
-        for j, coset in enumerate(cosets):
-            for x in coset.elements:
-                elem_to_coset[x] = j
-        reps = np.array([c.representative for c in cosets], dtype=np.int64)
-        # act[g, j] = index of the coset g * (coset j)
-        act = elem_to_coset[np.asarray(group.table, dtype=np.int64)[:, reps]]
-        rows = np.zeros((k, k, n), dtype=np.int8)
-        g_idx = np.arange(n)[:, None]
-        j_idx = np.arange(k)[None, :]
-        rows[act, j_idx, g_idx] = 1
-        blocks.append(rows.reshape(k * k, n))
-    stacked = np.concatenate(blocks, axis=0)
-    return np.unique(stacked, axis=0)
+    table, inverse = group.table, group.inverse
+    position = {sub: i for i, sub in enumerate(family.members)}
+    # coset_id[m, g]: row of coset_constraint_matrix holding g's coset of member m
+    coset_id = np.empty((len(family.members), group.order), dtype=np.int32)
+    reps = []
+    offset = 0
+    for i, sub in enumerate(family.members):
+        # left cosets in order of smallest element, as in cosets_of_subgroup
+        smallest = table[:, list(sub)].min(axis=1)
+        member_reps, local = np.unique(smallest, return_inverse=True)
+        coset_id[i] = offset + local
+        reps.append(member_reps)
+        offset += len(member_reps)
+    seen = np.zeros(offset, dtype=bool)
+    for sub, c in zip(family.members, reps):
+        k = len(c)
+        # entries[i, j, :] = c_i X c_j^-1
+        entries = table[table[c][:, list(sub)][:, None, :], inverse[c][None, :, None]]
+        conjugates = np.sort(entries[np.arange(k), np.arange(k)], axis=1)
+        try:
+            owner = np.array([position[tuple(conj.tolist())]
+                              for conj in conjugates], dtype=np.int32)
+        except KeyError:
+            raise InternalInconsistencyError(
+                f"a conjugate of {list(sub)} in {group.name} is not a family "
+                f"member") from None
+        ids = coset_id[owner[None, :, None], entries]
+        if not (ids == ids[:, :, :1]).all():
+            raise InternalInconsistencyError(
+                f"an entry set of the representation on {group.name}/{list(sub)} "
+                f"is not a left coset of its conjugate")
+        seen[ids[:, :, 0].ravel()] = True
+    if not seen.all():
+        raise InternalInconsistencyError(
+            f"{int((~seen).sum())} family cosets of {group.name} are not entry "
+            f"sets of the stacked representation")
+
+
+def _certify_kernel(matrix: RationalMatrix, basis: List[tuple]) -> None:
+    """Raise unless ``basis`` is a basis of the kernel of ``matrix``.
+
+    The basis vectors are substituted into the matrix exactly, their rank
+    is confirmed mod CERT_PRIME, and rank_mod_p(M) == cols - d proves that
+    they span the whole kernel (rank mod p never exceeds the rational
+    rank).  A short mod-p rank is decided by exact elimination, so only a
+    proven disagreement raises.
+    """
+    cols, d = matrix.cols, len(basis)
+    m = np.array(matrix.entries, dtype=np.int64).reshape(matrix.rows, cols)
+    ints = [exact._clear_denominators(v) for v in basis]
+    if d:
+        bound = max(abs(x) for v in ints for x in v)
+        weight = int(np.abs(m).sum(axis=1).max())
+        dtype = np.int64 if bound * weight < 2 ** 62 else object
+        b = np.array(ints, dtype=dtype).T
+        if (m.astype(dtype) @ b).any():
+            raise InternalInconsistencyError("a kernel basis vector fails M x = 0")
+        reduced = np.array([[x % CERT_PRIME for x in v] for v in ints], dtype=np.int64)
+        if rank_mod_p(reduced, CERT_PRIME) < d and exact.rank(ints) < d:
+            raise InternalInconsistencyError("the kernel basis is linearly dependent")
+    image_rank = rank_mod_p(m.copy(), CERT_PRIME)
+    if image_rank > cols - d or (image_rank < cols - d
+                                 and exact.rank(m) != cols - d):
+        raise InternalInconsistencyError(
+            f"kernel dimension {d} disagrees with the matrix rank")
 
 
 def full_ideal_kernel(group: FiniteGroup, family: SubgroupFamily) -> List[tuple]:
-    """Basis of the joint kernel of the stacked quasi-regular representations."""
+    """Basis of the joint kernel of the stacked quasi-regular representations.
+
+    The deduplicated entry rows of the representations are the coset rows
+    (checked by ``_check_entry_sets``), so this is the canonical basis of
+    the kernel of ``coset_constraint_matrix``.
+    """
     if not family.members:
         raise ValueError("family must be non-empty")
-    return exact.kernel_basis(_stacked_representation_rows(group, family))
+    _check_entry_sets(group, family)
+    return exact.kernel_basis(coset_constraint_matrix(group, family))
 
 
 def weak_containment_regular(group: FiniteGroup, family: SubgroupFamily) -> bool:
@@ -184,33 +245,30 @@ def weak_containment_regular(group: FiniteGroup, family: SubgroupFamily) -> bool
 
 
 def class_I_check(group: FiniteGroup, family: SubgroupFamily) -> IdealReport:
-    """Full report with the two-kernel consistency check.
+    """Full report from one constraint matrix and one elimination.
 
-    Raises InternalInconsistencyError when the independently computed
-    kernels differ, which for finite groups can only mean a bug.
+    Raises InternalInconsistencyError when the entry-set check or the
+    kernel certificate fails, which for finite groups can only mean a bug.
     """
-    algebraic = algebraic_ideal_kernel(group, family)
-    full = full_ideal_kernel(group, family)
-    dims_equal = len(algebraic) == len(full)
-    subspaces_equal = dims_equal and exact.same_subspace(algebraic, full)
-    if not subspaces_equal:
-        raise InternalInconsistencyError(
-            f"kernel mismatch on {group.name}: algebraic dim {len(algebraic)}, "
-            f"full dim {len(full)}")
+    _check_entry_sets(group, family)
+    matrix = coset_constraint_matrix(group, family)
+    basis = exact.kernel_basis(matrix)
+    _certify_kernel(matrix, basis)
+    dim = len(basis)
     witness = None
-    if algebraic:
-        witness = GroupAlgebraElement(group, exact.integerize(algebraic[0]))
-    full_dim = len(full)
-    report = IdealReport(
-        algebraic_kernel_dim=len(algebraic),
-        full_kernel_dim=full_dim,
+    if basis:
+        witness = GroupAlgebraElement(group, exact.integerize(basis[0]))
+    # the certified kernel is both the algebraic and the full kernel, so
+    # either it is trivial (weak containment) or it holds a witness
+    return IdealReport(
+        algebraic_kernel_dim=dim,
+        full_kernel_dim=dim,
         witness=witness,
-        weak_containment=full_dim == 0,
-        in_class_I=(full_dim == 0) or (len(algebraic) > 0),
-        cross_checks={"kernel_dims_equal": dims_equal,
-                      "kernel_subspaces_equal": subspaces_equal},
+        weak_containment=dim == 0,
+        in_class_I=True,
+        cross_checks={"kernel_dims_equal": True,
+                      "kernel_subspaces_equal": True},
     )
-    return report
 
 
 def property_AI(group: FiniteGroup) -> IdealReport:

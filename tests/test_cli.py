@@ -163,6 +163,26 @@ def test_normcheck_rejects_bad_tol(capsys, tol):
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("group, family", [
+    ('{"kind":"product","factors":5}', '{"minimal":true}'),
+    ('{"kind":"cyclic","n":6}', '{"subgroups":5}'),
+    ('{"kind":"cyclic","n":6}', '{"subgroups":[[0,99]]}'),
+    ('{"kind":"cyclic","n":6}', '{"conjugacy_class_of":[0,99]}'),
+    ('{"kind":"cyclic","n":2}', '{"subgroups":[[0,1,-1]]}'),
+    ('{"kind":"cyclic","n":6}', '{"subgroups":[[0,3.5]]}'),
+    ('{"kind":"cyclic","n":6}', '{"subgroups":[]}'),
+    ('{"kind":"cyclic","n":1}', '{"minimal":true}'),
+    ('{"kind":"cyclic","n":1.5}', '{"subgroups":[[0]]}'),
+    ('{"kind":"cyclic","n":true}', '{"subgroups":[[0]]}'),
+    ('{"kind":"dihedral","n":"3"}', '{"subgroups":[[0]]}'),
+])
+def test_malformed_specs_exit_1(capsys, group, family):
+    code = main(["analyze", "--group", group, "--family", family])
+    captured = capsys.readouterr()
+    assert code == EXIT_PARSE and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
 def test_out_file_and_group_file(capsys, tmp_path):
     spec_path = tmp_path / "group.json"
     spec_path.write_text('{"kind":"cyclic","n":2}')

@@ -3,16 +3,21 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from singideal import exact
+from singideal.cli import EXIT_INCONSISTENT, main
 from singideal.exact import in_span, same_subspace, spans_full
-from singideal.groups import (conjugation_closure, cosets_of_subgroup, cyclic,
-                              direct_product, distinct_cosets,
-                              enumerate_subgroups, make_family,
-                              minimal_subgroups, quaternion_group,
-                              restrict_family, subgroup_generated,
-                              symmetric_group)
-from singideal.ideals import (GroupAlgebraElement, IdealReport, NotAbelianError,
+from singideal.groups import (SubgroupFamily, conjugation_closure,
+                              cosets_of_subgroup, cyclic, direct_product,
+                              distinct_cosets, enumerate_subgroups,
+                              make_family, minimal_subgroups,
+                              quaternion_group, restrict_family,
+                              subgroup_generated, symmetric_group)
+from singideal.ideals import (GroupAlgebraElement, IdealReport,
+                              InternalInconsistencyError, NotAbelianError,
+                              _certify_kernel,
                               abelian_AI_criterion, algebraic_ideal_kernel,
                               check_witness, class_I_check,
                               coset_constraint_matrix, full_ideal_kernel,
@@ -132,6 +137,96 @@ def test_full_kernel_matches_explicit_representation_assembly():
                     for j in range(k):
                         total[i][j] += vec[g] * mat[i][j]
             assert all(x == 0 for row in total for x in row)
+
+
+def stacked_representation_rows(group, family):
+    """Rows of the linearized map a -> (lambda_X(a))_X, one per matrix entry.
+
+    Row (X, i, j) holds, for each column g, the (i, j) entry of the coset
+    permutation matrix of g; duplicate rows are removed.  This is the
+    explicit assembly of the full kernel's constraint system, kept as the
+    reference that the coset constraint rows are checked against.
+    """
+    n = group.order
+    blocks = []
+    for sub in family.members:
+        cosets = cosets_of_subgroup(group, sub)
+        k = len(cosets)
+        elem_to_coset = np.empty(n, dtype=np.int64)
+        for j, coset in enumerate(cosets):
+            for x in coset.elements:
+                elem_to_coset[x] = j
+        reps = np.array([c.representative for c in cosets], dtype=np.int64)
+        # act[g, j] = index of the coset g * (coset j)
+        act = elem_to_coset[np.asarray(group.table, dtype=np.int64)[:, reps]]
+        rows = np.zeros((k, k, n), dtype=np.int8)
+        g_idx = np.arange(n)[:, None]
+        j_idx = np.arange(k)[None, :]
+        rows[act, j_idx, g_idx] = 1
+        blocks.append(rows.reshape(k * k, n))
+    return np.unique(np.concatenate(blocks, axis=0), axis=0)
+
+
+def test_stacked_representation_rows_are_the_coset_rows(catalog_cases):
+    assert len(catalog_cases) == 97
+    for group, family in catalog_cases:
+        stacked = {tuple(row) for row
+                   in stacked_representation_rows(group, family).tolist()}
+        coset_rows = {tuple(row) for row
+                      in coset_constraint_matrix(group, family).row_lists()}
+        assert stacked == coset_rows, (group.name, family.members)
+
+
+@pytest.mark.parametrize("change", [
+    lambda basis: basis[:-1],
+    lambda basis: basis + [(Fraction(1), Fraction(0), Fraction(0), Fraction(0))],
+], ids=["drop-a-vector", "append-a-non-kernel-vector"])
+def test_kernel_certificate_catches_a_wrong_basis(monkeypatch, capsys, change):
+    g4 = cyclic(4)
+    family = make_family(g4, [(0, 2)])
+    assert class_I_check(g4, family).algebraic_kernel_dim == 2
+    real = exact.kernel_basis
+    monkeypatch.setattr(exact, "kernel_basis", lambda m: change(real(m)))
+    with pytest.raises(InternalInconsistencyError):
+        class_I_check(g4, family)
+    code = main(["analyze", "--group", '{"kind":"cyclic","n":4}',
+                 "--family", '{"subgroups":[[0,2]]}'])
+    assert code == EXIT_INCONSISTENT
+    assert "internal-inconsistency" in capsys.readouterr().out
+
+
+def test_kernel_certificate_beyond_int64():
+    # entries this large take the exact object-dtype substitution
+    g2 = cyclic(2)
+    matrix = coset_constraint_matrix(g2, make_family(g2, [(0, 1)]))
+    big = Fraction(2 ** 70)
+    _certify_kernel(matrix, [(big, -big)])
+    with pytest.raises(InternalInconsistencyError):
+        _certify_kernel(matrix, [(big, 1 - big)])
+
+
+def test_entry_set_check_rejects_a_non_invariant_family():
+    s3 = symmetric_group(3)
+    family = SubgroupFamily(s3, ((0, 1),))   # built directly, not closed
+    with pytest.raises(InternalInconsistencyError, match="not a family member"):
+        class_I_check(s3, family)
+    with pytest.raises(InternalInconsistencyError, match="not a family member"):
+        full_ideal_kernel(s3, family)
+
+
+def test_class_I_check_eliminates_once(monkeypatch, catalog_cases):
+    calls = []
+    real = exact.kernel_basis
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(exact, "kernel_basis", counting)
+    for group, family in catalog_cases[::10]:
+        calls.clear()
+        class_I_check(group, family)
+        assert len(calls) == 1, (group.name, family.members)
 
 
 def test_weak_containment():
