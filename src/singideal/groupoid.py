@@ -4,7 +4,11 @@ and the coset-sum homomorphism used as an independent kernel oracle.
 Arrows of the coset groupoid are the distinct cosets g*X themselves; the
 source of a coset Y is y^-1 Y, its range is Y y^-1 (both independent of
 the representative y, which the builder verifies), and composable pairs
-multiply pointwise.  Composition is tabulated once at build time.
+multiply pointwise.  Composition is tabulated once at build time with
+numpy lookups: with coset_of[u, g] the arrow g X_u, the product of y X_a
+and z X_b (where s(a) = r(b)) is coset_of[s(b), y z], filled one unit's
+block of composable pairs at a time.  A reduction remaps its block of the
+table with one index lookup.  Convolution stays exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -27,7 +31,14 @@ class Arrow(NamedTuple):
 
 
 class FiniteGroupoid:
-    """Units, arrows, inverse and a dense composition table (-1 = undefined)."""
+    """Units, arrows, inverse and a dense composition table (-1 = undefined).
+
+    The constructor also tabulates, once, the left-regular index block of
+    every unit u: entry (g, h) is the arrow g h^-1, for g and h in the
+    arrows with source u in canonical order.  Blocks of equal dimension
+    share one (units, d, d) stack, so a norm evaluates each stack with one
+    batched eigensolve.
+    """
 
     def __init__(self, units: Sequence, arrows: Sequence[Arrow],
                  inverse: Sequence[int], compose_table):
@@ -42,24 +53,45 @@ class FiniteGroupoid:
         for a in self.arrows:
             by_source[a.source].append(a.index)
         self.arrows_by_source = tuple(tuple(v) for v in by_source)
+        self._sources = np.array([a.source for a in self.arrows], dtype=np.intp)
+        self._ranges = np.array([a.range for a in self.arrows], dtype=np.intp)
+        self.unit_arrows = self._find_unit_arrows()
+        self._rep_stacks, self._rep_blocks = self._regular_index_blocks()
+
+    def _find_unit_arrows(self) -> tuple:
+        """The identity arrow of each unit; raises if some unit has none.
+
+        A candidate e (source = range, e e = e) is the identity at u = s(e)
+        when e b = b for every b with range u and b e = b for every b with
+        source u.  Two such arrows at one unit would equal their product,
+        so each unit has at most one.
+        """
+        table, src, rng = self.compose_table, self._sources, self._ranges
+        idx = np.arange(len(self.arrows))
         unit_arrows = [-1] * len(self.units)
-        for a in self.arrows:
-            if a.source == a.range and self.compose_table[a.index, a.index] == a.index:
-                # candidate identity; confirmed by neutrality below
-                if self._acts_neutrally(a.index):
-                    unit_arrows[a.source] = a.index
+        for e in np.flatnonzero((src == rng) & (table[idx, idx] == idx)).tolist():
+            u = src[e]
+            into, out_of = np.flatnonzero(rng == u), np.flatnonzero(src == u)
+            if (table[e, into] == into).all() and (table[out_of, e] == out_of).all():
+                unit_arrows[u] = e
         if any(u < 0 for u in unit_arrows):
             raise ValueError("some unit has no identity arrow")
-        self.unit_arrows = tuple(unit_arrows)
+        return tuple(unit_arrows)
 
-    def _acts_neutrally(self, e: int) -> bool:
-        src = self.arrows[e].source
-        for b in self.arrows:
-            if b.range == src and self.compose_table[e, b.index] != b.index:
-                return False
-            if b.source == src and self.compose_table[b.index, e] != b.index:
-                return False
-        return True
+    def _regular_index_blocks(self):
+        """(stacks, per-unit views into them) of the left-regular index blocks."""
+        dims = sorted({len(v) for v in self.arrows_by_source})
+        stacks, blocks = [], [None] * len(self.units)
+        for d in dims:
+            at = [u for u, v in enumerate(self.arrows_by_source) if len(v) == d]
+            arrows = np.array([self.arrows_by_source[u] for u in at], dtype=np.intp)
+            stack = self.compose_table[arrows[:, :, None],
+                                       self.inverse[arrows][:, None, :]]
+            stack.setflags(write=False)
+            stacks.append(stack)
+            for i, u in enumerate(at):
+                blocks[u] = stack[i]
+        return tuple(stacks), tuple(blocks)
 
     def num_arrows(self) -> int:
         return len(self.arrows)
@@ -147,48 +179,44 @@ def build_coset_groupoid(group: FiniteGroup, family: SubgroupFamily) -> FiniteGr
     if not family.members:
         raise ValueError("family must be non-empty")
     cosets = distinct_cosets(group, family)
+    table, inv = group.table, group.inverse
     unit_index = {sub: i for i, sub in enumerate(family.members)}
-    arrow_index = {c.elements: i for i, c in enumerate(cosets)}
-
-    def source_of(elems: tuple) -> tuple:
-        y = elems[0]
-        src = tuple(sorted(group.mul(group.inv(y), x) for x in elems))
-        for other in elems[1:]:
-            alt = tuple(sorted(group.mul(group.inv(other), x) for x in elems))
-            if alt != src:
-                raise AssertionError("source depends on the coset representative")
-        return src
-
-    def range_of(elems: tuple) -> tuple:
-        y = elems[0]
-        rng = tuple(sorted(group.mul(x, group.inv(y)) for x in elems))
-        for other in elems[1:]:
-            alt = tuple(sorted(group.mul(x, group.inv(other)) for x in elems))
-            if alt != rng:
-                raise AssertionError("range depends on the coset representative")
-        return rng
-
-    arrows = []
+    m = len(cosets)
+    # coset_of[u, g]: the arrow g X_u
+    coset_of = np.empty((len(family.members), group.order), dtype=np.int32)
+    sources = np.empty(m, dtype=np.intp)
+    ranges = np.empty(m, dtype=np.intp)
+    of_member = [[] for _ in family.members]
     for i, c in enumerate(cosets):
-        arrows.append(Arrow(i, unit_index[source_of(c.elements)],
-                            unit_index[range_of(c.elements)], c.elements))
+        of_member[unit_index[c.subgroup]].append(i)
+    for u, index in enumerate(of_member):
+        index = np.array(index, dtype=np.intp)
+        elems = np.array([cosets[i].elements for i in index], dtype=np.intp)
+        coset_of[u, elems] = index[:, None]
+        # row y of coset Y: sorted y^-1 Y (source) or sorted Y y^-1 (range);
+        # every row of a coset must give the same set
+        y_inv = inv[elems][:, :, None]
+        src_rows = np.sort(table[y_inv, elems[:, None, :]], axis=2)
+        rng_rows = np.sort(table[elems[:, None, :], y_inv], axis=2)
+        if not (src_rows == src_rows[:, :1]).all():
+            raise AssertionError("source depends on the coset representative")
+        if not (rng_rows == rng_rows[:, :1]).all():
+            raise AssertionError("range depends on the coset representative")
+        sources[index] = [unit_index[tuple(r)] for r in src_rows[:, 0].tolist()]
+        ranges[index] = [unit_index[tuple(r)] for r in rng_rows[:, 0].tolist()]
 
-    m = len(arrows)
-    inverse = np.empty(m, dtype=np.int32)
-    for a in arrows:
-        inv_elems = tuple(sorted(group.inv(x) for x in a.payload))
-        inverse[a.index] = arrow_index[inv_elems]
-
+    arrows = [Arrow(i, s, r, c.elements)
+              for i, (s, r, c) in enumerate(zip(sources.tolist(), ranges.tolist(), cosets))]
+    reps = np.array([c.elements[0] for c in cosets], dtype=np.intp)
+    # (y X)^-1 = X y^-1 = y^-1 (y X y^-1): the coset of the range containing y^-1
+    inverse = coset_of[ranges, inv[reps]]
+    # (y X_a)(z X_b) = y z X_b whenever X_a = z X_b z^-1, that is s(a) = r(b) = u
     compose = np.full((m, m), -1, dtype=np.int32)
-    for a in arrows:
-        for b in arrows:
-            if a.source != b.range:
-                continue
-            y, z = a.payload[0], b.payload[0]
-            yz = group.mul(y, z)
-            sub = family.members[b.source]
-            product = tuple(sorted(group.mul(yz, x) for x in sub))
-            compose[a.index, b.index] = arrow_index[product]
+    for u in range(len(family.members)):
+        left = np.flatnonzero(sources == u)
+        right = np.flatnonzero(ranges == u)
+        compose[np.ix_(left, right)] = coset_of[
+            sources[right][None, :], table[reps[left][:, None], reps[right][None, :]]]
 
     return FiniteGroupoid(family.members, arrows, inverse, compose)
 
@@ -208,20 +236,29 @@ def q_map(group: FiniteGroup, family: SubgroupFamily, coeffs: Sequence,
 
 def convolve(groupoid: FiniteGroupoid, f1: GroupoidFunction,
              f2: GroupoidFunction) -> GroupoidFunction:
-    """Exact convolution (f1*f2)(g) = sum over h with s(h)=s(g) of f1(g h^-1) f2(h)."""
+    """Exact convolution (f1*f2)(g) = sum over h with s(h)=s(g) of f1(g h^-1) f2(h).
+
+    Each term is f1(k) f2(h) landing on g = k h, for h in the support of
+    f2 and k in the support of f1 with s(k) = r(h); the support of f1 is
+    read once per source that occurs.
+    """
     if f1.groupoid is not groupoid or f2.groupoid is not groupoid:
         raise ValueError("functions live on a different groupoid")
-    inv = groupoid.inverse
+    values1, values2 = f1.values, f2.values
+    support2 = [h for h, v in enumerate(values2) if v]
+    ranges2 = groupoid._ranges[support2].tolist()
+    by_source = {}
+    for s in set(ranges2):
+        ks = [k for k in groupoid.arrows_by_source[s] if values1[k]]
+        if ks:
+            by_source[s] = (np.array(ks, dtype=np.intp), [values1[k] for k in ks])
     table = groupoid.compose_table
     out = [Fraction(0)] * groupoid.num_arrows()
-    support = [i for i, v in enumerate(f2.values) if v != 0]
-    for h in support:
-        fh = f2.values[h]
-        src = groupoid.arrows[h].source
-        for g in groupoid.arrows_by_source[src]:
-            gh = table[g, inv[h]]
-            v = f1.values[gh]
-            if v != 0:
+    for h, r in zip(support2, ranges2):
+        if r in by_source:
+            ks, vs = by_source[r]
+            fh = values2[h]
+            for g, v in zip(table[ks, h].tolist(), vs):
                 out[g] += v * fh
     return GroupoidFunction(groupoid, tuple(out))
 
@@ -276,24 +313,20 @@ def reduction_groupoid(groupoid: FiniteGroupoid, units: Sequence[int]):
     for u in units:
         if not 0 <= u < len(groupoid.units):
             raise ValueError(f"unit {u} out of range")
-    unit_pos = {u: i for i, u in enumerate(units)}
-    kept = [a.index for a in groupoid.arrows
-            if a.source in unit_pos and a.range in unit_pos]
-    arrow_pos = {a: i for i, a in enumerate(kept)}
-    arrows = [Arrow(arrow_pos[a], unit_pos[groupoid.arrows[a].source],
-                    unit_pos[groupoid.arrows[a].range], groupoid.arrows[a].payload)
-              for a in kept]
-    inverse = [arrow_pos[groupoid.inv(a)] for a in kept]
-    m = len(kept)
-    compose = np.full((m, m), -1, dtype=np.int32)
-    for i, a in enumerate(kept):
-        for j, b in enumerate(kept):
-            c = groupoid.compose(a, b)
-            if c is not None:
-                compose[i, j] = arrow_pos[c]
+    unit_pos = np.full(len(groupoid.units), -1, dtype=np.intp)
+    unit_pos[units] = np.arange(len(units))
+    sources, ranges = unit_pos[groupoid._sources], unit_pos[groupoid._ranges]
+    kept = np.flatnonzero((sources >= 0) & (ranges >= 0))
+    # pos[a]: the new index of kept arrow a; pos[-1] = -1 keeps "undefined"
+    pos = np.full(groupoid.num_arrows() + 1, -1, dtype=np.int32)
+    pos[kept] = np.arange(len(kept))
+    arrows = [Arrow(i, s, r, groupoid.arrows[a].payload)
+              for i, (a, s, r) in enumerate(zip(kept.tolist(), sources[kept].tolist(),
+                                                ranges[kept].tolist()))]
+    compose = pos[groupoid.compose_table[np.ix_(kept, kept)]]
     reduced = FiniteGroupoid([groupoid.units[u] for u in units],
-                             arrows, inverse, compose)
-    return reduced, kept
+                             arrows, pos[groupoid.inverse[kept]], compose)
+    return reduced, kept.tolist()
 
 
 def restrict_function(reduced: FiniteGroupoid, kept: Sequence[int],

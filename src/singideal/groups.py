@@ -19,8 +19,8 @@ import numpy as np
 DEFAULT_ORDER_CAP = 5040
 DEFAULT_LATTICE_CAP = 48
 
-# exhaustive associativity validation is O(n^3); generated tables are
-# correct by construction, so only explicit tables pay above this size
+# generated tables are correct by construction, so only explicit tables
+# pay for associativity validation above this size
 _ASSOC_CHECK_CAP = 512
 
 
@@ -46,7 +46,10 @@ class FiniteGroup:
     __slots__ = ("order", "table", "inverse", "name")
 
     def __init__(self, table, name: str = "G", check_associativity: Optional[bool] = None):
-        table = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
+        try:
+            table = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
+        except OverflowError as exc:
+            raise GroupTableError("table entries out of range") from exc
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise GroupTableError("Cayley table must be square")
         n = int(table.shape[0])
@@ -70,9 +73,9 @@ class FiniteGroup:
         if check_associativity is None:
             check_associativity = n <= _ASSOC_CHECK_CAP
         if check_associativity:
-            for a in range(n):
-                if not np.array_equal(table[table[a]], table[a][table]):
-                    raise GroupTableError(f"associativity fails involving element {a}")
+            a = _associativity_failure(table)
+            if a is not None:
+                raise GroupTableError(f"associativity fails involving element {a}")
         table.setflags(write=False)
         inv.setflags(write=False)
         self.order = n
@@ -106,6 +109,34 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
+
+
+def _associativity_failure(table: np.ndarray) -> Optional[int]:
+    """A generator a with (x a) y != x (a y) for some x, y; None if associative.
+
+    Light's test: the elements a with (x a) y = x (a y) for all x, y are
+    closed under the product and contain the identity, so testing a
+    generating set suffices.  Generators are chosen greedily, each the
+    smallest element outside the closure of the identity under right
+    multiplication by those chosen so far; each costs one O(n^2) check.
+    """
+    n = table.shape[0]
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    gens = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            fresh = np.zeros(n, dtype=bool)
+            fresh[table[np.ix_(frontier, gens)]] = True
+            fresh &= ~reached
+            reached |= fresh
+            frontier = np.flatnonzero(fresh)
+    for a in gens:
+        if not np.array_equal(table[table[:, a]], table[:, table[a]]):
+            return a
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +247,11 @@ def make_group(spec: dict, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if kind == "quaternion8":
         return quaternion_group()
     if kind == "cayley":
-        return cayley_group(spec["table"], max_order=max_order)
+        rows = spec["table"]
+        if len(rows) > max_order:
+            raise SizeCapError(f"explicit table order exceeds cap {max_order}")
+        table = [[_spec_int(x, "table entry") for x in row] for row in rows]
+        return cayley_group(table, max_order=max_order)
     raise ValueError(f"unknown group kind {kind!r}")
 
 
@@ -262,10 +297,12 @@ def is_subgroup(group: FiniteGroup, elems: Sequence[int]) -> bool:
 
 
 def _require_subgroup(group: FiniteGroup, sub: Sequence[int]) -> None:
-    """Raise ValueError unless ``sub`` lists elements of a subgroup."""
+    """Raise ValueError unless ``sub`` lists the elements of a subgroup, once each."""
     for x in sub:
         if not 0 <= x < group.order:
             raise ValueError(f"element {x} out of range for order {group.order}")
+    if len(set(sub)) != len(sub):
+        raise ValueError(f"{tuple(sub)} repeats an element")
     if not is_subgroup(group, sub):
         raise ValueError(f"{tuple(sub)} is not a subgroup")
 

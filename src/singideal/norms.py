@@ -9,7 +9,10 @@ must equal the reduced norm of the restriction of a to the reduction
 groupoid over X.
 
 Every operator norm is the square root of the top eigenvalue of a Gram
-matrix, from one symmetric eigensolve at every dimension.
+matrix, from one symmetric eigensolve at every dimension.  A reduced norm
+converts the function to floats once and gathers every unit's matrix from
+the index blocks the groupoid tabulated at construction; units of equal
+dimension share one stack and one batched eigensolve.
 """
 
 from __future__ import annotations
@@ -24,7 +27,14 @@ from .groupoid import (FiniteGroupoid, GroupoidFunction, convolve,
 
 
 def function_floats(f: GroupoidFunction) -> np.ndarray:
-    return np.array([float(v) for v in f.values], dtype=np.float64)
+    """The rational values of f as floats (numerator / denominator is
+    float(v), correctly rounded, without the Fraction method call)."""
+    return np.array([v.numerator / v.denominator for v in f.values],
+                    dtype=np.float64)
+
+
+def _padded_floats(f: GroupoidFunction) -> np.ndarray:
+    return np.append(function_floats(f), 0.0)  # index -1 = undefined product
 
 
 def regular_rep_matrix(groupoid: FiniteGroupoid, f: GroupoidFunction,
@@ -36,28 +46,28 @@ def regular_rep_matrix(groupoid: FiniteGroupoid, f: GroupoidFunction,
     """
     if not 0 <= unit < len(groupoid.units):
         raise ValueError(f"unit {unit} not found")
-    arrows = np.array(groupoid.arrows_by_source[unit], dtype=np.int64)
-    if arrows.size == 0:
-        return np.zeros((0, 0))
-    vals = np.append(function_floats(f), 0.0)  # index -1 = undefined product
-    idx = groupoid.compose_table[np.ix_(arrows, groupoid.inverse[arrows])]
-    return vals[idx]
+    return _padded_floats(f)[groupoid._rep_blocks[unit]]
 
 
 def spectral_norm(m) -> float:
-    """Largest singular value: the root of the Gram matrix's top eigenvalue."""
+    """Largest singular value: the root of the Gram matrix's top eigenvalue.
+
+    ``m`` may also be a stack of matrices (leading axes); the result is
+    then the largest norm in the stack, from one batched eigensolve.
+    """
     a = np.asarray(m, dtype=np.float64)
     if a.size == 0:
         return 0.0
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    return math.sqrt(max(float(np.linalg.eigvalsh(a.T @ a)[-1]), 0.0))
+    top = np.linalg.eigvalsh(np.swapaxes(a, -1, -2) @ a)[..., -1].max()
+    return math.sqrt(max(float(top), 0.0))
 
 
 def reduced_norm(groupoid: FiniteGroupoid, f: GroupoidFunction) -> float:
     """Sup over units of the operator norm of left convolution by f."""
-    return max(spectral_norm(regular_rep_matrix(groupoid, f, u))
-               for u in range(len(groupoid.units)))
+    vals = _padded_floats(f)
+    return max(spectral_norm(vals[stack]) for stack in groupoid._rep_stacks)
 
 
 def compress_to_units(groupoid: FiniteGroupoid, f: GroupoidFunction,

@@ -3,6 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
+
+# property tests draw the same examples on every run and store nothing;
+# a test's own @settings still sets its example count
+settings.register_profile("singideal", derandomize=True, deadline=None,
+                          max_examples=100, database=None)
+settings.load_profile("singideal")
 
 from singideal.groups import (FiniteGroup, conjugation_closure,
                               cyclic, dihedral, direct_product,

@@ -1,8 +1,12 @@
 """CLI contract: JSON schemas, exit codes, determinism, round-trips."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from singideal.cli import EXIT_OK, EXIT_PARSE, EXIT_TOLERANCE, main
 from singideal.ideals import IdealReport
@@ -175,6 +179,13 @@ def test_normcheck_rejects_bad_tol(capsys, tol):
     ('{"kind":"cyclic","n":1.5}', '{"subgroups":[[0]]}'),
     ('{"kind":"cyclic","n":true}', '{"subgroups":[[0]]}'),
     ('{"kind":"dihedral","n":"3"}', '{"subgroups":[[0]]}'),
+    ('{"kind":"cyclic","n":2}', '{"subgroups":[[0,0]]}'),
+    ('{"kind":"cyclic","n":2}', '{"subgroups":[[0,0,1]]}'),
+    ('{"kind":"cyclic","n":2}', '{"conjugacy_class_of":[0,1,1]}'),
+    ('{"kind":"cayley","table":[[0.5]]}', '{"subgroups":[[0]]}'),
+    ('{"kind":"cayley","table":[["0"]]}', '{"subgroups":[[0]]}'),
+    ('{"kind":"cayley","table":[[0,1],[1,100000000000000000000]]}',
+     '{"subgroups":[[0]]}'),
 ])
 def test_malformed_specs_exit_1(capsys, group, family):
     code = main(["analyze", "--group", group, "--family", family])
@@ -193,3 +204,88 @@ def test_out_file_and_group_file(capsys, tmp_path):
     assert code == EXIT_OK and out == ""
     data = json.loads(out_path.read_text())
     assert data["algebraic_kernel_dim"] == 1
+
+
+# JSON-ish spec values: every JSON type, ints of any size (negatives
+# included), floats (NaN and infinities included) and nested lists
+_scalars = st.one_of(st.integers(-3, 40), st.integers(), st.floats(),
+                     st.booleans(), st.text(max_size=3), st.none())
+_junk = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=3),
+                     max_leaves=6)
+_ints = st.one_of(st.integers(-3, 40), _junk)
+_elements = st.one_of(st.lists(_ints, max_size=4), _junk)
+
+
+def _with_junk_keys(specs):
+    return st.builds(lambda spec, extra: {**extra, **spec}, specs,
+                     st.dictionaries(st.text(max_size=3), _junk, max_size=2))
+
+
+_group_leaves = st.one_of(
+    st.fixed_dictionaries({"kind": st.sampled_from(["cyclic", "dihedral",
+                                                    "symmetric"]),
+                           "n": _ints}),
+    st.just({"kind": "quaternion8"}),
+    st.fixed_dictionaries({"kind": st.just("cayley"), "table": st.one_of(
+        st.integers(1, 6).map(lambda n: [[(a + b) % n for b in range(n)]
+                                         for a in range(n)]),
+        st.lists(_elements, max_size=4), _junk)}),
+    st.fixed_dictionaries({"kind": _junk}, optional={"n": _ints}))
+_group_specs = st.recursive(
+    _with_junk_keys(_group_leaves),
+    lambda inner: _with_junk_keys(st.fixed_dictionaries(
+        {"kind": st.just("product"),
+         "factors": st.one_of(st.lists(inner, max_size=3), _junk)})),
+    max_leaves=3)
+_family_specs = _with_junk_keys(st.one_of(
+    st.fixed_dictionaries({"minimal": _junk}),
+    st.fixed_dictionaries({"subgroups": st.one_of(
+        st.lists(_elements, max_size=3), _junk)}),
+    st.fixed_dictionaries({"conjugacy_class_of": _elements}),
+    st.just({})))
+# well-formed specs, so that many examples get past parsing
+_valid_leaves = st.one_of(
+    st.fixed_dictionaries({"kind": st.sampled_from(["cyclic", "dihedral",
+                                                    "symmetric"]),
+                           "n": st.integers(1, 4)}),
+    st.just({"kind": "quaternion8"}))
+_valid_group_specs = st.one_of(_valid_leaves, st.fixed_dictionaries(
+    {"kind": st.just("product"),
+     "factors": st.lists(_valid_leaves, min_size=1, max_size=2)}))
+_valid_family_specs = st.one_of(
+    st.just({"minimal": True}), st.just({"subgroups": [[0]]}),
+    st.fixed_dictionaries({"subgroups": st.lists(st.lists(
+        st.integers(0, 3), min_size=1, max_size=3), min_size=1, max_size=2)}),
+    st.fixed_dictionaries({"conjugacy_class_of": st.lists(
+        st.integers(0, 7), max_size=3)}))
+
+
+def _order_or_zero(group_spec):
+    try:
+        return make_group(group_spec).order
+    except Exception:  # main must reject the spec; the test asserts how
+        return 0
+
+
+@settings(max_examples=150)
+@given(command=st.sampled_from(["analyze", "witness", "hls", "normcheck"]),
+       group_spec=st.one_of(_valid_group_specs, _group_specs),
+       family_spec=st.one_of(_valid_family_specs, _family_specs))
+def test_cli_fuzz_exit_codes(command, group_spec, family_spec):
+    # shapes, not sizes: groups of order above 40 are left out
+    assume(_order_or_zero(group_spec) <= 40)
+    argv = [command, "--group", json.dumps(group_spec),
+            "--family", json.dumps(family_spec)]
+    if command == "normcheck":
+        argv += ["--trials", "1"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_OK:
+        json.loads(out.getvalue())
+    if code == EXIT_PARSE:
+        assert out.getvalue() == ""
+        assert len([line for line in err.getvalue().splitlines()
+                    if line.startswith("error: ")]) == 1

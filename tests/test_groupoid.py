@@ -1,18 +1,21 @@
 """Coset groupoid structure, convolution, and the coset-sum oracle."""
 
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from singideal.groupoid import (GroupoidFunction, build_coset_groupoid,
-                                convolve, delta, involution,
+from singideal.groupoid import (Arrow, FiniteGroupoid, GroupoidFunction,
+                                build_coset_groupoid, convolve, delta, involution,
                                 kernel_of_q_basis, kernel_of_q_dimension,
                                 q_map, reduction_groupoid, restrict_function,
                                 unit_indicator)
-from singideal.groups import (conjugation_closure, cyclic, direct_product,
-                              make_family, minimal_subgroups,
-                              subgroup_generated, symmetric_group)
+from singideal.groups import (conjugation_closure, cyclic, dihedral,
+                              direct_product, distinct_cosets, make_family,
+                              minimal_subgroups, subgroup_generated,
+                              symmetric_group)
 from singideal.ideals import algebraic_ideal_kernel
 from singideal.exact import same_subspace
 from singideal.sampling import random_coeffs, random_groupoid_function
@@ -38,6 +41,15 @@ def test_group_case_is_the_group():
             assert gpd.arrows[prod].payload == (s3.mul(a.payload[0], b.payload[0]),)
 
 
+def test_identity_arrow_must_be_neutral_on_both_sides():
+    arrows = [Arrow(0, 0, 0, (0,)), Arrow(1, 0, 0, (1,))]
+    assert FiniteGroupoid([0], arrows, [0, 1], [[0, 1], [1, 0]]).unit_arrows == (0,)
+    # every arrow is idempotent and neutral on one side only
+    for table in ([[0, 1], [0, 1]], [[0, 0], [1, 1]]):
+        with pytest.raises(ValueError, match="no identity arrow"):
+            FiniteGroupoid([0], arrows, [0, 1], table)
+
+
 def test_whole_group_family_single_arrow():
     g6 = cyclic(6)
     gpd = build_coset_groupoid(g6, make_family(g6, [tuple(range(6))]))
@@ -57,8 +69,6 @@ def test_s3_coset_groupoid_shape_and_axioms():
 
 def test_groupoid_axiom_suite_catalog(catalog_cases):
     for group, family in catalog_cases:
-        if group.order > 12:
-            continue
         gpd = build_coset_groupoid(group, family)
         gpd.check_axioms()
 
@@ -189,3 +199,139 @@ def test_groupoid_json_dump():
     assert len(dump["arrows"]) == 3
     assert dump["units"] == [[0, 3]]
     assert len(dump["compose"]) == 3 and len(dump["compose"][0]) == 3
+
+
+# ---------------------------------------------------------------------------
+# Python-loop references for the vectorised build, reduction and convolution:
+# one arrow, pair or term at a time, by pointwise set arithmetic.
+
+def reference_coset_tables(group, family):
+    """(arrows, inverse, compose) of the coset groupoid."""
+    cosets = distinct_cosets(group, family)
+    unit_index = {sub: i for i, sub in enumerate(family.members)}
+    arrow_index = {c.elements: i for i, c in enumerate(cosets)}
+
+    def side_of(elems, product):
+        sides = {tuple(sorted(product(y, x) for x in elems)) for y in elems}
+        assert len(sides) == 1, "the side depends on the coset representative"
+        return unit_index[sides.pop()]
+
+    arrows = [Arrow(i, side_of(c.elements, lambda y, x: group.mul(group.inv(y), x)),
+                    side_of(c.elements, lambda y, x: group.mul(x, group.inv(y))),
+                    c.elements)
+              for i, c in enumerate(cosets)]
+    m = len(arrows)
+    inverse = np.empty(m, dtype=np.int32)
+    for a in arrows:
+        inverse[a.index] = arrow_index[tuple(sorted(group.inv(x) for x in a.payload))]
+    # only composable pairs are visited: a with source u after b with range u
+    by_range = [[] for _ in family.members]
+    for b in arrows:
+        by_range[b.range].append(b)
+    compose = np.full((m, m), -1, dtype=np.int32)
+    for a in arrows:
+        for b in by_range[a.source]:
+            yz = group.mul(a.payload[0], b.payload[0])
+            product = tuple(sorted(group.mul(yz, x) for x in family.members[b.source]))
+            compose[a.index, b.index] = arrow_index[product]
+    return arrows, inverse, compose
+
+
+def reference_unit_arrows(arrows, compose):
+    """The arrow e at each unit with e b = b and b e = b wherever defined."""
+    unit_arrows = {}
+    for e in arrows:
+        if e.source != e.range or compose[e.index, e.index] != e.index:
+            continue
+        if all(compose[e.index, b.index] == b.index
+               for b in arrows if b.range == e.source) and \
+                all(compose[b.index, e.index] == b.index
+                    for b in arrows if b.source == e.source):
+            unit_arrows[e.source] = e.index
+    return tuple(unit_arrows[u] for u in sorted(unit_arrows))
+
+
+def reference_reduction(groupoid, units):
+    """(arrows, inverse, compose, kept) of the reduction to a unit subset."""
+    unit_pos = {u: i for i, u in enumerate(sorted(set(units)))}
+    kept = [a.index for a in groupoid.arrows
+            if a.source in unit_pos and a.range in unit_pos]
+    arrow_pos = {a: i for i, a in enumerate(kept)}
+    arrows = [Arrow(arrow_pos[a], unit_pos[groupoid.arrows[a].source],
+                    unit_pos[groupoid.arrows[a].range], groupoid.arrows[a].payload)
+              for a in kept]
+    inverse = np.array([arrow_pos[groupoid.inv(a)] for a in kept], dtype=np.int32)
+    compose = np.full((len(kept), len(kept)), -1, dtype=np.int32)
+    for i, a in enumerate(kept):
+        for j, b in enumerate(kept):
+            c = groupoid.compose(a, b)
+            if c is not None:
+                compose[i, j] = arrow_pos[c]
+    return arrows, inverse, compose, kept
+
+
+def reference_convolve(groupoid, f1, f2):
+    """(f1*f2)(g) as the sum over h with s(h) = s(g) of f1(g h^-1) f2(h)."""
+    out = [Fraction(0)] * groupoid.num_arrows()
+    for h in [i for i, v in enumerate(f2.values) if v != 0]:
+        for g in groupoid.arrows_by_source[groupoid.arrows[h].source]:
+            v = f1.values[groupoid.compose(g, groupoid.inv(h))]
+            if v != 0:
+                out[g] += v * f2.values[h]
+    return tuple(out)
+
+
+def assert_groupoid_is(gpd, arrows, inverse, compose):
+    assert gpd.arrows == tuple(arrows)
+    assert gpd.inverse.tobytes() == inverse.tobytes()
+    assert gpd.compose_table.tobytes() == compose.tobytes()
+    assert gpd.unit_arrows == reference_unit_arrows(arrows, compose)
+    assert gpd.arrows_by_source == tuple(
+        tuple(a.index for a in arrows if a.source == u) for u in range(len(gpd.units)))
+
+
+@pytest.fixture(scope="module")
+def vectorised_layer_cases(catalog_cases):
+    """(group, family, groupoid) for every catalog case, then S5 and D50
+    with their minimal families."""
+    cases = list(catalog_cases)
+    cases += [(g, minimal_subgroups(g)) for g in (symmetric_group(5), dihedral(50))]
+    return [(g, f, build_coset_groupoid(g, f)) for g, f in cases]
+
+
+def test_build_matches_loop_reference(vectorised_layer_cases):
+    for group, family, gpd in vectorised_layer_cases:
+        assert_groupoid_is(gpd, *reference_coset_tables(group, family))
+
+
+def test_reduction_matches_loop_reference(vectorised_layer_cases):
+    for _, _, gpd in vectorised_layer_cases:
+        units = range(len(gpd.units))
+        for subset in itertools.chain(itertools.combinations(units, 1),
+                                      itertools.combinations(units, 2)):
+            reduced, kept = reduction_groupoid(gpd, subset)
+            arrows, inverse, compose, ref_kept = reference_reduction(gpd, subset)
+            assert kept == ref_kept
+            assert reduced.units == tuple(gpd.units[u] for u in subset)
+            assert_groupoid_is(reduced, arrows, inverse, compose)
+
+
+def test_convolve_matches_loop_reference(vectorised_layer_cases):
+    rng = random.Random(17)
+    for _, _, gpd in vectorised_layer_cases:
+        m = gpd.num_arrows()
+        sparse = []
+        for size in (1, 3, 8):
+            vals = [Fraction(0)] * m
+            for a in rng.sample(range(m), min(size, m)):
+                vals[a] = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+            sparse.append(GroupoidFunction(gpd, tuple(vals)))
+        pairs = list(itertools.product(sparse, sparse))
+        # a dense f2 costs the reference m * (arrows per source) steps
+        dense = [random_groupoid_function(rng, gpd) for _ in range(2 if m <= 200 else 1)]
+        pairs += [(d, s) for d in dense for s in sparse]
+        pairs += [(s, d) for d in dense for s in sparse[1:2]]
+        if m <= 200:
+            pairs += list(itertools.product(dense, dense))
+        for f1, f2 in pairs:
+            assert convolve(gpd, f1, f2).values == reference_convolve(gpd, f1, f2)

@@ -4,6 +4,8 @@ Brute-force oracles (exhaustive subset search, naive order computation)
 pin down the derived counts before the library paths are trusted.
 """
 
+import random
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from singideal.groups import (FamilyNotInvariantError, GroupTableError,
                               quaternion_group, restrict_family,
                               subgroup_as_group, subgroup_generated,
                               symmetric_group)
+from singideal.groups import _associativity_failure
 
 
 def brute_force_subgroups(group):
@@ -85,6 +88,58 @@ def test_invalid_tables_rejected():
     loop[4][1], loop[4][4] = loop[4][4], loop[4][1]
     with pytest.raises(GroupTableError):
         cayley_group(loop)
+
+
+def brute_force_associative(table):
+    """Oracle: (a b) c = a (b c) for every triple, one row of a at a time."""
+    return all(np.array_equal(table[table[a]], table[a][table])
+               for a in range(table.shape[0]))
+
+
+def random_loop(rng, base):
+    """A Latin square with identity 0, from intercalate swaps of a group table.
+
+    An intercalate is a 2x2 subsquare [[x, y], [y, x]] at rows r1, r2 and
+    columns c1, c2 (all non-zero); swapping x and y keeps the Latin
+    property and row and column 0.
+    """
+    table = np.array(base.table)
+    n = base.order
+    for _ in range(rng.randint(1, 4)):
+        spots = [(r1, r2, c1, c2)
+                 for r1 in range(1, n) for r2 in range(r1 + 1, n)
+                 for c1 in range(1, n) for c2 in range(c1 + 1, n)
+                 if table[r1, c1] == table[r2, c2]
+                 and table[r1, c2] == table[r2, c1]]
+        if not spots:
+            break
+        r1, r2, c1, c2 = rng.choice(spots)
+        for r in (r1, r2):
+            table[r, c1], table[r, c2] = table[r, c2], table[r, c1]
+    return table
+
+
+def test_light_associativity_check_matches_brute_force(catalog):
+    for group in catalog:
+        assert _associativity_failure(group.table) is None
+        assert brute_force_associative(group.table)
+    # cyclic tables, and tables that need more than one generator
+    bases = [cyclic(4), cyclic(6), cyclic(8), direct_product([cyclic(2)] * 2),
+             direct_product([cyclic(2)] * 3), direct_product([cyclic(2), cyclic(4)]),
+             dihedral(4), quaternion_group()]
+    rng = random.Random(11)
+    verdicts = []
+    for trial in range(80):
+        table = random_loop(rng, rng.choice(bases))
+        idx = np.arange(table.shape[0])
+        assert (np.sort(table, axis=0) == idx[:, None]).all()
+        assert (np.sort(table, axis=1) == idx).all()
+        assert np.array_equal(table[0], idx) and np.array_equal(table[:, 0], idx)
+        verdict = brute_force_associative(table)
+        assert (_associativity_failure(table) is None) == verdict, table
+        verdicts.append(verdict)
+    # the sample has groups and non-associative loops alike
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_make_group_specs_and_caps():

@@ -7,11 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from singideal import _kernels
-from singideal.groupoid import (GroupoidFunction, build_coset_groupoid,
-                                convolve, delta, involution, unit_indicator)
+from singideal import _kernels, norms
+from singideal.cli import EXIT_TOLERANCE, main
+from singideal.groupoid import (FiniteGroupoid, GroupoidFunction,
+                                build_coset_groupoid, convolve, delta,
+                                involution, reduction_groupoid, unit_indicator)
 from singideal.groups import (conjugation_closure, cyclic, make_family,
-                              subgroup_generated, symmetric_group)
+                              minimal_subgroups, subgroup_generated,
+                              symmetric_group)
 from singideal.ideals import quasi_regular_matrix
 from singideal.norms import (compress_to_units, reduced_norm,
                              regular_rep_matrix, spectral_norm,
@@ -187,3 +190,82 @@ def test_norm_and_rank_kernels_match_references():
             m = rng.integers(0, 5, size=(12, k)) @ rng.integers(0, 5, size=(k, 8))
             assert (_kernels.rank_mod_p(m.copy(), _kernels.CERT_PRIME)
                     == np.linalg.matrix_rank(m.astype(float)))
+
+
+def test_reduced_norm_is_the_max_over_unit_matrices(catalog, catalog_cases):
+    rng = random.Random(21)
+    cases = list(catalog_cases)
+    # minimal families mix unit dimensions, so their norms span several stacks
+    cases += [(g, minimal_subgroups(g)) for g in catalog if g.order > 1]
+    cases += [(cyclic(n), make_family(cyclic(n), [(0,)])) for n in (65, 70)]
+    for group, family in cases:
+        gpd = build_coset_groupoid(group, family)
+        for _ in range(2):
+            f = random_groupoid_function(rng, gpd)
+            per_unit = [spectral_norm(regular_rep_matrix(gpd, f, u))
+                        for u in range(len(gpd.units))]
+            assert reduced_norm(gpd, f) == max(per_unit)
+
+
+def test_stacked_spectral_norm_is_the_max_of_its_slices():
+    rng = np.random.default_rng(3)
+    for shape in ((1, 1, 1), (4, 3, 3), (7, 12, 12), (3, 65, 65), (2, 3, 5, 5)):
+        stack = rng.normal(size=shape)
+        slices = stack.reshape((-1,) + shape[-2:])
+        assert spectral_norm(stack) == max(spectral_norm(s) for s in slices)
+
+
+# S3 as a one-unit groupoid: the one left-regular block carries the norm
+NORMCHECK_S3 = ["normcheck", "--group", '{"kind":"symmetric","n":3}',
+                "--family", '{"subgroups":[[0]]}', "--trials", "2"]
+
+
+def s3_group_case():
+    s3 = symmetric_group(3)
+    gpd = build_coset_groupoid(s3, make_family(s3, [(0,)]))
+    return gpd, random_groupoid_function(random.Random(2), gpd)
+
+
+def swap_two_products(gpd):
+    """gpd with a b and a c swapped for some arrows a, b, c off the units,
+    or gpd itself when it has no two such products that differ."""
+    table = gpd.compose_table.copy()
+    off_units = [a for a in range(gpd.num_arrows()) if a not in gpd.unit_arrows]
+    for a in off_units:
+        cols = [b for b in off_units if table[a, b] >= 0]
+        if len(cols) >= 2 and table[a, cols[0]] != table[a, cols[1]]:
+            b, c = cols[:2]
+            table[a, b], table[a, c] = table[a, c], table[a, b]
+            return FiniteGroupoid(gpd.units, gpd.arrows, gpd.inverse, table)
+    return gpd
+
+
+def test_norm_equation_fails_on_a_corrupted_reduction(capsys, monkeypatch):
+    def corrupted(groupoid, units):
+        reduced, kept = reduction_groupoid(groupoid, units)
+        return swap_two_products(reduced), kept
+
+    gpd, f = s3_group_case()
+    assert verify_norm_equation(gpd, [0], f) < TOL
+    monkeypatch.setattr(norms, "reduction_groupoid", corrupted)
+    assert verify_norm_equation(gpd, [0], f) > TOL
+    assert main(NORMCHECK_S3) == EXIT_TOLERANCE
+    capsys.readouterr()
+
+
+def test_norm_equation_fails_when_convolution_drops_a_term(capsys, monkeypatch):
+    def dropping(groupoid, f1, f2):
+        out = list(convolve(groupoid, f1, f2).values)
+        h = next(h for h, v in enumerate(f2.values) if v)
+        for g in groupoid.arrows_by_source[groupoid.arrows[h].source]:
+            k = groupoid.compose(g, groupoid.inv(h))
+            if f1.values[k]:
+                out[g] -= f1.values[k] * f2.values[h]
+                break
+        return GroupoidFunction(groupoid, tuple(out))
+
+    gpd, f = s3_group_case()
+    monkeypatch.setattr(norms, "convolve", dropping)
+    assert verify_norm_equation(gpd, [0], f) > TOL
+    assert main(NORMCHECK_S3) == EXIT_TOLERANCE
+    capsys.readouterr()
