@@ -8,11 +8,13 @@ multiply pointwise.  Composition is tabulated once at build time with
 numpy lookups: with coset_of[u, g] the arrow g X_u, the product of y X_a
 and z X_b (where s(a) = r(b)) is coset_of[s(b), y z], filled one unit's
 block of composable pairs at a time.  A reduction remaps its block of the
-table with one index lookup.  Convolution stays exact rational arithmetic.
+table with one index lookup.  Convolution stays exact: it sums Python ints
+over the common denominators of the two supports.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence
@@ -234,33 +236,54 @@ def q_map(group: FiniteGroup, family: SubgroupFamily, coeffs: Sequence,
     return GroupoidFunction(groupoid, vals)
 
 
+def _over_common_denominator(values, indices):
+    """(d, {i: values[i] * d}) for d the least common denominator of the
+    values at ``indices``; the scaled values are Python ints."""
+    dens = [values[i].denominator for i in indices]
+    den = math.lcm(*dens)
+    return den, {i: values[i].numerator * (den // d) for i, d in zip(indices, dens)}
+
+
 def convolve(groupoid: FiniteGroupoid, f1: GroupoidFunction,
              f2: GroupoidFunction) -> GroupoidFunction:
     """Exact convolution (f1*f2)(g) = sum over h with s(h)=s(g) of f1(g h^-1) f2(h).
 
     Each term is f1(k) f2(h) landing on g = k h, for h in the support of
-    f2 and k in the support of f1 with s(k) = r(h); the support of f1 is
-    read once per source that occurs.
+    f2 and k in the support of f1 with s(k) = r(h).  Both supports are
+    scaled to integers over their common denominators, the terms are
+    summed as Python ints (one table lookup per unit r(h)), and each
+    non-zero sum becomes one normalised Fraction.
     """
     if f1.groupoid is not groupoid or f2.groupoid is not groupoid:
         raise ValueError("functions live on a different groupoid")
     values1, values2 = f1.values, f2.values
-    support2 = [h for h, v in enumerate(values2) if v]
-    ranges2 = groupoid._ranges[support2].tolist()
-    by_source = {}
-    for s in set(ranges2):
-        ks = [k for k in groupoid.arrows_by_source[s] if values1[k]]
+    # v.numerator, not v: the property is cheaper than Fraction.__bool__
+    support2 = [h for h, v in enumerate(values2) if v.numerator]
+    hs_at = {}
+    for h, r in zip(support2, groupoid._ranges[support2].tolist()):
+        hs_at.setdefault(r, []).append(h)
+    ks_at = {}
+    for r in hs_at:
+        ks = [k for k in groupoid.arrows_by_source[r] if values1[k].numerator]
         if ks:
-            by_source[s] = (np.array(ks, dtype=np.intp), [values1[k] for k in ks])
+            ks_at[r] = ks
+    den1, ints1 = _over_common_denominator(
+        values1, [k for ks in ks_at.values() for k in ks])
+    den2, ints2 = _over_common_denominator(
+        values2, [h for r in ks_at for h in hs_at[r]])
     table = groupoid.compose_table
-    out = [Fraction(0)] * groupoid.num_arrows()
-    for h, r in zip(support2, ranges2):
-        if r in by_source:
-            ks, vs = by_source[r]
-            fh = values2[h]
-            for g, v in zip(table[ks, h].tolist(), vs):
-                out[g] += v * fh
-    return GroupoidFunction(groupoid, tuple(out))
+    acc = [0] * groupoid.num_arrows()
+    for r, ks in ks_at.items():
+        hs = hs_at[r]
+        bs = [ints2[h] for h in hs]
+        rows = table[np.array(ks, dtype=np.intp)[:, None], hs].tolist()
+        for k, row in zip(ks, rows):
+            a = ints1[k]
+            for g, b in zip(row, bs):
+                acc[g] += a * b
+    den, zero = den1 * den2, Fraction(0)
+    return GroupoidFunction(groupoid, tuple([Fraction(n, den) if n else zero
+                                             for n in acc]))
 
 
 def involution(groupoid: FiniteGroupoid, f: GroupoidFunction) -> GroupoidFunction:

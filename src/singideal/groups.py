@@ -213,7 +213,9 @@ def direct_product(factors: Sequence[FiniteGroup], max_order: int = DEFAULT_ORDE
 
 def cayley_group(table, name: str = "cayley", max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     table = np.asarray(table)
-    if table.ndim != 2 or table.shape[0] > max_order:
+    if table.ndim != 2 or table.shape[0] != table.shape[1]:
+        raise GroupTableError("Cayley table must be square")
+    if table.shape[0] > max_order:
         raise SizeCapError(f"explicit table order exceeds cap {max_order}")
     return FiniteGroup(table, name=f"{name}[{table.shape[0]}]", check_associativity=True)
 
@@ -248,6 +250,9 @@ def make_group(spec: dict, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         return quaternion_group()
     if kind == "cayley":
         rows = spec["table"]
+        if not (isinstance(rows, list) and rows and all(
+                isinstance(row, list) and len(row) == len(rows) for row in rows)):
+            raise GroupTableError("Cayley table must be square")
         if len(rows) > max_order:
             raise SizeCapError(f"explicit table order exceeds cap {max_order}")
         table = [[_spec_int(x, "table entry") for x in row] for row in rows]

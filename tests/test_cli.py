@@ -3,11 +3,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import singideal
 from singideal.cli import EXIT_OK, EXIT_PARSE, EXIT_TOLERANCE, main
 from singideal.ideals import IdealReport
 from singideal.groups import make_group
@@ -67,6 +71,19 @@ def test_determinism(capsys):
     code2, out2 = run(capsys, argv)
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
+    # S4 with its minimal family has 13 units, so every subset's residuals
+    # come from the batched path; a fresh interpreter prints the same bytes
+    argv = ["normcheck", "--group", '{"kind":"symmetric","n":4}',
+            "--family", '{"minimal":true}', "--trials", "3", "--seed", "1"]
+    code1, out1 = run(capsys, argv)
+    code2, out2 = run(capsys, argv)
+    src = os.path.dirname(os.path.dirname(singideal.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = subprocess.run([sys.executable, "-m", "singideal.cli", *argv],
+                           capture_output=True, text=True, env=env, timeout=120)
+    assert code1 == code2 == fresh.returncode == EXIT_OK
+    assert out1 == out2 == fresh.stdout
 
 
 def test_parse_errors(capsys):
@@ -149,7 +166,8 @@ def test_normcheck_exit_codes(capsys, monkeypatch):
     assert data["within_tol"] is True and data["max_residual"] < 1e-8
     # exit code 3 when the residual exceeds the tolerance
     import singideal.cli as cli
-    monkeypatch.setattr(cli, "verify_norm_equation", lambda *a, **k: 0.5)
+    monkeypatch.setattr(cli, "norm_equation_residuals",
+                        lambda g, u, fs: [0.5] * len(fs))
     code, out = run(capsys, ["normcheck", "--group", '{"kind":"symmetric","n":3}',
                              "--family", '{"conjugacy_class_of":[0,2]}',
                              "--trials", "2"])
@@ -165,6 +183,11 @@ def test_normcheck_rejects_bad_tol(capsys, tol):
     captured = capsys.readouterr()
     assert code == EXIT_PARSE and captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+# 1-D tables are reported as non-square, not as over the order cap
+NON_SQUARE_TABLES = ('{"kind":"cayley","table":[]}',
+                     '{"kind":"cayley","table":[0,1]}')
 
 
 @pytest.mark.parametrize("group, family", [
@@ -186,12 +209,16 @@ def test_normcheck_rejects_bad_tol(capsys, tol):
     ('{"kind":"cayley","table":[["0"]]}', '{"subgroups":[[0]]}'),
     ('{"kind":"cayley","table":[[0,1],[1,100000000000000000000]]}',
      '{"subgroups":[[0]]}'),
+    ('{"kind":"cayley","table":[]}', '{"subgroups":[[0]]}'),
+    ('{"kind":"cayley","table":[0,1]}', '{"subgroups":[[0]]}'),
 ])
 def test_malformed_specs_exit_1(capsys, group, family):
     code = main(["analyze", "--group", group, "--family", family])
     captured = capsys.readouterr()
     assert code == EXIT_PARSE and captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    if group in NON_SQUARE_TABLES:
+        assert captured.err == "error: bad group spec: Cayley table must be square\n"
 
 
 def test_out_file_and_group_file(capsys, tmp_path):

@@ -333,5 +333,50 @@ def test_convolve_matches_loop_reference(vectorised_layer_cases):
         pairs += [(s, d) for d in dense for s in sparse[1:2]]
         if m <= 200:
             pairs += list(itertools.product(dense, dense))
+        # numerators near 2^70 over large coprime denominators, on 12 arrows
+        huge = []
+        for _ in range(2):
+            vals = [Fraction(0)] * m
+            for a in rng.sample(range(m), min(12, m)):
+                vals[a] = Fraction(rng.choice((-1, 1)) * rng.randrange(2 ** 69, 2 ** 70),
+                                   rng.choice(BIG_DENOMINATORS))
+            huge.append(GroupoidFunction(gpd, tuple(vals)))
+        pairs += list(itertools.product(huge, huge)) + [(huge[0], sparse[2])]
+        # plain int values, dense only where dense pairs are affordable
+        ints = []
+        for _ in range(2):
+            vals = [0] * m
+            for a in range(m) if m <= 200 else rng.sample(range(m), 12):
+                vals[a] = rng.randint(-5, 5)
+            ints.append(GroupoidFunction(gpd, tuple(vals)))
+        pairs += [(ints[0], ints[1]), (ints[1], sparse[1]), (huge[1], ints[0])]
         for f1, f2 in pairs:
-            assert convolve(gpd, f1, f2).values == reference_convolve(gpd, f1, f2)
+            out = convolve(gpd, f1, f2).values
+            assert out == reference_convolve(gpd, f1, f2)
+            assert all(type(v) is Fraction for v in out)
+        cancelling = cancelling_pair(gpd)
+        if cancelling is not None:
+            f1, f2, g = cancelling
+            out = convolve(gpd, f1, f2).values
+            assert out == reference_convolve(gpd, f1, f2)
+            assert out[g] == 0 and type(out[g]) is Fraction
+
+
+BIG_DENOMINATORS = (2 ** 61 - 1, 2 ** 89 - 1, 3 ** 40, 1000003 * 999983)
+
+
+def cancelling_pair(gpd):
+    """(f1, f2, g) with two non-zero terms of (f1*f2)(g) that cancel, or
+    None when no source has two arrows."""
+    g = next((g for g in range(gpd.num_arrows())
+              if len(gpd.arrows_by_source[gpd.arrows[g].source]) >= 2), None)
+    if g is None:
+        return None
+    h1, h2 = gpd.arrows_by_source[gpd.arrows[g].source][:2]
+    k1, k2 = gpd.compose(g, gpd.inv(h1)), gpd.compose(g, gpd.inv(h2))
+    v1 = [Fraction(0)] * gpd.num_arrows()
+    v2 = [Fraction(0)] * gpd.num_arrows()
+    # k1 h1 = k2 h2 = g: (2/3)(-9/7) + (-6/5)(-5/7) = 0
+    v1[k1], v1[k2] = Fraction(2, 3), Fraction(-6, 5)
+    v2[h1], v2[h2] = Fraction(-9, 7), Fraction(-5, 7)
+    return (GroupoidFunction(gpd, tuple(v1)), GroupoidFunction(gpd, tuple(v2)), g)

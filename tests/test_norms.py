@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 
 from singideal import _kernels, norms
-from singideal.cli import EXIT_TOLERANCE, main
+from singideal.cli import EXIT_OK, EXIT_TOLERANCE, _unit_subsets, main
 from singideal.groupoid import (FiniteGroupoid, GroupoidFunction,
                                 build_coset_groupoid, convolve, delta,
-                                involution, reduction_groupoid, unit_indicator)
+                                involution, reduction_groupoid,
+                                restrict_function, unit_indicator)
 from singideal.groups import (conjugation_closure, cyclic, make_family,
                               minimal_subgroups, subgroup_generated,
                               symmetric_group)
 from singideal.ideals import quasi_regular_matrix
-from singideal.norms import (compress_to_units, reduced_norm,
+from singideal.norms import (NORM_BATCH, compress_to_units,
+                             norm_equation_residuals, reduced_norm,
                              regular_rep_matrix, spectral_norm,
                              verify_norm_equation)
 from singideal.sampling import random_groupoid_function
@@ -213,6 +215,67 @@ def test_stacked_spectral_norm_is_the_max_of_its_slices():
         stack = rng.normal(size=shape)
         slices = stack.reshape((-1,) + shape[-2:])
         assert spectral_norm(stack) == max(spectral_norm(s) for s in slices)
+
+
+def per_unit_residual(gpd, units, f):
+    """The norm-equation residual from one spectral_norm per unit matrix."""
+    def norm(groupoid, h):
+        return max(spectral_norm(regular_rep_matrix(groupoid, h, u))
+                   for u in range(len(groupoid.units)))
+    reduced, kept = reduction_groupoid(gpd, units)
+    return abs(norm(reduced, restrict_function(reduced, kept, f))
+               - norm(gpd, compress_to_units(gpd, f, units)))
+
+
+def assert_batch_matches(gpd, subsets, fs):
+    """Batched residuals equal one-function calls bit for bit, and (for
+    the first two functions) the per-unit-matrix residuals."""
+    for subset in subsets:
+        batch = norm_equation_residuals(gpd, subset, fs)
+        assert batch == [verify_norm_equation(gpd, subset, f) for f in fs]
+        assert batch[:2] == [per_unit_residual(gpd, subset, f) for f in fs[:2]]
+
+
+def test_norm_equation_residuals_match_per_function(catalog, monkeypatch):
+    # S4 with its minimal family at seed 1: a strided (non-contiguous)
+    # gather changes some of these residuals in the last bits
+    s4 = symmetric_group(4)
+    gpd = build_coset_groupoid(s4, minimal_subgroups(s4))
+    rng = random.Random(1)
+    fs = [random_groupoid_function(rng, gpd) for _ in range(20)]
+    # 20 functions span two chunks of the 9-unit, 12-dimensional stack
+    assert max(s.size for s in gpd._rep_stacks) * 12 <= NORM_BATCH
+    assert_batch_matches(gpd, _unit_subsets(len(gpd.units)), fs)
+    # C65 and C70 with the trivial family: 3 functions per chunk
+    rng = random.Random(5)
+    for n in (65, 70):
+        g = cyclic(n)
+        gpd = build_coset_groupoid(g, make_family(g, [(0,)]))
+        assert NORM_BATCH // gpd._rep_stacks[0].size == 3
+        fs = [random_groupoid_function(rng, gpd) for _ in range(7)]
+        assert_batch_matches(gpd, [[0]], fs)
+    # every catalog minimal family (C70's too), with chunks small enough
+    # that each stack spans several
+    monkeypatch.setattr(norms, "NORM_BATCH", 64)
+    rng = random.Random(6)
+    for group in [g for g in catalog if g.order > 1] + [cyclic(70)]:
+        gpd = build_coset_groupoid(group, minimal_subgroups(group))
+        fs = [random_groupoid_function(rng, gpd) for _ in range(5)]
+        assert_batch_matches(gpd, _unit_subsets(len(gpd.units))[:12], fs)
+
+
+def test_normcheck_builds_one_reduction_per_subset(capsys, monkeypatch):
+    built = []
+
+    def counting(groupoid, units):
+        built.append(tuple(units))
+        return reduction_groupoid(groupoid, units)
+
+    monkeypatch.setattr(norms, "reduction_groupoid", counting)
+    assert main(["normcheck", "--group", '{"kind":"symmetric","n":4}',
+                 "--family", '{"minimal":true}', "--trials", "3"]) == EXIT_OK
+    capsys.readouterr()
+    assert len(built) == len(_unit_subsets(13))
 
 
 # S3 as a one-unit groupoid: the one left-regular block carries the norm
