@@ -12,12 +12,13 @@ from .groupoid import (Arrow, FiniteGroupoid, GroupoidFunction,
                        reduction_groupoid, restrict_function, unit_indicator)
 from .groups import (Coset, FamilyNotInvariantError, FiniteGroup,
                      GroupTableError, SizeCapError, SubgroupFamily,
-                     cayley_group, conjugation_closure, cosets_of_subgroup,
-                     cyclic, dihedral, direct_product, distinct_cosets,
-                     enumerate_subgroups, left_coset, make_family, make_group,
-                     minimal_subgroups, normal_closure_subgroup, parse_family,
-                     quaternion_group, restrict_family, subgroup_as_group,
-                     subgroup_generated, symmetric_group)
+                     cayley_group, conjugation_closure, coset_index,
+                     cosets_of_subgroup, cyclic, dihedral, direct_product,
+                     distinct_cosets, enumerate_subgroups, left_coset,
+                     make_family, make_group, minimal_subgroups,
+                     normal_closure_subgroup, parse_family, quaternion_group,
+                     restrict_family, subgroup_as_group, subgroup_generated,
+                     symmetric_group)
 from .hls import (NotAWitnessError, SingularCandidate, TruncatedHLS,
                   build_hls, essential_fiber, hls_report,
                   is_extremely_dangerous, limit_set,

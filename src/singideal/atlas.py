@@ -7,8 +7,10 @@ from __future__ import annotations
 
 from typing import Iterator, List, Tuple
 
-from .groups import FiniteGroup, cyclic, direct_product
+from .groups import FiniteGroup, SizeCapError, cyclic, direct_product
 from .ideals import abelian_AI_criterion, property_AI
+
+ATLAS_ORDER_CAP = 64
 
 
 def integer_partitions(n: int) -> Iterator[Tuple[int, ...]]:
@@ -72,8 +74,8 @@ def ai_atlas(max_order: int) -> dict:
     Each row carries the span-test verdict and the at-most-one-subgroup-
     of-each-prime-order criterion; a disagreement row is a failure.
     """
-    if max_order > 64:
-        raise ValueError("atlas is capped at order 64")
+    if max_order > ATLAS_ORDER_CAP:
+        raise SizeCapError(f"the atlas is capped at order {ATLAS_ORDER_CAP}")
     rows = []
     disagreements = 0
     for n in range(1, max_order + 1):

@@ -3,8 +3,9 @@ truncated non-Hausdorff construction, norm-equation sweeps and witness
 extraction.  All reports are JSON with potentially-large integers (the
 witness coefficients) serialized as decimal strings.
 
-Exit codes: 0 success, 1 parse/usage error, 2 internal kernel
-inconsistency (analyze), 3 norm tolerance exceeded (normcheck).
+Exit codes: 0 success, 1 parse/usage error or size cap exceeded, 2
+internal kernel inconsistency (analyze), 3 norm tolerance exceeded
+(normcheck).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Optional, Sequence
 from . import hls as hls_mod
 from .atlas import ai_atlas
 from .groupoid import build_coset_groupoid
-from .groups import (FamilyNotInvariantError, GroupTableError,
-                     SizeCapError, make_group, parse_family)
+from .groups import (FamilyNotInvariantError, SizeCapError, make_group,
+                     parse_family)
 from .ideals import (InternalInconsistencyError, class_I_check, integer_witness)
 from .norms import NORM_BATCH, norm_equation_residuals
 from .sampling import random_groupoid_function
@@ -54,6 +55,8 @@ class RunConfig:
     def __post_init__(self):
         if self.depth < 1:
             raise SpecError("depth must be >= 1")
+        if self.max_order < 1:
+            raise SpecError("max-order must be >= 1")
         if self.trials < 1:
             raise SpecError("trials must be >= 1")
         if not (math.isfinite(self.tol) and self.tol > 0):
@@ -70,7 +73,7 @@ def _load_json_arg(arg: str, what: str) -> dict:
             text = fh.read()
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SpecError(f"invalid {what} JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SpecError(f"{what} JSON must be an object")
@@ -78,10 +81,11 @@ def _load_json_arg(arg: str, what: str) -> dict:
 
 
 def _build_inputs(config: RunConfig):
-    # TypeError: a spec value of the wrong JSON type (say, "factors": 5)
+    # TypeError: a spec value of the wrong JSON type (say, "factors": 5);
+    # RecursionError: products nested too deeply
     try:
         group = make_group(config.group_spec)
-    except (GroupTableError, SizeCapError, ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise SpecError(f"bad group spec: {exc}") from exc
     try:
         family = parse_family(group, config.family_spec, auto_close=config.auto_close)
@@ -142,8 +146,6 @@ def cmd_hls(config: RunConfig) -> int:
 
 
 def cmd_ai_atlas(config: RunConfig) -> int:
-    if config.max_order > 64:
-        raise SpecError("--max-order is capped at 64")
     report = ai_atlas(config.max_order)
     _emit(report, config.output)
     return EXIT_OK
@@ -197,51 +199,41 @@ def build_parser() -> argparse.ArgumentParser:
                     "singular-ideal analogues on finite groups and groupoids.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, group=True, family=True):
-        if group:
+    # options left out are left out of the namespace, so that RunConfig
+    # holds the only copy of each default
+    def add_command(name, summary, spec=True):
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        if spec:
             p.add_argument("--group", required=True,
                            help="group spec: inline JSON or a path")
-        if family:
             p.add_argument("--family", required=True,
                            help="family spec: inline JSON or a path")
-            p.add_argument("--no-auto-close", action="store_true",
+            p.add_argument("--no-auto-close", dest="auto_close", action="store_false",
                            help="reject non-invariant families instead of closing them")
-        p.add_argument("--out", default=None, help="write the JSON report here")
+        p.add_argument("--out", dest="output", metavar="OUT",
+                       help="write the JSON report here")
+        return p
 
-    p = sub.add_parser("analyze", help="kernel dimensions, witness, class verdicts")
-    add_common(p)
-    p = sub.add_parser("witness", help="print the integer witness only")
-    add_common(p)
-    p = sub.add_parser("hls", help="truncated non-Hausdorff construction report")
-    add_common(p)
-    p.add_argument("--depth", type=int, default=3)
-    p = sub.add_parser("ai-atlas", help="abelian AI sweep with cross-validation")
-    p.add_argument("--max-order", type=int, default=64)
-    p.add_argument("--out", default=None)
-    p = sub.add_parser("normcheck", help="norm-equation residual sweep")
-    add_common(p)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
+    add_command("analyze", "kernel dimensions, witness, class verdicts")
+    add_command("witness", "print the integer witness only")
+    p = add_command("hls", "truncated non-Hausdorff construction report")
+    p.add_argument("--depth", type=int)
+    p = add_command("ai-atlas", "abelian AI sweep with cross-validation", spec=False)
+    p.add_argument("--max-order", type=int)
+    p = add_command("normcheck", "norm-equation residual sweep")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tol", type=float)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
     try:
-        config = RunConfig(
-            command=args.command,
-            group_spec=_load_json_arg(args.group, "group") if hasattr(args, "group") else None,
-            family_spec=_load_json_arg(args.family, "family") if hasattr(args, "family") else None,
-            depth=getattr(args, "depth", 3),
-            max_order=getattr(args, "max_order", 64),
-            trials=getattr(args, "trials", 100),
-            seed=getattr(args, "seed", 0),
-            tol=getattr(args, "tol", 1e-8),
-            output=getattr(args, "out", None),
-            auto_close=not getattr(args, "no_auto_close", False),
-        )
+        for what in ("group", "family"):
+            if what in args:
+                args[f"{what}_spec"] = _load_json_arg(args.pop(what), what)
+        config = RunConfig(**args)
         handler = {
             "analyze": cmd_analyze,
             "witness": cmd_witness,
@@ -250,7 +242,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "normcheck": cmd_normcheck,
         }[config.command]
         return handler(config)
-    except (SpecError, FamilyNotInvariantError) as exc:
+    except (SpecError, FamilyNotInvariantError, SizeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -1,15 +1,16 @@
 """Finite groupoids, the coset groupoid of a subgroup family, convolution,
-and the coset-sum homomorphism used as an independent kernel oracle.
+and the coset-sum homomorphism q, whose kernel is the coset matrix's.
 
 Arrows of the coset groupoid are the distinct cosets g*X themselves; the
 source of a coset Y is y^-1 Y, its range is Y y^-1 (both independent of
 the representative y, which the builder verifies), and composable pairs
 multiply pointwise.  Composition is tabulated once at build time with
-numpy lookups: with coset_of[u, g] the arrow g X_u, the product of y X_a
-and z X_b (where s(a) = r(b)) is coset_of[s(b), y z], filled one unit's
-block of composable pairs at a time.  A reduction remaps its block of the
-table with one index lookup.  Convolution stays exact: it sums Python ints
-over the common denominators of the two supports.
+lookups in coset_of = ``groups.coset_index`` (coset_of[u, g] is the arrow
+g X_u): the product of y X_a and z X_b (where s(a) = r(b)) is
+coset_of[s(b), y z], filled one unit's block of composable pairs at a
+time.  A reduction remaps its block of the table with one index lookup.
+Convolution stays exact: it sums Python ints over the common
+denominators of the two supports.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from typing import List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import exact
-from .groups import FiniteGroup, SubgroupFamily, distinct_cosets
+from .groups import FiniteGroup, SubgroupFamily, coset_index, distinct_cosets
+from .ideals import coset_constraint_matrix
 
 
 class Arrow(NamedTuple):
@@ -105,9 +107,6 @@ class FiniteGroupoid:
     def inv(self, a: int) -> int:
         return int(self.inverse[a])
 
-    def is_unit_arrow(self, a: int) -> bool:
-        return a in self.unit_arrows
-
     def check_axioms(self) -> None:
         """Exhaustive groupoid axiom check; raises AssertionError on failure."""
         for a in self.arrows:
@@ -181,20 +180,17 @@ def build_coset_groupoid(group: FiniteGroup, family: SubgroupFamily) -> FiniteGr
     if not family.members:
         raise ValueError("family must be non-empty")
     cosets = distinct_cosets(group, family)
+    # coset_of[u, g]: the arrow g X_u
+    coset_of = coset_index(group, family)
     table, inv = group.table, group.inverse
     unit_index = {sub: i for i, sub in enumerate(family.members)}
     m = len(cosets)
-    # coset_of[u, g]: the arrow g X_u
-    coset_of = np.empty((len(family.members), group.order), dtype=np.int32)
     sources = np.empty(m, dtype=np.intp)
     ranges = np.empty(m, dtype=np.intp)
-    of_member = [[] for _ in family.members]
-    for i, c in enumerate(cosets):
-        of_member[unit_index[c.subgroup]].append(i)
-    for u, index in enumerate(of_member):
-        index = np.array(index, dtype=np.intp)
+    for ids in coset_of:
+        # the arrows of one member are numbered consecutively
+        index = np.arange(ids.min(), ids.max() + 1)
         elems = np.array([cosets[i].elements for i in index], dtype=np.intp)
-        coset_of[u, elems] = index[:, None]
         # row y of coset Y: sorted y^-1 Y (source) or sorted Y y^-1 (range);
         # every row of a coset must give the same set
         y_inv = inv[elems][:, :, None]
@@ -292,37 +288,14 @@ def involution(groupoid: FiniteGroupoid, f: GroupoidFunction) -> GroupoidFunctio
     return GroupoidFunction(groupoid, vals)
 
 
-def _q_rows(group: FiniteGroup, family: SubgroupFamily,
-            groupoid: Optional[FiniteGroupoid]) -> exact.RationalMatrix:
-    """One 0/1 row per arrow, marking the group elements of its coset.
-
-    Without a groupoid the rows come straight from ``distinct_cosets``,
-    which are the arrow payloads of ``build_coset_groupoid`` in order.
-    """
-    if groupoid is None:
-        payloads = [c.elements for c in distinct_cosets(group, family)]
-    else:
-        payloads = [a.payload for a in groupoid.arrows]
-    n = group.order
-    rows = []
-    for payload in payloads:
-        row = [0] * n
-        for x in payload:
-            row[x] = 1
-        rows.append(row)
-    return exact.RationalMatrix.from_rows(rows, cols=n)
+def kernel_of_q_dimension(group: FiniteGroup, family: SubgroupFamily) -> int:
+    """Exact dimension of {a : q(a) = 0}: one row per arrow, marking its coset."""
+    return exact.kernel_dim(coset_constraint_matrix(group, family))
 
 
-def kernel_of_q_dimension(group: FiniteGroup, family: SubgroupFamily,
-                          groupoid: Optional[FiniteGroupoid] = None) -> int:
-    """Exact dimension of {a : q(a) = 0}, assembled from the groupoid arrows."""
-    return exact.kernel_dim(_q_rows(group, family, groupoid))
-
-
-def kernel_of_q_basis(group: FiniteGroup, family: SubgroupFamily,
-                      groupoid: Optional[FiniteGroupoid] = None) -> List[tuple]:
+def kernel_of_q_basis(group: FiniteGroup, family: SubgroupFamily) -> List[tuple]:
     """Exact basis of {a : q(a) = 0}; the third kernel route."""
-    return exact.kernel_basis(_q_rows(group, family, groupoid))
+    return exact.kernel_basis(coset_constraint_matrix(group, family))
 
 
 def reduction_groupoid(groupoid: FiniteGroupoid, units: Sequence[int]):

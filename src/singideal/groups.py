@@ -436,17 +436,29 @@ def left_coset(group: FiniteGroup, g: int, sub: Sequence[int]) -> tuple:
     return tuple(sorted(int(group.table[g, x]) for x in sub))
 
 
+def coset_index(group: FiniteGroup, family: SubgroupFamily) -> np.ndarray:
+    """The coset numbering: entry (u, g) is the position of the coset
+    g*X_u in ``distinct_cosets``, as a (members x order) int32 array.
+
+    The smallest element of g*X names the coset, so one ``np.unique`` of
+    the row minima per member numbers its cosets by smallest
+    representative, after those of the members before it.
+    """
+    if not family.members:
+        raise ValueError("family must be non-empty")
+    index = np.empty((len(family.members), group.order), dtype=np.int32)
+    offset = 0
+    for u, sub in enumerate(family.members):
+        _, local = np.unique(group.table[:, list(sub)].min(axis=1),
+                             return_inverse=True)
+        index[u] = offset + local
+        offset += int(local.max()) + 1
+    return index
+
+
 def cosets_of_subgroup(group: FiniteGroup, sub: Sequence[int]) -> list:
     """Left cosets of one subgroup, ordered by smallest representative."""
-    sub = tuple(sorted(sub))
-    seen = set()
-    out = []
-    for g in group.elements():
-        elems = left_coset(group, g, sub)
-        if elems not in seen:
-            seen.add(elems)
-            out.append(Coset(elems, elems[0], sub))
-    return out
+    return distinct_cosets(group, SubgroupFamily(group, (tuple(sorted(sub)),)))
 
 
 def distinct_cosets(group: FiniteGroup, family: SubgroupFamily) -> list:
@@ -454,13 +466,13 @@ def distinct_cosets(group: FiniteGroup, family: SubgroupFamily) -> list:
 
     Cosets of distinct subgroups are distinct as sets, so the result is
     ordered by family member (size then lexicographic) and, within a
-    member, by smallest representative.
+    member, by smallest representative: the numbering of ``coset_index``.
     """
-    if not family.members:
-        raise ValueError("family must be non-empty")
     out = []
-    for sub in family.members:
-        out.extend(cosets_of_subgroup(group, sub))
+    for sub, ids in zip(family.members, coset_index(group, family)):
+        # a stable sort by id lists each coset's elements in increasing order
+        rows = np.argsort(ids, kind="stable").reshape(-1, len(sub)).tolist()
+        out.extend(Coset(tuple(row), row[0], sub) for row in rows)
     return out
 
 

@@ -6,20 +6,27 @@ coset groupoid.
 Every algebraic verdict (limit sets, the dangerous-point test, lifting of
 integer witnesses to functions vanishing on the dense Hausdorff part)
 depends only on the coset constraints, which are level-independent, so a
-small truncation depth already decides everything checkable here.
+small truncation depth already decides everything checkable here.  The
+level points are read off ``groups.coset_index`` and ``distinct_cosets``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .groupoid import build_coset_groupoid
-from .groups import FiniteGroup, SubgroupFamily, left_coset
-from .ideals import check_witness
+from .groups import (FiniteGroup, SizeCapError, SubgroupFamily, coset_index,
+                     distinct_cosets)
+from .ideals import coset_sums
 
 INFINITY = "inf"
+
+# cap on the points stored in the basic neighbourhoods, which take about
+# 115 MiB at the cap (C6 with three members, CPython 3.11)
+NEIGHBORHOOD_POINT_CAP = 10 ** 6
 
 
 class NotAWitnessError(ValueError):
@@ -31,9 +38,13 @@ class TruncatedHLS:
     group: FiniteGroup
     family: SubgroupFamily
     depth: int
-    level_groupoids: tuple            # depth references to one immutable copy
     infinity_arrows: tuple            # (gamma, "inf") for each group element
     basic_neighborhoods: dict         # (gamma, cutoff) -> frozenset of points
+
+    @functools.cached_property
+    def level_groupoids(self) -> tuple:
+        """depth references to one coset groupoid, built on first read."""
+        return (build_coset_groupoid(self.group, self.family),) * self.depth
 
     @property
     def units(self) -> tuple:
@@ -48,15 +59,25 @@ class TruncatedHLS:
 
 
 def build_hls(group: FiniteGroup, family: SubgroupFamily, depth: int) -> TruncatedHLS:
-    """Truncate the level index at ``depth``, keeping the infinity fibre exact."""
+    """Truncate the level index at ``depth``, keeping the infinity fibre exact.
+
+    Raises SizeCapError, before building anything, when the neighbourhoods
+    would hold more than NEIGHBORHOOD_POINT_CAP points.
+    """
     if not family.members:
         raise ValueError("family must be non-empty")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    level = build_coset_groupoid(group, family)
+    # each of the order * depth neighbourhoods holds (gamma, inf) and, for
+    # each member X, the points (gamma X, n) from its cutoff to the depth
+    points = group.order * depth * (2 + len(family.members) * (depth + 1)) // 2
+    if points > NEIGHBORHOOD_POINT_CAP:
+        raise SizeCapError(f"hls depth {depth} needs {points} neighbourhood points, "
+                           f"over the cap {NEIGHBORHOOD_POINT_CAP}")
+    payloads = [c.elements for c in distinct_cosets(group, family)]
     neighborhoods = {}
-    for gamma in group.elements():
-        translates = {left_coset(group, gamma, sub) for sub in family.members}
+    for gamma, ids in enumerate(coset_index(group, family).T.tolist()):
+        translates = [payloads[i] for i in ids]
         for cutoff in range(1, depth + 1):
             pts = {(gamma, INFINITY)}
             for coset in translates:
@@ -66,7 +87,6 @@ def build_hls(group: FiniteGroup, family: SubgroupFamily, depth: int) -> Truncat
         group=group,
         family=family,
         depth=depth,
-        level_groupoids=tuple([level] * depth),
         infinity_arrows=tuple((g, INFINITY) for g in group.elements()),
         basic_neighborhoods=neighborhoods,
     )
@@ -137,14 +157,15 @@ def singular_function_from_witness(hls: TruncatedHLS, witness, cutoff: int) -> S
         raise ValueError("cutoff must lie between 1 and the depth")
     if all(c == 0 for c in coeffs):
         raise NotAWitnessError("witness must be non-zero")
-    if not check_witness(hls.group, hls.family, coeffs):
+    cosets = distinct_cosets(hls.group, hls.family)
+    sums = coset_sums(cosets, coeffs)
+    if any(sums):
         raise NotAWitnessError("element fails a coset-sum constraint")
+    zero = Fraction(0)
     level_values = {}
-    gpd = hls.level_groupoids[0]
-    for arrow in gpd.arrows:
-        total = sum((coeffs[x] for x in arrow.payload), Fraction(0))
+    for coset, total in zip(cosets, sums):
         for n in range(1, hls.depth + 1):
-            level_values[(arrow.payload, n)] = total if n >= cutoff else Fraction(0)
+            level_values[(coset.elements, n)] = total if n >= cutoff else zero
     return SingularCandidate(hls, coeffs, level_values, cutoff)
 
 

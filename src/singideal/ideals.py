@@ -12,16 +12,19 @@ Entry (i, j) of the representation on G/X, as a function of g, is the
 indicator of c_i X c_j^-1, a left coset of the conjugate c_j X c_j^-1.
 For a conjugation-invariant family the deduplicated entry rows are
 therefore exactly the coset rows, so both kernels are the kernel of one
-0/1 matrix and are computed by one exact elimination.  Two checks that
-can fail back this up: ``_check_entry_sets`` confirms the identity above
-from the Cayley table, and ``_certify_kernel`` substitutes the basis into
-the matrix and confirms its dimension with a mod-p rank.  A failure of
-either is an internal consistency failure, never a mathematical outcome.
+0/1 matrix, scattered from the coset numbering ``groups.coset_index``,
+and are computed by one exact elimination.  Two checks that can fail
+back this up: ``_check_entry_sets`` confirms the identity above from the
+Cayley table and the same numbering, and ``_certify_kernel`` substitutes
+the basis into the matrix and confirms its dimension with a mod-p rank.
+A failure of either is an internal consistency failure, never a
+mathematical outcome.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -29,8 +32,8 @@ import numpy as np
 from . import exact
 from ._kernels import CERT_PRIME, rank_mod_p
 from .exact import RationalMatrix
-from .groups import (FiniteGroup, SubgroupFamily, _is_prime,
-                     cosets_of_subgroup, distinct_cosets, minimal_subgroups,
+from .groups import (Coset, FiniteGroup, SubgroupFamily, _is_prime,
+                     coset_index, distinct_cosets, minimal_subgroups,
                      subgroup_generated)
 
 
@@ -102,15 +105,11 @@ class IdealReport:
 
 def coset_constraint_matrix(group: FiniteGroup, family: SubgroupFamily) -> RationalMatrix:
     """One 0/1 row per distinct coset; the kernel is the algebraic ideal."""
-    cosets = distinct_cosets(group, family)
+    index = coset_index(group, family)
     n = group.order
-    rows = []
-    for coset in cosets:
-        row = [0] * n
-        for x in coset.elements:
-            row[x] = 1
-        rows.append(row)
-    return RationalMatrix.from_rows(rows, cols=n)
+    rows = np.zeros((int(index.max()) + 1, n), dtype=np.int8)
+    rows[index, np.arange(n)] = 1
+    return RationalMatrix(rows.shape[0], n, tuple(rows.ravel().tolist()))
 
 
 def algebraic_ideal_kernel(group: FiniteGroup, family: SubgroupFamily) -> List[tuple]:
@@ -128,25 +127,26 @@ def integer_witness(group: FiniteGroup, family: SubgroupFamily) -> Optional[Grou
     return GroupAlgebraElement(group, exact.integerize(basis[0]))
 
 
+def coset_sums(cosets: Sequence[Coset], coeffs: Sequence) -> list:
+    """The exact sum of ``coeffs`` over each coset, as Fractions."""
+    return [sum((coeffs[x] for x in c.elements), Fraction(0)) for c in cosets]
+
+
 def check_witness(group: FiniteGroup, family: SubgroupFamily,
                   coeffs: Sequence) -> bool:
     """Exact substitution of the coset-sum constraints; True iff all vanish."""
-    for coset in distinct_cosets(group, family):
-        if sum(coeffs[x] for x in coset.elements) != 0:
-            return False
-    return True
+    return not any(coset_sums(distinct_cosets(group, family), coeffs))
 
 
 def quasi_regular_matrix(group: FiniteGroup, sub: Sequence[int], g: int) -> RationalMatrix:
     """Permutation matrix of g on the left cosets of the subgroup."""
-    cosets = cosets_of_subgroup(group, sub)
-    index = {c.elements: i for i, c in enumerate(cosets)}
-    k = len(cosets)
-    rows = [[0] * k for _ in range(k)]
-    for j, coset in enumerate(cosets):
-        shifted = tuple(sorted(group.mul(g, x) for x in coset.elements))
-        rows[index[shifted]][j] = 1
-    return RationalMatrix.from_rows(rows, cols=k)
+    ids = coset_index(group, SubgroupFamily(group, (tuple(sorted(sub)),)))[0]
+    reps = np.unique(ids, return_index=True)[1]
+    k = len(reps)
+    rows = np.zeros((k, k), dtype=np.int8)
+    # column j: g c_j X is the coset numbered ids[g c_j]
+    rows[ids[group.table[g, reps]], np.arange(k)] = 1
+    return RationalMatrix(k, k, tuple(rows.ravel().tolist()))
 
 
 def _check_entry_sets(group: FiniteGroup, family: SubgroupFamily) -> None:
@@ -160,19 +160,11 @@ def _check_entry_sets(group: FiniteGroup, family: SubgroupFamily) -> None:
     """
     table, inverse = group.table, group.inverse
     position = {sub: i for i, sub in enumerate(family.members)}
-    # coset_id[m, g]: row of coset_constraint_matrix holding g's coset of member m
-    coset_id = np.empty((len(family.members), group.order), dtype=np.int32)
-    reps = []
-    offset = 0
-    for i, sub in enumerate(family.members):
-        # left cosets in order of smallest element, as in cosets_of_subgroup
-        smallest = table[:, list(sub)].min(axis=1)
-        member_reps, local = np.unique(smallest, return_inverse=True)
-        coset_id[i] = offset + local
-        reps.append(member_reps)
-        offset += len(member_reps)
-    seen = np.zeros(offset, dtype=bool)
-    for sub, c in zip(family.members, reps):
+    index = coset_index(group, family)
+    seen = np.zeros(int(index.max()) + 1, dtype=bool)
+    for sub, row in zip(family.members, index):
+        # c_0 < c_1 < ...: the first, hence smallest, element of each coset
+        c = np.unique(row, return_index=True)[1]
         k = len(c)
         # entries[i, j, :] = c_i X c_j^-1
         entries = table[table[c][:, list(sub)][:, None, :], inverse[c][None, :, None]]
@@ -184,7 +176,7 @@ def _check_entry_sets(group: FiniteGroup, family: SubgroupFamily) -> None:
             raise InternalInconsistencyError(
                 f"a conjugate of {list(sub)} in {group.name} is not a family "
                 f"member") from None
-        ids = coset_id[owner[None, :, None], entries]
+        ids = index[owner[None, :, None], entries]
         if not (ids == ids[:, :, :1]).all():
             raise InternalInconsistencyError(
                 f"an entry set of the representation on {group.name}/{list(sub)} "

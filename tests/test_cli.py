@@ -6,13 +6,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import singideal
-from singideal.cli import EXIT_OK, EXIT_PARSE, EXIT_TOLERANCE, main
+from singideal.cli import (EXIT_OK, EXIT_PARSE, EXIT_TOLERANCE, RunConfig,
+                           SpecError, _build_inputs, main)
 from singideal.ideals import IdealReport
 from singideal.groups import make_group
 
@@ -185,6 +187,14 @@ def test_normcheck_rejects_bad_tol(capsys, tol):
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
 
 
+def nested_product(depth):
+    """A C2 spec wrapped in ``depth`` one-factor products, as JSON text."""
+    text = '{"kind":"cyclic","n":2}'
+    for _ in range(depth):
+        text = '{"kind":"product","factors":[' + text + ']}'
+    return text
+
+
 # 1-D tables are reported as non-square, not as over the order cap
 NON_SQUARE_TABLES = ('{"kind":"cayley","table":[]}',
                      '{"kind":"cayley","table":[0,1]}')
@@ -211,6 +221,8 @@ NON_SQUARE_TABLES = ('{"kind":"cayley","table":[]}',
      '{"subgroups":[[0]]}'),
     ('{"kind":"cayley","table":[]}', '{"subgroups":[[0]]}'),
     ('{"kind":"cayley","table":[0,1]}', '{"subgroups":[[0]]}'),
+    pytest.param(nested_product(600), '{"minimal":true}', id="nested-600"),
+    pytest.param(nested_product(3000), '{"minimal":true}', id="nested-3000"),
 ])
 def test_malformed_specs_exit_1(capsys, group, family):
     code = main(["analyze", "--group", group, "--family", family])
@@ -231,6 +243,39 @@ def test_out_file_and_group_file(capsys, tmp_path):
     assert code == EXIT_OK and out == ""
     data = json.loads(out_path.read_text())
     assert data["algebraic_kernel_dim"] == 1
+
+
+def test_group_spec_past_the_recursion_limit_is_a_spec_error():
+    # json.loads stops the nested texts above; this spec object reaches make_group
+    spec = {"kind": "cyclic", "n": 2}
+    for _ in range(3000):
+        spec = {"kind": "product", "factors": [spec]}
+    with pytest.raises(SpecError, match="^bad group spec: maximum recursion"):
+        _build_inputs(RunConfig("analyze", group_spec=spec,
+                                family_spec={"minimal": True}))
+
+
+def test_hls_depth_past_the_cap_exits_1_without_allocating(capsys):
+    argv = ["hls", "--group", '{"kind":"cyclic","n":6}',
+            "--family", '{"subgroups":[[0],[0,3],[0,2,4]]}']
+    for depth in ("333", "99999999999999999999"):
+        tracemalloc.start()
+        code = main(argv + ["--depth", depth])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE and captured.out == ""
+        assert captured.err.startswith(f"error: hls depth {depth} needs ")
+        assert captured.err.count("\n") == 1
+        assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("max_order", ["-3", "0", "65"])
+def test_ai_atlas_max_order_out_of_range(capsys, max_order):
+    code = main(["ai-atlas", "--max-order", max_order])
+    captured = capsys.readouterr()
+    assert code == EXIT_PARSE and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
 
 
 # JSON-ish spec values: every JSON type, ints of any size (negatives
@@ -294,17 +339,26 @@ def _order_or_zero(group_spec):
         return 0
 
 
+# hls depths: small ones, and ones past the neighbourhood point cap for
+# every group (depth 1414 already is for C1), which must be refused before
+# anything is allocated
+_depths = st.one_of(st.integers(-3, 4), st.integers(1414, 10 ** 30))
+
+
 @settings(max_examples=150)
 @given(command=st.sampled_from(["analyze", "witness", "hls", "normcheck"]),
        group_spec=st.one_of(_valid_group_specs, _group_specs),
-       family_spec=st.one_of(_valid_family_specs, _family_specs))
-def test_cli_fuzz_exit_codes(command, group_spec, family_spec):
+       family_spec=st.one_of(_valid_family_specs, _family_specs),
+       depth=_depths)
+def test_cli_fuzz_exit_codes(command, group_spec, family_spec, depth):
     # shapes, not sizes: groups of order above 40 are left out
     assume(_order_or_zero(group_spec) <= 40)
     argv = [command, "--group", json.dumps(group_spec),
             "--family", json.dumps(family_spec)]
     if command == "normcheck":
         argv += ["--trials", "1"]
+    if command == "hls":
+        argv += ["--depth", str(depth)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -316,3 +370,5 @@ def test_cli_fuzz_exit_codes(command, group_spec, family_spec):
         assert out.getvalue() == ""
         assert len([line for line in err.getvalue().splitlines()
                     if line.startswith("error: ")]) == 1
+    if command == "hls" and depth >= 1414:
+        assert code == EXIT_PARSE

@@ -9,8 +9,9 @@ import random
 import numpy as np
 import pytest
 
-from singideal.groups import (FamilyNotInvariantError, GroupTableError,
-                              SizeCapError, cayley_group, conjugation_closure,
+from singideal.groups import (Coset, FamilyNotInvariantError, GroupTableError,
+                              SizeCapError, SubgroupFamily, cayley_group,
+                              conjugation_closure, coset_index,
                               cosets_of_subgroup, cyclic, dihedral,
                               direct_product, distinct_cosets,
                               enumerate_subgroups, is_subgroup, left_coset,
@@ -245,12 +246,52 @@ def test_distinct_cosets():
     assert len(whole) == 1
 
 
+def reference_cosets_of_subgroup(group, sub):
+    """Left cosets of one subgroup by a loop over the elements: each coset
+    is listed when its smallest element comes up."""
+    sub = tuple(sorted(sub))
+    seen, out = set(), []
+    for g in group.elements():
+        elems = left_coset(group, g, sub)
+        if elems not in seen:
+            seen.add(elems)
+            out.append(Coset(elems, elems[0], sub))
+    return out
+
+
+@pytest.fixture(scope="module")
+def coset_cases(catalog_cases):
+    """Every catalog case, S5 and D50 with their minimal families, and C720
+    with {0, 360}."""
+    c720 = cyclic(720)
+    return (list(catalog_cases)
+            + [(g, minimal_subgroups(g)) for g in (symmetric_group(5), dihedral(50))]
+            + [(c720, make_family(c720, [(0, 360)]))])
+
+
+def test_coset_index_matches_loop_reference(coset_cases):
+    for group, family in coset_cases:
+        reference = [c for sub in family.members
+                     for c in reference_cosets_of_subgroup(group, sub)]
+        assert distinct_cosets(group, family) == reference
+        index = coset_index(group, family)
+        assert index.dtype == np.int32
+        assert index.shape == (len(family.members), group.order)
+        position = {c.elements: i for i, c in enumerate(reference)}
+        assert index.tolist() == [[position[left_coset(group, g, sub)]
+                                   for g in group.elements()]
+                                  for sub in family.members]
+    with pytest.raises(ValueError):
+        coset_index(cyclic(2), SubgroupFamily(cyclic(2), ()))
+
+
 def test_lagrange_partition(catalog):
     for group in catalog:
         if group.order > 24:
             continue
         for sub in enumerate_subgroups(group):
             cosets = cosets_of_subgroup(group, sub)
+            assert cosets == reference_cosets_of_subgroup(group, sub)
             assert len(cosets) * len(sub) == group.order
             covered = sorted(x for c in cosets for x in c.elements)
             assert covered == list(group.elements())

@@ -1,15 +1,19 @@
 """Truncated non-Hausdorff construction: limit sets, dangerous points,
 witness lifting."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from singideal.groups import (conjugation_closure, cyclic, make_family,
-                              subgroup_generated, symmetric_group)
-from singideal.hls import (INFINITY, NotAWitnessError, SingularCandidate,
-                           build_hls, essential_fiber,
+import singideal.groupoid
+from singideal.cli import main
+from singideal.groups import (SizeCapError, conjugation_closure, cyclic,
+                              distinct_cosets, make_family, subgroup_generated,
+                              symmetric_group)
+from singideal.hls import (INFINITY, NEIGHBORHOOD_POINT_CAP, NotAWitnessError,
+                           SingularCandidate, build_hls, essential_fiber,
                            hls_report, is_extremely_dangerous, limit_set,
                            singular_function_from_witness, verify_singular)
 from singideal.ideals import algebraic_ideal_kernel, integer_witness
@@ -41,6 +45,45 @@ def test_build_shapes():
 
     with pytest.raises(ValueError):
         build_hls(g2, make_family(g2, [(0, 1)]), 0)
+
+
+def test_hls_builds_no_groupoid_until_one_is_read(monkeypatch, capsys):
+    built = []
+    init = singideal.groupoid.FiniteGroupoid.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(singideal.groupoid.FiniteGroupoid, "__init__", counting_init)
+    s3 = symmetric_group(3)
+    assert main(["hls", "--group", '{"kind":"symmetric","n":3}',
+                 "--family", '{"conjugacy_class_of":[0,2]}']) == 0
+    assert json.loads(capsys.readouterr().out)["verify_singular"] is True
+    h = build_hls(s3, transposition_family(s3), 3)
+    assert built == []
+    levels = h.level_groupoids
+    assert len(built) == 1 and levels == (built[0],) * 3
+    assert h.level_groupoids is levels and len(built) == 1
+
+
+def test_neighborhood_point_count_and_cap(catalog_cases):
+    # the count checked before building is the count built
+    for group, family in catalog_cases:
+        if group.order > 12:
+            continue
+        for depth in (1, 2, 4):
+            h = build_hls(group, family, depth)
+            points = sum(len(v) for v in h.basic_neighborhoods.values())
+            m = len(family.members)
+            assert points == group.order * depth * (2 + m * (depth + 1)) // 2
+    g6 = cyclic(6)
+    fam = make_family(g6, [(0,), (0, 3), (0, 2, 4)])
+    # 6 * 333 * (2 + 3 * 334) / 2 = 1000998 points: the first depth past the cap
+    for depth in (333, 10 ** 20):
+        with pytest.raises(SizeCapError):
+            build_hls(g6, fam, depth)
+    assert NEIGHBORHOOD_POINT_CAP == 10 ** 6
 
 
 def test_basic_neighborhoods():
@@ -98,14 +141,18 @@ def test_witness_lifts_to_singular_function():
     cand = singular_function_from_witness(h, w, 1)
     assert cand.infinity_values == (1, -1)
     assert all(v == 0 for v in cand.level_values.values())
+    assert list(cand.level_values) == [((0, 1), n) for n in (1, 2, 3)]
     assert verify_singular(h, cand)
 
     s3 = symmetric_group(3)
     fam3 = transposition_family(s3)
     h3 = build_hls(s3, fam3, 2)
     w3 = integer_witness(s3, fam3)
+    payloads = [c.elements for c in distinct_cosets(s3, fam3)]
     for cutoff in (1, 2):
         cand3 = singular_function_from_witness(h3, w3, cutoff)
+        # one value per (arrow payload, level), in distinct_cosets order
+        assert list(cand3.level_values) == [(p, n) for p in payloads for n in (1, 2)]
         assert verify_singular(h3, cand3)
 
 
@@ -166,8 +213,11 @@ def test_depth_independence(catalog_cases):
             h = build_hls(group, family, depth)
             lifted = None
             if w is not None:
-                lifted = verify_singular(
-                    h, singular_function_from_witness(h, w, depth))
+                cand = singular_function_from_witness(h, w, depth)
+                assert set(cand.level_values) == {
+                    (c.elements, n) for c in distinct_cosets(group, family)
+                    for n in range(1, depth + 1)}
+                lifted = verify_singular(h, cand)
             verdicts.append((is_extremely_dangerous(h),
                              essential_fiber(h).members, lifted))
         assert verdicts[0] == verdicts[1] == verdicts[2]
