@@ -17,8 +17,12 @@ USING_NUMBA = False
 
 
 def rank_mod_p(mat, p):
-    """Vectorized mod-p Gaussian elimination; `mat` is int64 and consumed."""
-    mat = np.mod(mat, p)
+    """Vectorized mod-p Gaussian elimination on a reduced int64 copy of the
+    integer array `mat`, which is left unchanged.  Rank is transpose
+    invariant, so the shorter side is the one searched and updated."""
+    if mat.shape[0] > mat.shape[1]:
+        mat = mat.T
+    mat = np.mod(mat, p, dtype=np.int64, order="C")
     rows, cols = mat.shape
     r = 0
     for c in range(cols):

@@ -11,6 +11,7 @@ internal kernel inconsistency (analyze), 3 norm tolerance exceeded
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -192,6 +193,8 @@ def cmd_normcheck(config: RunConfig) -> int:
     return EXIT_OK if worst < config.tol else EXIT_TOLERANCE
 
 
+# parsing leaves the parser unchanged, and building one costs 20 parses
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="singideal",

@@ -1,17 +1,19 @@
 """Exact rational linear algebra: rank, kernel bases, span tests, integerization.
 
-Everything here is exact: rows are cleared of denominators and eliminated
-fraction-free over the integers (cross-multiplication with gcd stripping),
-with pivots chosen as the first non-zero entry in column order.  Kernel
-bases are read off the reduced row echelon form, which is canonical, so
-bases and witnesses are reproducible across platforms.
+Everything here is exact and stays in integers: rows are cleared of
+denominators, eliminated fraction-free (cross-multiplication with gcd
+stripping, pivots at the first non-zero entry in column order) and
+back-substituted the same way into an integer RREF.  The RREF is
+canonical, so its kernel basis (``integer_kernel_basis``) is
+reproducible across platforms; ``kernel_basis`` is its Fraction view.
 
 Machine integers enter only through the mod-p rank (``_kernels``), and
 only as a sound certificate: the rank of an integer matrix mod p never
-exceeds its rational rank.  Here, full column rank mod p proves a trivial
-kernel and deficient cases fall through to exact elimination.
+exceeds its rational rank.  Here, full column rank mod p proves full
+rational column rank, read straight off an integer numpy array, and
+deficient cases fall through to exact elimination on Python ints.
 ``ideals.class_I_check`` uses the same bound the other way round: after
-substituting an integerised kernel basis of dimension d into the matrix
+substituting the integer kernel basis of dimension d into the matrix
 exactly, a mod-p rank of cols - d proves that the basis spans the whole
 kernel, and a shorter mod-p rank is decided by ``rank``.
 """
@@ -20,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -59,21 +61,18 @@ class RationalMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
 
-def _as_rows(m) -> Tuple[List[list], int]:
-    """Accept a RationalMatrix, a numpy array or a sequence of rows."""
-    if isinstance(m, RationalMatrix):
-        return m.row_lists(), m.cols
+def _integer_rows(m):
+    """(rows, cols): an integer numpy array as it is, any other matrix as
+    lists of Python ints, its rows cleared of denominators."""
     if isinstance(m, np.ndarray):
         if m.ndim != 2:
             raise ValueError("need a 2-d array")
-        return [[int(x) for x in row] for row in m.tolist()], int(m.shape[1])
-    rows = [list(r) for r in m]
-    if not rows:
-        raise ValueError("cannot infer column count from an empty row sequence")
-    cols = len(rows[0])
-    if any(len(r) != cols for r in rows):
-        raise ValueError("ragged rows")
-    return rows, cols
+        if np.can_cast(m.dtype, np.int64):
+            return m, m.shape[1]
+        m = RationalMatrix(*m.shape, tuple(m.ravel().tolist()))
+    elif not isinstance(m, RationalMatrix):
+        m = RationalMatrix.from_rows(m)
+    return [_clear_denominators(r) for r in m.row_lists()], m.cols
 
 
 def _clear_denominators(row: Sequence) -> List[int]:
@@ -81,10 +80,7 @@ def _clear_denominators(row: Sequence) -> List[int]:
     # isinstance(x, Fraction) checks, which go through the numbers ABCs
     if set(map(type, row)) <= {int}:
         return list(row)
-    mult = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            mult = mult * x.denominator // gcd(mult, x.denominator)
+    mult = lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
     out = []
     for x in row:
         if isinstance(x, Fraction):
@@ -95,36 +91,32 @@ def _clear_denominators(row: Sequence) -> List[int]:
 
 
 def _strip_row(row: List[int]) -> List[int]:
-    g = 0
-    for x in row:
-        g = gcd(g, x)
-        if g == 1:
-            break
-    if g > 1:
-        row = [x // g for x in row]
-    for x in row:
-        if x:
-            if x < 0:
-                row = [-y for y in row]
-            break
-    return row
+    """row divided by its gcd, signed so its first non-zero entry is > 0."""
+    lead = next((x for x in row if x), 0)
+    # a leading entry of +-1 makes the gcd 1
+    g = 1 if lead in (1, -1) else gcd(*row)
+    if lead < 0:
+        g = -g
+    return row if g in (0, 1) else [x // g for x in row]
+
+
+def _clear_column(row: List[int], pivot: List[int], c: int) -> List[int]:
+    """pivot[c] * row - row[c] * pivot, gcd-stripped: column c cleared."""
+    pv, v = pivot[c], row[c]
+    return _strip_row([pv * x - v * y for x, y in zip(row, pivot)])
 
 
 def _echelon(int_rows: Iterable[List[int]]):
     """Fraction-free forward elimination.
 
     Returns (pivot_cols, pivot_rows) with pivot columns strictly increasing
-    per row; pivot_rows are gcd-stripped integer rows.
+    per row; pivot_rows are gcd-stripped integer rows with positive pivots.
     """
     pivots = {}  # col -> row
     for row in int_rows:
-        row = list(row)
         for c in sorted(pivots):
-            v = row[c]
-            if v:
-                p = pivots[c]
-                pv = p[c]
-                row = _strip_row([pv * x - v * y for x, y in zip(row, p)])
+            if row[c]:
+                row = _clear_column(row, pivots[c], c)
         lead = next((c for c, x in enumerate(row) if x), None)
         if lead is not None:
             pivots[lead] = row
@@ -132,102 +124,94 @@ def _echelon(int_rows: Iterable[List[int]]):
     return cols_sorted, [pivots[c] for c in cols_sorted]
 
 
-def _rref(pivot_cols: List[int], pivot_rows: List[List[int]]) -> List[List[Fraction]]:
-    """Canonical reduced row echelon form of the pivot rows."""
-    rows = [[Fraction(x) for x in r] for r in pivot_rows]
-    for i in reversed(range(len(rows))):
-        c = pivot_cols[i]
-        piv = rows[i][c]
-        rows[i] = [x / piv for x in rows[i]]
-        for j in range(i):
-            f = rows[j][c]
-            if f:
-                rows[j] = [x - f * y for x, y in zip(rows[j], rows[i])]
-    return rows
+def _reduce(m):
+    """(pivot_cols, pivot_rows, cols) of m's exact elimination, or every
+    column and no rows when full column rank mod CERT_PRIME proves it."""
+    rows, cols = _integer_rows(m)
+    if cols == 0 or len(rows) >= cols and _rank_mod_prime(rows) == cols:
+        return list(range(cols)), [], cols
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    return (*_echelon(rows), cols)
 
 
-def _certified_full_column_rank(int_rows: List[List[int]], cols: int) -> bool:
-    """True only when full column rank is certain (rank mod p == cols)."""
-    if len(int_rows) < cols or cols == 0:
-        return cols == 0
-    try:
-        mat = np.array(int_rows, dtype=np.int64)
-    except OverflowError:
-        big = np.array(int_rows, dtype=object)
-        mat = np.mod(big, CERT_PRIME).astype(np.int64)
-    else:
-        mat = np.mod(mat, CERT_PRIME)
-    return int(rank_mod_p(mat, CERT_PRIME)) == cols
+def _rank_mod_prime(rows) -> int:
+    """rank_mod_p of an integer array, or of integer rows of any size."""
+    if not isinstance(rows, np.ndarray):
+        try:
+            rows = np.array(rows, dtype=np.int64)
+        except OverflowError:
+            rows = np.mod(np.array(rows, dtype=object), CERT_PRIME).astype(np.int64)
+    return int(rank_mod_p(rows, CERT_PRIME))
 
 
 def rank(m) -> int:
     """Rank over the rationals via exact fraction-free elimination."""
-    rows, cols = _as_rows(m)
-    int_rows = [_clear_denominators(r) for r in rows]
-    pivot_cols, _ = _echelon(int_rows)
-    return len(pivot_cols)
+    return len(_reduce(m)[0])
 
 
-def kernel_basis(m) -> List[tuple]:
-    """Canonical basis of the right kernel {x : Mx = 0}.
-
-    One basis vector per free column of the RREF, in ascending column
-    order; entries are Fractions and each vector satisfies Mx = 0 exactly.
-    """
-    rows, cols = _as_rows(m)
-    int_rows = [_clear_denominators(r) for r in rows]
-    if _certified_full_column_rank(int_rows, cols):
-        return []
-    pivot_cols, pivot_rows = _echelon(int_rows)
-    rref = _rref(pivot_cols, pivot_rows)
-    pivot_set = set(pivot_cols)
+def integer_kernel_basis(m) -> List[tuple]:
+    """Canonical basis of the right kernel {x : Mx = 0}: one primitive
+    integer vector (gcd 1, leading entry > 0) per free column of the RREF,
+    in ascending column order.  Back-substitution clears each pivot column
+    from the rows above with the forward step, so the RREF stays integral
+    (Bareiss 1968)."""
+    pivot_cols, rows, cols = _reduce(m)
+    for i in reversed(range(len(rows))):
+        for j in range(i):
+            if rows[j][pivot_cols[i]]:
+                rows[j] = _clear_column(rows[j], rows[i], pivot_cols[i])
+    # row i reads p_i x[c_i] + a_i x[free] = 0 when the other free entries
+    # are 0; x[free] = lcm(p_i) makes every x[c_i] an integer
+    den = lcm(*(r[c] for r, c in zip(rows, pivot_cols)))
     basis = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * cols
-        vec[free] = Fraction(1)
-        for i, c in enumerate(pivot_cols):
-            vec[c] = -rref[i][free]
-        basis.append(tuple(vec))
+    for free in sorted(set(range(cols)) - set(pivot_cols)):
+        vec = [0] * cols
+        vec[free] = den
+        for r, c in zip(rows, pivot_cols):
+            vec[c] = -r[free] * (den // r[c])
+        basis.append(tuple(_strip_row(vec)))
     return basis
 
 
+def kernel_basis(m) -> List[tuple]:
+    """The canonical kernel basis in Fractions: each vector of
+    ``integer_kernel_basis`` divided by its entry at its free column."""
+    basis = integer_kernel_basis(m)
+    # a vector's last non-zero entry is at its free column, and every
+    # column that is no vector's free column is a pivot column
+    frees = [max(i for i, x in enumerate(vec) if x) for vec in basis]
+    pivots = set(range(len(basis[0]))) - set(frees) if basis else ()
+    out = []
+    for vec, free in zip(basis, frees):
+        # a fresh Fraction at each pivot column and one shared zero per
+        # vector elsewhere: the object layout fixes the pickled bytes
+        row = [Fraction(0)] * len(vec)
+        row[free] = Fraction(1)
+        for c in pivots:
+            row[c] = Fraction(vec[c], vec[free])
+        out.append(tuple(row))
+    return out
+
+
 def kernel_dim(m) -> int:
-    rows, cols = _as_rows(m)
-    int_rows = [_clear_denominators(r) for r in rows]
-    if _certified_full_column_rank(int_rows, cols):
-        return 0
-    pivot_cols, _ = _echelon(int_rows)
+    pivot_cols, _, cols = _reduce(m)
     return cols - len(pivot_cols)
 
 
 def spans_full(vectors: Sequence[Sequence], dim: int) -> bool:
     """True iff the rational span of the vectors is all of Q^dim."""
     vectors = [list(v) for v in vectors]
-    for v in vectors:
-        if len(v) != dim:
-            raise ValueError("vector length does not match dim")
-    if dim == 0:
-        return True
-    if len(vectors) < dim:
-        return False
-    int_rows = [_clear_denominators(r) for r in vectors]
-    if _certified_full_column_rank(int_rows, dim):
-        return True
-    pivot_cols, _ = _echelon(int_rows)
-    return len(pivot_cols) == dim
+    if any(len(v) != dim for v in vectors):
+        raise ValueError("vector length does not match dim")
+    return dim == 0 or len(vectors) >= dim and rank(vectors) == dim
 
 
 def integerize(vec: Sequence) -> tuple:
     """Primitive integer vector: positive multiple, gcd 1, leading entry > 0."""
-    vals = [x if isinstance(x, Fraction) else Fraction(x) for x in vec]
-    if all(x == 0 for x in vals):
+    ints = _clear_denominators([Fraction(x) for x in vec])
+    if not any(ints):
         raise ValueError("cannot integerize the zero vector")
-    mult = 1
-    for x in vals:
-        mult = mult * x.denominator // gcd(mult, x.denominator)
-    ints = [int(x * mult) for x in vals]
     return tuple(_strip_row(ints))
 
 
@@ -245,11 +229,8 @@ def same_subspace(basis_a: Sequence[Sequence], basis_b: Sequence[Sequence]) -> b
     """Exact equality of the two rational spans."""
     a = [list(r) for r in basis_a]
     b = [list(r) for r in basis_b]
-    if not a and not b:
-        return True
-    if not a:
-        return all(not any(r) for r in b)
-    if not b:
-        return all(not any(r) for r in a)
+    if not a or not b:
+        # the span of no vectors is {0}
+        return not any(any(r) for r in a + b)
     ra, rb = rank(a), rank(b)
     return ra == rb == rank(a + b)

@@ -23,8 +23,12 @@ from typing import List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import exact
-from .groups import FiniteGroup, SubgroupFamily, coset_index, distinct_cosets
-from .ideals import coset_constraint_matrix
+from .groups import (FiniteGroup, SizeCapError, SubgroupFamily, coset_index,
+                     distinct_cosets)
+from .ideals import _coset_matrix
+
+# the int32 compose table takes four bytes per entry, 512 MiB at the cap
+COMPOSE_ENTRY_CAP = 2 ** 27
 
 
 class Arrow(NamedTuple):
@@ -176,9 +180,12 @@ def unit_indicator(groupoid: FiniteGroupoid,
 
 
 def build_coset_groupoid(group: FiniteGroup, family: SubgroupFamily) -> FiniteGroupoid:
-    """The groupoid of distinct cosets over a conjugation-invariant family."""
-    if not family.members:
-        raise ValueError("family must be non-empty")
+    """The groupoid of distinct cosets over a conjugation-invariant family;
+    raises SizeCapError, before building, past COMPOSE_ENTRY_CAP entries."""
+    count = sum(group.order // len(sub) for sub in family.members)
+    if count ** 2 > COMPOSE_ENTRY_CAP:
+        raise SizeCapError(f"the coset groupoid of {group.name} has {count} arrows: "
+                           f"{count ** 2} compose entries, over the cap {COMPOSE_ENTRY_CAP}")
     cosets = distinct_cosets(group, family)
     # coset_of[u, g]: the arrow g X_u
     coset_of = coset_index(group, family)
@@ -290,12 +297,12 @@ def involution(groupoid: FiniteGroupoid, f: GroupoidFunction) -> GroupoidFunctio
 
 def kernel_of_q_dimension(group: FiniteGroup, family: SubgroupFamily) -> int:
     """Exact dimension of {a : q(a) = 0}: one row per arrow, marking its coset."""
-    return exact.kernel_dim(coset_constraint_matrix(group, family))
+    return exact.kernel_dim(_coset_matrix(group, family))
 
 
 def kernel_of_q_basis(group: FiniteGroup, family: SubgroupFamily) -> List[tuple]:
     """Exact basis of {a : q(a) = 0}; the third kernel route."""
-    return exact.kernel_basis(coset_constraint_matrix(group, family))
+    return exact.kernel_basis(_coset_matrix(group, family))
 
 
 def reduction_groupoid(groupoid: FiniteGroupoid, units: Sequence[int]):

@@ -12,12 +12,13 @@ Entry (i, j) of the representation on G/X, as a function of g, is the
 indicator of c_i X c_j^-1, a left coset of the conjugate c_j X c_j^-1.
 For a conjugation-invariant family the deduplicated entry rows are
 therefore exactly the coset rows, so both kernels are the kernel of one
-0/1 matrix, scattered from the coset numbering ``groups.coset_index``,
-and are computed by one exact elimination.  Two checks that can fail
+0/1 int8 array scattered from the coset numbering ``groups.coset_index``,
+and are computed by one elimination in integers; Fractions appear only
+in the public ``exact.kernel_basis`` views.  Two checks that can fail
 back this up: ``_check_entry_sets`` confirms the identity above from the
 Cayley table and the same numbering, and ``_certify_kernel`` substitutes
-the basis into the matrix and confirms its dimension with a mod-p rank.
-A failure of either is an internal consistency failure, never a
+the integer basis into the matrix and confirms its rank mod p.  A
+failure of either is an internal consistency failure, never a
 mathematical outcome.
 """
 
@@ -32,9 +33,12 @@ import numpy as np
 from . import exact
 from ._kernels import CERT_PRIME, rank_mod_p
 from .exact import RationalMatrix
-from .groups import (Coset, FiniteGroup, SubgroupFamily, _is_prime,
-                     coset_index, distinct_cosets, minimal_subgroups,
-                     subgroup_generated)
+from .groups import (Coset, FiniteGroup, SizeCapError, SubgroupFamily,
+                     _is_prime, coset_index, distinct_cosets,
+                     minimal_subgroups, subgroup_generated)
+
+# the int8 coset matrix takes one byte per entry, 128 MiB at the cap
+MATRIX_ENTRY_CAP = 2 ** 27
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -103,28 +107,35 @@ class IdealReport:
         )
 
 
-def coset_constraint_matrix(group: FiniteGroup, family: SubgroupFamily) -> RationalMatrix:
-    """One 0/1 row per distinct coset; the kernel is the algebraic ideal."""
-    index = coset_index(group, family)
+def _coset_matrix(group: FiniteGroup, family: SubgroupFamily) -> np.ndarray:
+    """One 0/1 int8 row per distinct coset; raises SizeCapError, before
+    allocating, past MATRIX_ENTRY_CAP entries."""
     n = group.order
+    cosets = sum(n // len(sub) for sub in family.members)
+    if cosets * n > MATRIX_ENTRY_CAP:
+        raise SizeCapError(f"the coset matrix of {group.name} needs {cosets} x {n} "
+                           f"entries, over the cap {MATRIX_ENTRY_CAP}")
+    index = coset_index(group, family)
     rows = np.zeros((int(index.max()) + 1, n), dtype=np.int8)
     rows[index, np.arange(n)] = 1
-    return RationalMatrix(rows.shape[0], n, tuple(rows.ravel().tolist()))
+    return rows
+
+
+def coset_constraint_matrix(group: FiniteGroup, family: SubgroupFamily) -> RationalMatrix:
+    """One 0/1 row per distinct coset; the kernel is the algebraic ideal."""
+    rows = _coset_matrix(group, family)
+    return RationalMatrix(*rows.shape, tuple(rows.ravel().tolist()))
 
 
 def algebraic_ideal_kernel(group: FiniteGroup, family: SubgroupFamily) -> List[tuple]:
     """Basis of {a : all coset sums of a over the family vanish}."""
-    if not family.members:
-        raise ValueError("family must be non-empty")
-    return exact.kernel_basis(coset_constraint_matrix(group, family))
+    return exact.kernel_basis(_coset_matrix(group, family))
 
 
 def integer_witness(group: FiniteGroup, family: SubgroupFamily) -> Optional[GroupAlgebraElement]:
     """Primitive integer element of the algebraic kernel, or None if trivial."""
-    basis = algebraic_ideal_kernel(group, family)
-    if not basis:
-        return None
-    return GroupAlgebraElement(group, exact.integerize(basis[0]))
+    basis = exact.integer_kernel_basis(_coset_matrix(group, family))
+    return GroupAlgebraElement(group, basis[0]) if basis else None
 
 
 def coset_sums(cosets: Sequence[Coset], coeffs: Sequence) -> list:
@@ -188,8 +199,8 @@ def _check_entry_sets(group: FiniteGroup, family: SubgroupFamily) -> None:
             f"sets of the stacked representation")
 
 
-def _certify_kernel(matrix: RationalMatrix, basis: List[tuple]) -> None:
-    """Raise unless ``basis`` is a basis of the kernel of ``matrix``.
+def _certify_kernel(matrix: np.ndarray, basis: List[tuple]) -> None:
+    """Raise unless the integer ``basis`` is a basis of ker ``matrix``.
 
     The basis vectors are substituted into the matrix exactly, their rank
     is confirmed mod CERT_PRIME, and rank_mod_p(M) == cols - d proves that
@@ -197,22 +208,19 @@ def _certify_kernel(matrix: RationalMatrix, basis: List[tuple]) -> None:
     rank).  A short mod-p rank is decided by exact elimination, so only a
     proven disagreement raises.
     """
-    cols, d = matrix.cols, len(basis)
-    m = np.array(matrix.entries, dtype=np.int64).reshape(matrix.rows, cols)
-    ints = [exact._clear_denominators(v) for v in basis]
+    cols, d = matrix.shape[1], len(basis)
     if d:
-        bound = max(abs(x) for v in ints for x in v)
-        weight = int(np.abs(m).sum(axis=1).max())
+        bound = max(abs(x) for v in basis for x in v)
+        weight = int(np.abs(matrix, dtype=np.int64).sum(axis=1).max())
         dtype = np.int64 if bound * weight < 2 ** 62 else object
-        b = np.array(ints, dtype=dtype).T
-        if (m.astype(dtype) @ b).any():
+        b = np.array(basis, dtype=dtype).T
+        if (matrix.astype(dtype) @ b).any():
             raise InternalInconsistencyError("a kernel basis vector fails M x = 0")
-        reduced = np.array([[x % CERT_PRIME for x in v] for v in ints], dtype=np.int64)
-        if rank_mod_p(reduced, CERT_PRIME) < d and exact.rank(ints) < d:
+        if exact._rank_mod_prime(basis) < d and exact.rank(basis) < d:
             raise InternalInconsistencyError("the kernel basis is linearly dependent")
-    image_rank = rank_mod_p(m.copy(), CERT_PRIME)
+    image_rank = rank_mod_p(matrix, CERT_PRIME)
     if image_rank > cols - d or (image_rank < cols - d
-                                 and exact.rank(m) != cols - d):
+                                 and exact.rank(matrix) != cols - d):
         raise InternalInconsistencyError(
             f"kernel dimension {d} disagrees with the matrix rank")
 
@@ -224,10 +232,9 @@ def full_ideal_kernel(group: FiniteGroup, family: SubgroupFamily) -> List[tuple]
     (checked by ``_check_entry_sets``), so this is the canonical basis of
     the kernel of ``coset_constraint_matrix``.
     """
-    if not family.members:
-        raise ValueError("family must be non-empty")
+    matrix = _coset_matrix(group, family)
     _check_entry_sets(group, family)
-    return exact.kernel_basis(coset_constraint_matrix(group, family))
+    return exact.kernel_basis(matrix)
 
 
 def weak_containment_regular(group: FiniteGroup, family: SubgroupFamily) -> bool:
@@ -242,14 +249,12 @@ def class_I_check(group: FiniteGroup, family: SubgroupFamily) -> IdealReport:
     Raises InternalInconsistencyError when the entry-set check or the
     kernel certificate fails, which for finite groups can only mean a bug.
     """
+    matrix = _coset_matrix(group, family)
     _check_entry_sets(group, family)
-    matrix = coset_constraint_matrix(group, family)
-    basis = exact.kernel_basis(matrix)
+    basis = exact.integer_kernel_basis(matrix)
     _certify_kernel(matrix, basis)
     dim = len(basis)
-    witness = None
-    if basis:
-        witness = GroupAlgebraElement(group, exact.integerize(basis[0]))
+    witness = GroupAlgebraElement(group, basis[0]) if basis else None
     # the certified kernel is both the algebraic and the full kernel, so
     # either it is trivial (weak containment) or it holds a witness
     return IdealReport(

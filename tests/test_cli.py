@@ -270,6 +270,22 @@ def test_hls_depth_past_the_cap_exits_1_without_allocating(capsys):
         assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("command", ["analyze", "witness", "normcheck"])
+def test_coset_counts_past_the_caps_exit_1_without_allocating(capsys, command):
+    # C2^10 with its 1023 minimal subgroups has 523776 cosets: 5.4e8 coset
+    # matrix entries (512 MiB of int8) and 2.7e11 compose table entries
+    group = json.dumps({"kind": "product", "factors": [{"kind": "cyclic", "n": 2}] * 10})
+    tracemalloc.start()
+    code = main([command, "--group", group, "--family", '{"minimal": true}'])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == EXIT_PARSE and captured.out == ""
+    assert captured.err.startswith("error: the coset ")
+    assert "523776" in captured.err and captured.err.count("\n") == 1
+    assert peak < 64 * 2 ** 20
+
+
 @pytest.mark.parametrize("max_order", ["-3", "0", "65"])
 def test_ai_atlas_max_order_out_of_range(capsys, max_order):
     code = main(["ai-atlas", "--max-order", max_order])

@@ -1,13 +1,18 @@
 """Exact rational linear algebra: ranks, kernels, spans, integerization."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singideal.exact import (RationalMatrix, in_span, integerize, kernel_basis,
-                             kernel_dim, rank, same_subspace, spans_full)
+from singideal.exact import (RationalMatrix, _clear_denominators, _echelon,
+                             in_span, integer_kernel_basis, integerize,
+                             kernel_basis, kernel_dim, rank, same_subspace,
+                             spans_full)
+from singideal.groups import make_group, minimal_subgroups, parse_family
+from singideal.ideals import coset_constraint_matrix
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
@@ -141,3 +146,74 @@ def test_fraction_entries_cleared_exactly():
     basis = kernel_basis(rows)
     assert len(basis) == 1
     assert dot(rows[0], basis[0]) == 0
+
+
+def reference_rref(pivot_cols, pivot_rows):
+    """Canonical reduced row echelon form of the pivot rows, in Fractions."""
+    rows = [[Fraction(x) for x in r] for r in pivot_rows]
+    for i in reversed(range(len(rows))):
+        c = pivot_cols[i]
+        piv = rows[i][c]
+        rows[i] = [x / piv for x in rows[i]]
+        for j in range(i):
+            f = rows[j][c]
+            if f:
+                rows[j] = [x - f * y for x, y in zip(rows[j], rows[i])]
+    return rows
+
+
+def reference_kernel_basis(rows, cols):
+    """The canonical kernel basis read off the Fraction RREF: one vector
+    per free column, 1 there and minus the RREF column at the pivots."""
+    pivot_cols, pivot_rows = _echelon([_clear_denominators(r) for r in rows])
+    rref = reference_rref(pivot_cols, pivot_rows)
+    basis = []
+    for free in sorted(set(range(cols)) - set(pivot_cols)):
+        vec = [Fraction(0)] * cols
+        vec[free] = Fraction(1)
+        for i, c in enumerate(pivot_cols):
+            vec[c] = -rref[i][free]
+        basis.append(tuple(vec))
+    return basis
+
+
+def assert_canonical_basis(m, rows, cols):
+    basis, reference = kernel_basis(m), reference_kernel_basis(rows, cols)
+    assert basis == reference
+    assert all(type(x) is Fraction for vec in basis for x in vec)
+    # equal values and the same object layout: the pickled bytes agree
+    assert pickle.dumps(basis) == pickle.dumps(reference)
+    assert integer_kernel_basis(m) == [integerize(v) for v in basis]
+
+
+def coset_matrix_cases(catalog, catalog_cases):
+    yield from catalog_cases
+    for group in catalog:
+        family = minimal_subgroups(group)
+        if family.members:
+            yield group, family
+    for group_spec, family_spec in [
+            ({"kind": "symmetric", "n": 5}, {"minimal": True}),
+            ({"kind": "dihedral", "n": 50}, {"minimal": True}),
+            ({"kind": "cyclic", "n": 360}, {"subgroups": [[0, 180]]}),
+            ({"kind": "cyclic", "n": 720}, {"subgroups": [[0, 360]]})]:
+        group = make_group(group_spec)
+        yield group, parse_family(group, family_spec)
+
+
+def test_kernel_basis_matches_the_fraction_rref_on_coset_matrices(
+        catalog, catalog_cases):
+    seen = 0
+    for group, family in coset_matrix_cases(catalog, catalog_cases):
+        m = coset_constraint_matrix(group, family)
+        assert_canonical_basis(m, m.row_lists(), m.cols)
+        seen += 1
+    assert seen == 97 + 19 + 4
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices())
+def test_kernel_basis_matches_the_fraction_rref(rows):
+    # negative and fractional entries: sign flips in _strip_row and
+    # pivots other than 1, which the 0/1 coset matrices never produce
+    assert_canonical_basis(rows, rows, len(rows[0]))

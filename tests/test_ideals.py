@@ -17,7 +17,7 @@ from singideal.groups import (SubgroupFamily, conjugation_closure,
                               subgroup_generated, symmetric_group)
 from singideal.ideals import (GroupAlgebraElement, IdealReport,
                               InternalInconsistencyError, NotAbelianError,
-                              _certify_kernel,
+                              _certify_kernel, _coset_matrix,
                               abelian_AI_criterion, algebraic_ideal_kernel,
                               check_witness, class_I_check,
                               coset_constraint_matrix, full_ideal_kernel,
@@ -179,14 +179,14 @@ def test_stacked_representation_rows_are_the_coset_rows(catalog_cases):
 
 @pytest.mark.parametrize("change", [
     lambda basis: basis[:-1],
-    lambda basis: basis + [(Fraction(1), Fraction(0), Fraction(0), Fraction(0))],
+    lambda basis: basis + [(1, 0, 0, 0)],
 ], ids=["drop-a-vector", "append-a-non-kernel-vector"])
 def test_kernel_certificate_catches_a_wrong_basis(monkeypatch, capsys, change):
     g4 = cyclic(4)
     family = make_family(g4, [(0, 2)])
     assert class_I_check(g4, family).algebraic_kernel_dim == 2
-    real = exact.kernel_basis
-    monkeypatch.setattr(exact, "kernel_basis", lambda m: change(real(m)))
+    real = exact.integer_kernel_basis
+    monkeypatch.setattr(exact, "integer_kernel_basis", lambda m: change(real(m)))
     with pytest.raises(InternalInconsistencyError):
         class_I_check(g4, family)
     code = main(["analyze", "--group", '{"kind":"cyclic","n":4}',
@@ -198,8 +198,9 @@ def test_kernel_certificate_catches_a_wrong_basis(monkeypatch, capsys, change):
 def test_kernel_certificate_beyond_int64():
     # entries this large take the exact object-dtype substitution
     g2 = cyclic(2)
-    matrix = coset_constraint_matrix(g2, make_family(g2, [(0, 1)]))
-    big = Fraction(2 ** 70)
+    matrix = _coset_matrix(g2, make_family(g2, [(0, 1)]))
+    assert matrix.dtype == np.int8
+    big = 2 ** 70
     _certify_kernel(matrix, [(big, -big)])
     with pytest.raises(InternalInconsistencyError):
         _certify_kernel(matrix, [(big, 1 - big)])
@@ -215,18 +216,44 @@ def test_entry_set_check_rejects_a_non_invariant_family():
 
 
 def test_class_I_check_eliminates_once(monkeypatch, catalog_cases):
-    calls = []
-    real = exact.kernel_basis
+    calls = {"integer_kernel_basis": [], "kernel_basis": []}
 
-    def counting(m):
-        calls.append(m)
-        return real(m)
+    def counting(name):
+        real = getattr(exact, name)
 
-    monkeypatch.setattr(exact, "kernel_basis", counting)
+        def count(m):
+            calls[name].append(m)
+            return real(m)
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(exact, name, counting(name))
     for group, family in catalog_cases[::10]:
-        calls.clear()
+        for seen in calls.values():
+            seen.clear()
         class_I_check(group, family)
-        assert len(calls) == 1, (group.name, family.members)
+        assert len(calls["integer_kernel_basis"]) == 1, (group.name, family.members)
+        assert calls["kernel_basis"] == [], (group.name, family.members)
+
+
+def test_class_I_check_builds_no_fraction(monkeypatch):
+    # the verdict path is integers end to end: witness, certificate and all
+    g = cyclic(360)
+    family = make_family(g, [(0, 180)])
+    made = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    report = class_I_check(g, family)
+    assert report.algebraic_kernel_dim == 180
+    assert made == []
+    # the counter does see the Fractions of the public rational view
+    exact.kernel_basis([[1, 1]])
+    assert made
 
 
 def test_weak_containment():

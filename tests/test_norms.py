@@ -186,12 +186,17 @@ def test_norm_and_rank_kernels_match_references():
                   for u in range(len(gpd.units)))
         assert reduced_norm(gpd, f) == pytest.approx(ref, rel=1e-12)
         assert reduced_norm(gpd, f) == pytest.approx(expected, abs=1e-5)
-    # the mod-p rank certificate against the float rank, full and deficient
-    for k in (8, 5, 3, 1, 0):
-        for _ in range(8):
-            m = rng.integers(0, 5, size=(12, k)) @ rng.integers(0, 5, size=(k, 8))
-            assert (_kernels.rank_mod_p(m.copy(), _kernels.CERT_PRIME)
-                    == np.linalg.matrix_rank(m.astype(float)))
+    # the mod-p rank certificate against the float rank, full and deficient,
+    # tall (eliminated as the transpose) and wide; the input is left unchanged
+    for rows, cols in ((12, 8), (8, 12)):
+        for k in (8, 5, 3, 1, 0):
+            for _ in range(8):
+                m = (rng.integers(0, 5, size=(rows, k))
+                     @ rng.integers(0, 5, size=(k, cols)))
+                before = m.copy()
+                assert (_kernels.rank_mod_p(m, _kernels.CERT_PRIME)
+                        == np.linalg.matrix_rank(m.astype(float)))
+                assert np.array_equal(m, before)
 
 
 def test_reduced_norm_is_the_max_over_unit_matrices(catalog, catalog_cases):
