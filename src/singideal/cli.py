@@ -4,8 +4,8 @@ extraction.  All reports are JSON with potentially-large integers (the
 witness coefficients) serialized as decimal strings.
 
 Exit codes: 0 success, 1 parse/usage error or size cap exceeded, 2
-internal kernel inconsistency (analyze), 3 norm tolerance exceeded
-(normcheck).
+internal kernel inconsistency (analyze), 3 norm tolerance exceeded or
+inexact compression p f p (normcheck).
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import hls as hls_mod
+from . import norms
 from .atlas import ai_atlas
 from .groupoid import build_coset_groupoid
 from .groups import (FamilyNotInvariantError, SizeCapError, make_group,
                      parse_family)
 from .ideals import (InternalInconsistencyError, class_I_check, integer_witness)
-from .norms import NORM_BATCH, norm_equation_residuals
 from .sampling import random_groupoid_function
 
 EXIT_OK = 0
@@ -170,14 +170,18 @@ def cmd_normcheck(config: RunConfig) -> int:
     keys = [",".join(map(str, subset)) for subset in subsets]
     per_subset = dict.fromkeys(keys, 0.0)
     # trials are drawn in seed order, a block of at most NORM_BATCH values
-    # at a time; each subset's reduction is built once per block
-    block = max(1, NORM_BATCH // groupoid.num_arrows())
-    for start in range(0, config.trials, block):
-        fs = [random_groupoid_function(rng, groupoid)
-              for _ in range(min(block, config.trials - start))]
-        for key, subset in zip(keys, subsets):
-            per_subset[key] = max(per_subset[key],
-                                  *norm_equation_residuals(groupoid, subset, fs))
+    # at a time, converted once; each subset's reduction is built once per block
+    size = max(1, norms.NORM_BATCH // groupoid.num_arrows())
+    try:
+        for start in range(0, config.trials, size):
+            block = norms.norm_block([random_groupoid_function(rng, groupoid)
+                                      for _ in range(min(size, config.trials - start))])
+            for key, subset in zip(keys, subsets):
+                per_subset[key] = max(per_subset[key],
+                                      *norms.block_residuals(groupoid, subset, block))
+    except InternalInconsistencyError as exc:
+        _emit({"error": "internal-inconsistency", "detail": str(exc)}, config.output)
+        return EXIT_TOLERANCE
     worst = max(per_subset.values())
     report = {
         "group": {"name": group.name, "order": group.order},

@@ -9,8 +9,11 @@ lookups in coset_of = ``groups.coset_index`` (coset_of[u, g] is the arrow
 g X_u): the product of y X_a and z X_b (where s(a) = r(b)) is
 coset_of[s(b), y z], filled one unit's block of composable pairs at a
 time.  A reduction remaps its block of the table with one index lookup.
-Convolution stays exact: it sums Python ints over the common
-denominators of the two supports.
+Convolution stays exact: functions become integer numerator rows over
+one common denominator (``integer_rows``), and one engine
+(``convolve_rows``) convolves whole blocks of such rows, in int64 when a
+bound taken before multiplying proves that no sum can overflow, in
+Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ from .ideals import _coset_matrix
 
 # the int32 compose table takes four bytes per entry, 512 MiB at the cap
 COMPOSE_ENTRY_CAP = 2 ** 27
+
+# products gathered at once by convolve_rows: 32 MiB in int64
+CONVOLVE_CHUNK = 1 << 22
 
 
 class Arrow(NamedTuple):
@@ -239,54 +245,96 @@ def q_map(group: FiniteGroup, family: SubgroupFamily, coeffs: Sequence,
     return GroupoidFunction(groupoid, vals)
 
 
-def _over_common_denominator(values, indices):
-    """(d, {i: values[i] * d}) for d the least common denominator of the
-    values at ``indices``; the scaled values are Python ints."""
-    dens = [values[i].denominator for i in indices]
+def integer_rows(fs: Sequence[GroupoidFunction]):
+    """(numerators, d) for d the least common denominator of every value of
+    the functions ``fs``: row i of the (functions, arrows) array is d fs[i],
+    in int64 when every entry is below 2^63 in magnitude, as Python ints in
+    an object array otherwise."""
+    values = [v for f in fs for v in f.values]
+    dens = {v.denominator for v in values}
     den = math.lcm(*dens)
-    return den, {i: values[i].numerator * (den // d) for i, d in zip(indices, dens)}
+    scale = {d: den // d for d in dens}
+    nums = [v.numerator * scale[v.denominator] for v in values]
+    dtype = np.int64 if max(map(abs, nums), default=0) < 2 ** 63 else object
+    width = len(nums) // len(fs) if fs else 0
+    return np.array(nums, dtype=dtype).reshape(len(fs), width), den
+
+
+def function_from_row(groupoid: FiniteGroupoid, row, den: int) -> GroupoidFunction:
+    """The function with values row[g] / den, as normalised Fractions."""
+    zero = Fraction(0)
+    return GroupoidFunction(groupoid, tuple([Fraction(n, den) if n else zero
+                                             for n in row.tolist()]))
+
+
+def _composable_pairs(groupoid: FiniteGroupoid, ks: np.ndarray, hs: np.ndarray):
+    """(k, h, k h) over every k in ``ks`` and h in ``hs`` with s(k) = r(h),
+    ordered by the product arrow k h."""
+    ks = ks[np.argsort(groupoid._sources[ks], kind="stable")]
+    hs = hs[np.argsort(groupoid._ranges[hs], kind="stable")]
+    sources, ranges = groupoid._sources[ks], groupoid._ranges[hs]
+    # the hs at unit r are hs[first[r]:first[r] + at_unit[r]]; each k meets
+    # the at_unit[s(k)] of them, as one run of pairs
+    at_unit = np.bincount(ranges, minlength=len(groupoid.units))
+    first = np.cumsum(at_unit) - at_unit
+    runs = at_unit[sources]
+    run_start = np.cumsum(runs) - runs
+    k = np.repeat(ks, runs)
+    offset = np.arange(len(k)) - np.repeat(run_start, runs)
+    h = hs[np.repeat(first[sources], runs) + offset]
+    g = groupoid.compose_table[k, h]
+    order = np.argsort(g, kind="stable")
+    return k[order], h[order], g[order]
+
+
+def _max_abs(a: np.ndarray) -> int:
+    return max(-int(a.min()), int(a.max())) if a.size else 0
+
+
+def convolve_rows(groupoid: FiniteGroupoid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact convolution of integer rows: row i of the result is a[i] * b[i]
+    (a single row on either side is used for every row of the other).
+
+    Each term a(k) b(h) lands on k h, for k and h in the union supports
+    of ``a`` and ``b`` with s(k) = r(h).  The terms are gathered as columns,
+    multiplied, and summed per product arrow with one ``np.add.reduceat``,
+    for a slice of the ks at a time, so that no slice gathers more than
+    ``CONVOLVE_CHUNK`` products.  They are multiplied in int64 when
+    max|a| max|b| (terms per product arrow) < 2^63, so that no sum can
+    overflow, and as Python ints otherwise.
+    """
+    ks = np.flatnonzero((a != 0).any(axis=0))
+    hs = np.flatnonzero((b != 0).any(axis=0))
+    n = np.broadcast_shapes((len(a),), (len(b),))[0]
+    # k h = g fixes k = g h^-1 and s(h) = s(g): g takes at most as many
+    # terms as the support of b has arrows with source s(g)
+    terms = int(np.bincount(groupoid._sources[hs]).max()) if len(hs) else 0
+    exact_in_int64 = (a.dtype == np.int64 and b.dtype == np.int64
+                      and _max_abs(a) * _max_abs(b) * terms < 2 ** 63)
+    dtype = np.int64 if exact_in_int64 else object
+    out = np.zeros((n, groupoid.num_arrows()), dtype=dtype)
+    # each k meets at most this many hs
+    per_k = int(np.bincount(groupoid._ranges[hs]).max()) if len(hs) else 1
+    step = max(1, CONVOLVE_CHUNK // max(n * per_k, 1))
+    for start in range(0, len(ks), step):
+        k, h, g = _composable_pairs(groupoid, ks[start:start + step], hs)
+        if len(g):
+            starts = np.flatnonzero(np.diff(g, prepend=-1))
+            products = (a[:, k].astype(dtype, copy=False)
+                        * b[:, h].astype(dtype, copy=False))
+            out[:, g[starts]] += np.add.reduceat(products, starts, axis=1)
+    return out
 
 
 def convolve(groupoid: FiniteGroupoid, f1: GroupoidFunction,
              f2: GroupoidFunction) -> GroupoidFunction:
-    """Exact convolution (f1*f2)(g) = sum over h with s(h)=s(g) of f1(g h^-1) f2(h).
-
-    Each term is f1(k) f2(h) landing on g = k h, for h in the support of
-    f2 and k in the support of f1 with s(k) = r(h).  Both supports are
-    scaled to integers over their common denominators, the terms are
-    summed as Python ints (one table lookup per unit r(h)), and each
-    non-zero sum becomes one normalised Fraction.
-    """
+    """Exact convolution (f1*f2)(g) = sum over h with s(h)=s(g) of f1(g h^-1) f2(h),
+    as one row of ``convolve_rows`` over the product of the two common
+    denominators."""
     if f1.groupoid is not groupoid or f2.groupoid is not groupoid:
         raise ValueError("functions live on a different groupoid")
-    values1, values2 = f1.values, f2.values
-    # v.numerator, not v: the property is cheaper than Fraction.__bool__
-    support2 = [h for h, v in enumerate(values2) if v.numerator]
-    hs_at = {}
-    for h, r in zip(support2, groupoid._ranges[support2].tolist()):
-        hs_at.setdefault(r, []).append(h)
-    ks_at = {}
-    for r in hs_at:
-        ks = [k for k in groupoid.arrows_by_source[r] if values1[k].numerator]
-        if ks:
-            ks_at[r] = ks
-    den1, ints1 = _over_common_denominator(
-        values1, [k for ks in ks_at.values() for k in ks])
-    den2, ints2 = _over_common_denominator(
-        values2, [h for r in ks_at for h in hs_at[r]])
-    table = groupoid.compose_table
-    acc = [0] * groupoid.num_arrows()
-    for r, ks in ks_at.items():
-        hs = hs_at[r]
-        bs = [ints2[h] for h in hs]
-        rows = table[np.array(ks, dtype=np.intp)[:, None], hs].tolist()
-        for k, row in zip(ks, rows):
-            a = ints1[k]
-            for g, b in zip(row, bs):
-                acc[g] += a * b
-    den, zero = den1 * den2, Fraction(0)
-    return GroupoidFunction(groupoid, tuple([Fraction(n, den) if n else zero
-                                             for n in acc]))
+    (a, den1), (b, den2) = integer_rows([f1]), integer_rows([f2])
+    return function_from_row(groupoid, convolve_rows(groupoid, a, b)[0], den1 * den2)
 
 
 def involution(groupoid: FiniteGroupoid, f: GroupoidFunction) -> GroupoidFunction:

@@ -10,47 +10,79 @@ groupoid over X.
 
 Every operator norm is the square root of the top eigenvalue of a Gram
 matrix, from one symmetric eigensolve at every dimension.  Reduced norms
-are evaluated for a batch of functions at once: each function is
-converted to floats once, and every index stack the groupoid tabulated at
-construction (the left-regular blocks of all units of one dimension) is
-gathered for a chunk of functions into one C-contiguous
-(functions, units, d, d) array, capped at ``NORM_BATCH`` entries, which
-takes one Gram product and one batched eigensolve.  The gather must be
-contiguous: a strided gather sends the Gram product down another matmul
-kernel, whose results differ in the last bits.  The norm equation is
-evaluated one unit subset at a time over such a batch, so the reduction
-groupoid is built once per subset, not once per function.
+are evaluated for a batch of functions at once: every index stack the
+groupoid tabulated at construction (the left-regular blocks of all units
+of one dimension) is gathered for a chunk of functions into one
+C-contiguous (functions, units, d, d) array, capped at ``NORM_BATCH``
+entries, which takes one Gram product and one batched eigensolve.  The
+gather must be contiguous: a strided gather sends the Gram product down
+another matmul kernel, whose results differ in the last bits.
+
+The norm equation is evaluated on a ``NormBlock``: a batch of functions
+converted once to integer numerator rows over one common denominator,
+and once to floats.  For each unit subset the reduction groupoid is
+built once; p f p for the whole block is two ``convolve_rows`` calls with
+the unit-indicator row, checked exactly against the block's rows masked
+to the reduction's arrows; the restriction side is a column gather of
+the block's floats.  Floats are always float(Fraction), correctly
+rounded: numerator rows are divided in float64 only when the numerators
+and the denominator are below 2^53, and as Python ints otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
-from .groupoid import (FiniteGroupoid, GroupoidFunction, convolve,
-                       reduction_groupoid, restrict_function, unit_indicator)
+from .groupoid import (FiniteGroupoid, GroupoidFunction, _max_abs,
+                       convolve_rows, function_from_row, integer_rows,
+                       reduction_groupoid)
+from .ideals import InternalInconsistencyError
 
 # entries gathered per batched eigensolve chunk; the CLI also draws its
 # normcheck trial functions in blocks of at most this many values
 NORM_BATCH = 1 << 14
 
+# integers below this convert to float64 exactly
+EXACT_FLOAT_INT = 2 ** 53
+
+
+def _row_floats(nums: np.ndarray, den: int) -> np.ndarray:
+    """nums / den as float64, each entry correctly rounded: one float64
+    division when both operands convert exactly, else Python int division."""
+    if (nums.dtype == np.int64 and den < EXACT_FLOAT_INT
+            and _max_abs(nums) < EXACT_FLOAT_INT):
+        return nums.astype(np.float64) / float(den)
+    return np.array([n / den for n in nums.ravel().tolist()],
+                    dtype=np.float64).reshape(nums.shape)
+
+
+def _padded(floats: np.ndarray) -> np.ndarray:
+    """(functions, arrows + 1) float values; column -1 = undefined product."""
+    vals = np.zeros((floats.shape[0], floats.shape[1] + 1))
+    vals[:, :-1] = floats
+    return vals
+
+
+class NormBlock(NamedTuple):
+    """A batch of functions as integer rows over one denominator, and as floats."""
+
+    numerators: np.ndarray
+    denominator: int
+    floats: np.ndarray
+
+
+def norm_block(fs: Sequence[GroupoidFunction]) -> NormBlock:
+    """The functions ``fs`` converted once, for ``block_residuals``."""
+    nums, den = integer_rows(fs)
+    return NormBlock(nums, den, _row_floats(nums, den))
+
 
 def function_floats(f: GroupoidFunction) -> np.ndarray:
-    """The rational values of f as floats (numerator / denominator is
-    float(v), correctly rounded, without the Fraction method call)."""
-    return np.array([v.numerator / v.denominator for v in f.values],
-                    dtype=np.float64)
-
-
-def _padded_floats(groupoid: FiniteGroupoid,
-                   fs: Sequence[GroupoidFunction]) -> np.ndarray:
-    """(functions, arrows + 1) float values; column -1 = undefined product."""
-    vals = np.zeros((len(fs), groupoid.num_arrows() + 1))
-    for row, f in zip(vals, fs):
-        row[:-1] = function_floats(f)
-    return vals
+    """The rational values of f as floats, each equal to float(v)."""
+    return norm_block([f]).floats[0]
 
 
 def regular_rep_matrix(groupoid: FiniteGroupoid, f: GroupoidFunction,
@@ -62,7 +94,7 @@ def regular_rep_matrix(groupoid: FiniteGroupoid, f: GroupoidFunction,
     """
     if not 0 <= unit < len(groupoid.units):
         raise ValueError(f"unit {unit} not found")
-    return _padded_floats(groupoid, [f])[0][groupoid._rep_blocks[unit]]
+    return _padded(function_floats(f)[None])[0][groupoid._rep_blocks[unit]]
 
 
 def _gram_tops(a: np.ndarray) -> np.ndarray:
@@ -84,14 +116,13 @@ def spectral_norm(m) -> float:
     return math.sqrt(max(float(_gram_tops(a).max()), 0.0))
 
 
-def _reduced_norms(groupoid: FiniteGroupoid,
-                   fs: Sequence[GroupoidFunction]) -> List[float]:
-    """Reduced norm of every function in ``fs``, stack by stack in chunks."""
-    vals = _padded_floats(groupoid, fs)
-    tops = np.zeros(len(fs))
+def _reduced_norms(groupoid: FiniteGroupoid, vals: np.ndarray) -> List[float]:
+    """Reduced norm of every row of the padded floats ``vals``, stack by
+    stack in chunks."""
+    tops = np.zeros(len(vals))
     for stack in groupoid._rep_stacks:
         per = max(1, NORM_BATCH // stack.size)
-        for start in range(0, len(fs), per):
+        for start in range(0, len(vals), per):
             # take, not vals[:, stack]: the gather must be C-contiguous
             chunk = np.take(vals[start:start + per], stack, axis=1)
             part = tops[start:start + per]
@@ -101,27 +132,55 @@ def _reduced_norms(groupoid: FiniteGroupoid,
 
 def reduced_norm(groupoid: FiniteGroupoid, f: GroupoidFunction) -> float:
     """Sup over units of the operator norm of left convolution by f."""
-    return _reduced_norms(groupoid, [f])[0]
+    return _reduced_norms(groupoid, _padded(function_floats(f)[None]))[0]
+
+
+def _compress(groupoid: FiniteGroupoid, nums: np.ndarray,
+              units: Sequence[int]) -> np.ndarray:
+    """Integer rows p f p for the rows f of ``nums``, p the indicator of
+    the identity arrows over the unit subset."""
+    p = np.zeros((1, groupoid.num_arrows()), dtype=np.int64)
+    p[0, np.asarray(groupoid.unit_arrows)[list(units)]] = 1
+    return convolve_rows(groupoid, p, convolve_rows(groupoid, nums, p))
 
 
 def compress_to_units(groupoid: FiniteGroupoid, f: GroupoidFunction,
                       units: Sequence[int]) -> GroupoidFunction:
     """p f p for p the indicator of the identity arrows over the unit subset."""
-    p = unit_indicator(groupoid, units)
-    return convolve(groupoid, p, convolve(groupoid, f, p))
+    nums, den = integer_rows([f])
+    return function_from_row(groupoid, _compress(groupoid, nums, units)[0], den)
+
+
+def block_residuals(groupoid: FiniteGroupoid, units: Sequence[int],
+                    block: NormBlock) -> List[float]:
+    """The norm-equation residual of every function of ``block``.
+
+    Raises InternalInconsistencyError unless p f p equals f on the arrows
+    with source and range in the subset and vanishes elsewhere, exactly.
+    """
+    units = sorted(set(units))
+    if not units:
+        raise ValueError("unit subset must be non-empty")
+    reduced, kept = reduction_groupoid(groupoid, units)
+    nums = block.numerators
+    if not len(nums):
+        return []
+    pfp = _compress(groupoid, nums, units)
+    masked = np.zeros_like(nums)
+    masked[:, kept] = nums[:, kept]
+    if not np.array_equal(pfp, masked):
+        raise InternalInconsistencyError(
+            f"p f p over units {units} is not f restricted to the reduction")
+    lhs = _reduced_norms(reduced, _padded(block.floats[:, kept]))
+    rhs = _reduced_norms(groupoid, _padded(_row_floats(pfp, block.denominator)))
+    return [abs(a - b) for a, b in zip(lhs, rhs)]
 
 
 def norm_equation_residuals(groupoid: FiniteGroupoid, units: Sequence[int],
                             fs: Sequence[GroupoidFunction]) -> List[float]:
     """``verify_norm_equation(groupoid, units, f)`` for every f in ``fs``,
     from one reduction and one batched reduced norm per side."""
-    units = sorted(set(units))
-    if not units:
-        raise ValueError("unit subset must be non-empty")
-    reduced, kept = reduction_groupoid(groupoid, units)
-    lhs = _reduced_norms(reduced, [restrict_function(reduced, kept, f) for f in fs])
-    rhs = _reduced_norms(groupoid, [compress_to_units(groupoid, f, units) for f in fs])
-    return [abs(a - b) for a, b in zip(lhs, rhs)]
+    return block_residuals(groupoid, units, norm_block(fs))
 
 
 def verify_norm_equation(groupoid: FiniteGroupoid, units: Sequence[int],
@@ -131,5 +190,7 @@ def verify_norm_equation(groupoid: FiniteGroupoid, units: Sequence[int],
     Every subset of a finite discrete unit space is locally invariant and
     the compression by the terminal approximate unit is exact, so the
     residual is floating-point noise whenever the implementation is right.
+    Raises InternalInconsistencyError, before any float is compared, when
+    p f p is not exactly f restricted to the reduction.
     """
     return norm_equation_residuals(groupoid, units, [f])[0]

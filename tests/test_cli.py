@@ -167,9 +167,9 @@ def test_normcheck_exit_codes(capsys, monkeypatch):
     data = json.loads(out)
     assert data["within_tol"] is True and data["max_residual"] < 1e-8
     # exit code 3 when the residual exceeds the tolerance
-    import singideal.cli as cli
-    monkeypatch.setattr(cli, "norm_equation_residuals",
-                        lambda g, u, fs: [0.5] * len(fs))
+    from singideal import norms
+    monkeypatch.setattr(norms, "block_residuals",
+                        lambda g, u, block: [0.5] * len(block.floats))
     code, out = run(capsys, ["normcheck", "--group", '{"kind":"symmetric","n":3}',
                              "--family", '{"conjugacy_class_of":[0,2]}',
                              "--trials", "2"])

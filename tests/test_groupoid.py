@@ -7,10 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from singideal import groupoid as groupoid_module
 from singideal.groupoid import (Arrow, FiniteGroupoid, GroupoidFunction,
-                                build_coset_groupoid, convolve, delta, involution,
-                                kernel_of_q_basis, kernel_of_q_dimension,
-                                q_map, reduction_groupoid, restrict_function,
+                                build_coset_groupoid, convolve, convolve_rows,
+                                delta, function_from_row, integer_rows,
+                                involution, kernel_of_q_basis,
+                                kernel_of_q_dimension, q_map,
+                                reduction_groupoid, restrict_function,
                                 unit_indicator)
 from singideal.groups import (conjugation_closure, cyclic, dihedral,
                               direct_product, distinct_cosets, make_family,
@@ -360,6 +363,70 @@ def test_convolve_matches_loop_reference(vectorised_layer_cases):
             out = convolve(gpd, f1, f2).values
             assert out == reference_convolve(gpd, f1, f2)
             assert out[g] == 0 and type(out[g]) is Fraction
+
+
+
+def random_rows(rng, gpd, dense):
+    """Functions with supports of 1, 3 and 8 arrows (and all arrows when
+    ``dense``), the all-zero function between them, and two with
+    numerators near 2^70 over big denominators."""
+    m = gpd.num_arrows()
+    sizes = (1, 0, 3, 8) + ((m, 0) if dense else ())
+    fs = []
+    for size in sizes:
+        vals = [Fraction(0)] * m
+        for a in rng.sample(range(m), min(size, m)):
+            vals[a] = Fraction(rng.randint(-9, 9) or 1, rng.choice((1, 2, 3)))
+        fs.append(GroupoidFunction(gpd, tuple(vals)))
+    huge = []
+    for _ in range(2):
+        vals = [Fraction(0)] * m
+        for a in rng.sample(range(m), min(6, m)):
+            vals[a] = Fraction(rng.randrange(2 ** 69, 2 ** 70),
+                               rng.choice(BIG_DENOMINATORS))
+        huge.append(GroupoidFunction(gpd, tuple(vals)))
+    return fs, huge
+
+
+def test_convolve_rows_batches_match_loop_reference(vectorised_layer_cases,
+                                                    monkeypatch):
+    rng = random.Random(23)
+    for _, _, gpd in vectorised_layer_cases:
+        small, huge = random_rows(rng, gpd, dense=gpd.num_arrows() <= 200)
+        rows1, rows2 = small, small[1:] + small[:1]
+        for fs1, fs2, dtype in ((rows1, rows2, np.int64),
+                                (rows1[:2] + huge, huge + rows2[:2], object)):
+            (a, den1), (b, den2) = integer_rows(fs1), integer_rows(fs2)
+            assert a.dtype == b.dtype == dtype
+            batches = [(convolve_rows(gpd, a, b), fs1, fs2),
+                       (convolve_rows(gpd, a[:1], b), fs1[:1] * len(fs2), fs2),
+                       (convolve_rows(gpd, a, b[-1:]), fs1, fs2[-1:] * len(fs1))]
+            # one k per slice of the gather gives the same rows
+            monkeypatch.setattr(groupoid_module, "CONVOLVE_CHUNK", 1)
+            sliced = [convolve_rows(gpd, a, b), convolve_rows(gpd, a[:1], b),
+                      convolve_rows(gpd, a, b[-1:])]
+            monkeypatch.undo()
+            for (out, lefts, rights), one_k in zip(batches, sliced):
+                assert out.dtype == one_k.dtype and np.array_equal(out, one_k)
+                assert out.shape == (len(lefts), gpd.num_arrows())
+                for row, f1, f2 in zip(out, lefts, rights):
+                    assert (function_from_row(gpd, row, den1 * den2).values
+                            == reference_convolve(gpd, f1, f2))
+
+
+def test_convolve_rows_switches_to_python_ints_at_the_bound():
+    # C1: one term per product arrow; C2: two terms on each of its arrows
+    for n, terms in ((1, 1), (2, 2)):
+        g = cyclic(n)
+        gpd = build_coset_groupoid(g, make_family(g, [(0,)]))
+        a = np.full((1, n), 2 ** 32 // terms, dtype=np.int64)
+        for b_value, dtype in ((2 ** 31 - 1, np.int64), (2 ** 31, object),
+                               (-(2 ** 31) + 1, np.int64), (-(2 ** 31), object)):
+            b = np.full((1, n), b_value, dtype=np.int64)
+            out = convolve_rows(gpd, a, b)
+            assert out.dtype == dtype
+            # 2^63 - 2^32 in int64 just below the bound, -2^63 or 2^63 at it
+            assert out.tolist() == [[2 ** 32 * b_value] * n]
 
 
 BIG_DENOMINATORS = (2 ** 61 - 1, 2 ** 89 - 1, 3 ** 40, 1000003 * 999983)

@@ -1,5 +1,6 @@
 """Float operator norms, the norm equation, and cross-module agreement."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from singideal import _kernels, norms
+from singideal import groupoid as groupoid_module
 from singideal.cli import EXIT_OK, EXIT_TOLERANCE, _unit_subsets, main
 from singideal.groupoid import (FiniteGroupoid, GroupoidFunction,
                                 build_coset_groupoid, convolve, delta,
@@ -16,9 +18,9 @@ from singideal.groupoid import (FiniteGroupoid, GroupoidFunction,
 from singideal.groups import (conjugation_closure, cyclic, make_family,
                               minimal_subgroups, subgroup_generated,
                               symmetric_group)
-from singideal.ideals import quasi_regular_matrix
-from singideal.norms import (NORM_BATCH, compress_to_units,
-                             norm_equation_residuals, reduced_norm,
+from singideal.ideals import InternalInconsistencyError, quasi_regular_matrix
+from singideal.norms import (NORM_BATCH, compress_to_units, function_floats,
+                             norm_block, norm_equation_residuals, reduced_norm,
                              regular_rep_matrix, spectral_norm,
                              verify_norm_equation)
 from singideal.sampling import random_groupoid_function
@@ -112,6 +114,7 @@ def test_norm_equation_trivial_cases():
     assert verify_norm_equation(gg, [0], g) < 1e-12
     with pytest.raises(ValueError):
         verify_norm_equation(gpd, [], f)
+    assert norm_equation_residuals(gpd, [0, 1], []) == []
 
 
 def test_norm_equation_residuals_sweep():
@@ -322,18 +325,94 @@ def test_norm_equation_fails_on_a_corrupted_reduction(capsys, monkeypatch):
 
 
 def test_norm_equation_fails_when_convolution_drops_a_term(capsys, monkeypatch):
-    def dropping(groupoid, f1, f2):
-        out = list(convolve(groupoid, f1, f2).values)
-        h = next(h for h, v in enumerate(f2.values) if v)
-        for g in groupoid.arrows_by_source[groupoid.arrows[h].source]:
-            k = groupoid.compose(g, groupoid.inv(h))
-            if f1.values[k]:
-                out[g] -= f1.values[k] * f2.values[h]
-                break
-        return GroupoidFunction(groupoid, tuple(out))
+    real = groupoid_module._composable_pairs
+
+    def dropping(groupoid, ks, hs):
+        k, h, g = real(groupoid, ks, hs)
+        return k[1:], h[1:], g[1:]
 
     gpd, f = s3_group_case()
-    monkeypatch.setattr(norms, "convolve", dropping)
-    assert verify_norm_equation(gpd, [0], f) > TOL
+    monkeypatch.setattr(groupoid_module, "_composable_pairs", dropping)
+    # the float residual of the corrupted p f p, and the exact check
+    reduced, kept = reduction_groupoid(gpd, [0])
+    assert abs(reduced_norm(reduced, restrict_function(reduced, kept, f))
+               - reduced_norm(gpd, compress_to_units(gpd, f, [0]))) > TOL
+    with pytest.raises(InternalInconsistencyError):
+        verify_norm_equation(gpd, [0], f)
     assert main(NORMCHECK_S3) == EXIT_TOLERANCE
-    capsys.readouterr()
+    assert json.loads(capsys.readouterr().out)["error"] == "internal-inconsistency"
+
+
+def test_exact_compression_check_catches_a_one_unit_error(capsys, monkeypatch):
+    # values n / d with d near 2^40: one numerator unit of p f p is about
+    # 1e-12, far below the tolerance of the float residual
+    gpd = s3_groupoid()
+    den = 2 ** 40 - 87
+    rng = random.Random(11)
+    f = GroupoidFunction(gpd, tuple(Fraction(rng.randint(-9 * den, 9 * den), den)
+                                    for _ in range(gpd.num_arrows())))
+    assert norm_block([f]).denominator == den
+    units = [0, 1]
+    real = norms._compress
+
+    def off_by_one(groupoid, nums, units):
+        out = real(groupoid, nums, units).copy()
+        out[:, groupoid.unit_arrows[units[0]]] += 1
+        return out
+
+    monkeypatch.setattr(norms, "_compress", off_by_one)
+    reduced, kept = reduction_groupoid(gpd, units)
+    residual = abs(reduced_norm(reduced, restrict_function(reduced, kept, f))
+                   - reduced_norm(gpd, compress_to_units(gpd, f, units)))
+    assert 0 < residual < TOL
+    with pytest.raises(InternalInconsistencyError, match="units \\[0, 1\\]"):
+        norm_equation_residuals(gpd, units, [f])
+    code = main(["normcheck", "--group", '{"kind":"symmetric","n":3}',
+                 "--family", '{"conjugacy_class_of":[0,2]}', "--trials", "2"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_TOLERANCE
+    assert report["error"] == "internal-inconsistency" and "p f p" in report["detail"]
+
+
+def test_normcheck_report_is_independent_of_the_block_size(capsys, monkeypatch):
+    argv = ["normcheck", "--group", '{"kind":"symmetric","n":4}',
+            "--family", '{"minimal":true}', "--trials", "20", "--seed", "1"]
+    assert main(argv) == EXIT_OK
+    whole = capsys.readouterr().out
+    # S4's minimal groupoid has 140 arrows: blocks of 6 trials, 4 blocks
+    drawn = []
+    monkeypatch.setattr(norms, "NORM_BATCH", 6 * 140)
+    monkeypatch.setattr(norms, "norm_block",
+                        lambda fs: drawn.append(len(fs)) or norm_block(fs))
+    assert main(argv) == EXIT_OK
+    assert drawn == [6, 6, 6, 2]
+    assert capsys.readouterr().out == whole
+
+
+def test_float_conversion_is_float_of_the_fraction():
+    edge = 2 ** 53
+    nums = [0, 1, -1, 7, edge - 1, edge, edge + 1, -(edge + 1), 3 * edge + 5,
+            2 ** 62 + 1, -(2 ** 63 - 1)]
+    for den in (1, 3, edge - 1, edge + 1, 2 ** 61 - 1, 2 ** 89 - 1):
+        for dtype in (np.int64, object):
+            rows = np.array([nums, nums[::-1]], dtype=dtype)
+            floats = norms._row_floats(rows, den)
+            assert floats.dtype == np.float64 and floats.shape == rows.shape
+            assert floats.tolist() == [[float(Fraction(n, den)) for n in row]
+                                       for row in (nums, nums[::-1])]
+    # the float64 division path: both sides of 2^53, one entry at a time
+    for n in (edge - 1, edge + 1, 10 ** 15 + 7):
+        for den in (3, edge - 1, edge + 1):
+            got = norms._row_floats(np.array([[n, -n]], dtype=np.int64), den)
+            assert got.tolist() == [[float(Fraction(n, den)), float(Fraction(-n, den))]]
+    # a whole block and one function, over mixed and huge denominators
+    gpd = s3_groupoid()
+    values = [Fraction(edge + 1, 3), Fraction(-1, edge - 1), Fraction(5, 2 ** 89 - 1),
+              Fraction(2 ** 70 + 1, 7), Fraction(0), Fraction(9, 4)]
+    values += [Fraction(0)] * (gpd.num_arrows() - len(values))
+    fs = [GroupoidFunction(gpd, tuple(values)),
+          random_groupoid_function(random.Random(3), gpd)]
+    block = norm_block(fs)
+    for f, row in zip(fs, block.floats):
+        assert row.tolist() == [float(v) for v in f.values]
+        assert function_floats(f).tolist() == [float(v) for v in f.values]
