@@ -15,7 +15,6 @@ import functools
 import itertools
 import json
 import math
-import os
 import random
 import sys
 from dataclasses import dataclass
@@ -68,10 +67,12 @@ def _load_json_arg(arg: str, what: str) -> dict:
     """Accept inline JSON or a path to a JSON file."""
     text = arg
     if not arg.lstrip().startswith("{"):
-        if not os.path.exists(arg):
-            raise SpecError(f"{what} argument is neither inline JSON nor a file: {arg}")
-        with open(arg) as fh:
-            text = fh.read()
+        try:
+            with open(arg, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SpecError(f"{what} argument is neither inline JSON nor a readable "
+                            f"UTF-8 file: {arg} ({exc})") from exc
     try:
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -102,8 +103,11 @@ def _build_inputs(config: RunConfig):
 def _emit(report: dict, output: Optional[str]) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SpecError(f"cannot write the report to {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

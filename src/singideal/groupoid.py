@@ -2,13 +2,12 @@
 and the coset-sum homomorphism q, whose kernel is the coset matrix's.
 
 Arrows of the coset groupoid are the distinct cosets g*X themselves; the
-source of a coset Y is y^-1 Y, its range is Y y^-1 (both independent of
-the representative y, which the builder verifies), and composable pairs
-multiply pointwise.  Composition is tabulated once at build time with
-lookups in coset_of = ``groups.coset_index`` (coset_of[u, g] is the arrow
-g X_u): the product of y X_a and z X_b (where s(a) = r(b)) is
-coset_of[s(b), y z], filled one unit's block of composable pairs at a
-time.  A reduction remaps its block of the table with one index lookup.
+source of y X_u is X_u, its range is y X_u y^-1, and composable pairs
+multiply pointwise.  A groupoid's product is a vectorised rule on arrow
+index arrays, not a stored table: for the coset groupoid it reads
+coset_of = ``groups.coset_index`` (coset_of[u, g] is the arrow g X_u),
+the product of y X_a and z X_b (where s(a) = r(b)) being coset_of[b, y z],
+and a reduction composes its parent's rule with one index lookup.
 Convolution stays exact: functions become integer numerator rows over
 one common denominator (``integer_rows``), and one engine
 (``convolve_rows``) convolves whole blocks of such rows, in int64 when a
@@ -21,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -30,8 +29,9 @@ from .groups import (FiniteGroup, SizeCapError, SubgroupFamily, coset_index,
                      distinct_cosets)
 from .ideals import _coset_matrix
 
-# the int32 compose table takes four bytes per entry, 512 MiB at the cap
-COMPOSE_ENTRY_CAP = 2 ** 27
+# int32 entries a groupoid allocates at once, 512 MiB at the cap: the
+# regular index blocks Σ_X [G:X]^2 when building, the compose table m^2 on read
+ENTRY_CAP = 2 ** 27
 
 # products gathered at once by convolve_rows: 32 MiB in int64
 CONVOLVE_CHUNK = 1 << 22
@@ -45,7 +45,8 @@ class Arrow(NamedTuple):
 
 
 class FiniteGroupoid:
-    """Units, arrows, inverse and a dense composition table (-1 = undefined).
+    """Units, arrows, inverse and a product rule: ``product(k, h)`` maps
+    broadcastable arrow index arrays with s(k) = r(h) to the arrows k h.
 
     The constructor also tabulates, once, the left-regular index block of
     every unit u: entry (g, h) is the arrow g h^-1, for g and h in the
@@ -55,14 +56,13 @@ class FiniteGroupoid:
     """
 
     def __init__(self, units: Sequence, arrows: Sequence[Arrow],
-                 inverse: Sequence[int], compose_table):
+                 inverse: Sequence[int], product: Callable):
         self.units = tuple(units)
         self.arrows = tuple(arrows)
         self.inverse = np.asarray(inverse, dtype=np.int32)
-        self.compose_table = np.asarray(compose_table, dtype=np.int32)
-        m = len(self.arrows)
-        if self.inverse.shape != (m,) or self.compose_table.shape != (m, m):
-            raise ValueError("inverse/composition tables do not match arrow count")
+        self.product = product
+        if self.inverse.shape != (len(self.arrows),):
+            raise ValueError("inverse table does not match arrow count")
         by_source = [[] for _ in self.units]
         for a in self.arrows:
             by_source[a.source].append(a.index)
@@ -80,13 +80,14 @@ class FiniteGroupoid:
         source u.  Two such arrows at one unit would equal their product,
         so each unit has at most one.
         """
-        table, src, rng = self.compose_table, self._sources, self._ranges
-        idx = np.arange(len(self.arrows))
+        src, rng = self._sources, self._ranges
+        loops = np.flatnonzero(src == rng)
         unit_arrows = [-1] * len(self.units)
-        for e in np.flatnonzero((src == rng) & (table[idx, idx] == idx)).tolist():
+        for e in loops[self.product(loops, loops) == loops].tolist():
             u = src[e]
             into, out_of = np.flatnonzero(rng == u), np.flatnonzero(src == u)
-            if (table[e, into] == into).all() and (table[out_of, e] == out_of).all():
+            if ((self.product(e, into) == into).all()
+                    and (self.product(out_of, e) == out_of).all()):
                 unit_arrows[u] = e
         if any(u < 0 for u in unit_arrows):
             raise ValueError("some unit has no identity arrow")
@@ -99,8 +100,7 @@ class FiniteGroupoid:
         for d in dims:
             at = [u for u, v in enumerate(self.arrows_by_source) if len(v) == d]
             arrows = np.array([self.arrows_by_source[u] for u in at], dtype=np.intp)
-            stack = self.compose_table[arrows[:, :, None],
-                                       self.inverse[arrows][:, None, :]]
+            stack = self.product(arrows[:, :, None], self.inverse[arrows][:, None, :])
             stack.setflags(write=False)
             stacks.append(stack)
             for i, u in enumerate(at):
@@ -111,38 +111,43 @@ class FiniteGroupoid:
         return len(self.arrows)
 
     def compose(self, a: int, b: int) -> Optional[int]:
-        c = int(self.compose_table[a, b])
-        return None if c < 0 else c
+        return int(self.product(a, b)) if self._sources[a] == self._ranges[b] else None
 
     def inv(self, a: int) -> int:
         return int(self.inverse[a])
 
+    @property
+    def compose_table(self) -> np.ndarray:
+        """The read-only int32 (arrows x arrows) table of ``product``, -1
+        where s(a) != r(b); raises SizeCapError, before allocating, past
+        ENTRY_CAP entries."""
+        m = len(self.arrows)
+        if m * m > ENTRY_CAP:
+            raise SizeCapError(f"a compose table of {m} arrows needs {m * m} entries, "
+                               f"over the cap {ENTRY_CAP}")
+        table = np.full((m, m), -1, dtype=np.int32)
+        a, b = _matching(self._sources, self._ranges, len(self.units))
+        table[a, b] = self.product(a, b)
+        table.setflags(write=False)
+        return table
+
     def check_axioms(self) -> None:
-        """Exhaustive groupoid axiom check; raises AssertionError on failure."""
-        for a in self.arrows:
-            ai = self.inv(a.index)
-            assert self.arrows[ai].source == a.range and self.arrows[ai].range == a.source
-            assert self.compose(a.index, ai) == self.unit_arrows[a.range]
-            assert self.compose(ai, a.index) == self.unit_arrows[a.source]
-        for a in self.arrows:
-            for b in self.arrows:
-                c = self.compose(a.index, b.index)
-                if a.source == b.range:
-                    assert c is not None
-                    cc = self.arrows[c]
-                    assert cc.range == a.range and cc.source == b.source
-                else:
-                    assert c is None
-        for a in self.arrows:
-            for b in self.arrows:
-                if a.source != b.range:
-                    continue
-                ab = self.compose(a.index, b.index)
-                for c in self.arrows:
-                    if b.source != c.range:
-                        continue
-                    bc = self.compose(b.index, c.index)
-                    assert self.compose(ab, c.index) == self.compose(a.index, bc)
+        """Exhaustive groupoid axiom check over every arrow, composable pair
+        and composable triple, on index arrays; raises AssertionError on
+        failure.  Pairs with s(a) != r(b) have no product by construction."""
+        src, rng, inv = self._sources, self._ranges, self.inverse
+        units, idx = np.asarray(self.unit_arrows), np.arange(len(self.arrows))
+        assert (src[inv] == rng).all() and (rng[inv] == src).all()
+        assert (self.product(idx, inv) == units[rng]).all()
+        assert (self.product(inv, idx) == units[src]).all()
+        a, b = _matching(src, rng, len(self.units))
+        ab = self.product(a, b)
+        assert ((0 <= ab) & (ab < len(idx))).all()
+        assert (rng[ab] == rng[a]).all() and (src[ab] == src[b]).all()
+        # the triples (a, b, c): each pair (a, b) with every c with r(c) = s(b)
+        pair, c = _matching(src[b], rng, len(self.units))
+        assert (self.product(ab[pair], c)
+                == self.product(a[pair], self.product(b[pair], c))).all()
 
     def to_json_dict(self) -> dict:
         return {
@@ -187,49 +192,35 @@ def unit_indicator(groupoid: FiniteGroupoid,
 
 def build_coset_groupoid(group: FiniteGroup, family: SubgroupFamily) -> FiniteGroupoid:
     """The groupoid of distinct cosets over a conjugation-invariant family;
-    raises SizeCapError, before building, past COMPOSE_ENTRY_CAP entries."""
-    count = sum(group.order // len(sub) for sub in family.members)
-    if count ** 2 > COMPOSE_ENTRY_CAP:
+    raises SizeCapError, before building, when its regular index blocks
+    would pass ENTRY_CAP entries."""
+    index = [group.order // len(sub) for sub in family.members]
+    count, entries = sum(index), sum(d * d for d in index)
+    if entries > ENTRY_CAP:
         raise SizeCapError(f"the coset groupoid of {group.name} has {count} arrows: "
-                           f"{count ** 2} compose entries, over the cap {COMPOSE_ENTRY_CAP}")
+                           f"{entries} regular-block entries, over the cap {ENTRY_CAP}")
     cosets = distinct_cosets(group, family)
     # coset_of[u, g]: the arrow g X_u
     coset_of = coset_index(group, family)
     table, inv = group.table, group.inverse
+    reps = np.array([c.representative for c in cosets], dtype=np.intp)
+    # the cosets of member u are numbered consecutively, and y X_u has
+    # source X_u and range y X_u y^-1
+    sources = np.repeat(np.arange(len(index)), index)
     unit_index = {sub: i for i, sub in enumerate(family.members)}
-    m = len(cosets)
-    sources = np.empty(m, dtype=np.intp)
-    ranges = np.empty(m, dtype=np.intp)
-    for ids in coset_of:
-        # the arrows of one member are numbered consecutively
-        index = np.arange(ids.min(), ids.max() + 1)
-        elems = np.array([cosets[i].elements for i in index], dtype=np.intp)
-        # row y of coset Y: sorted y^-1 Y (source) or sorted Y y^-1 (range);
-        # every row of a coset must give the same set
-        y_inv = inv[elems][:, :, None]
-        src_rows = np.sort(table[y_inv, elems[:, None, :]], axis=2)
-        rng_rows = np.sort(table[elems[:, None, :], y_inv], axis=2)
-        if not (src_rows == src_rows[:, :1]).all():
-            raise AssertionError("source depends on the coset representative")
-        if not (rng_rows == rng_rows[:, :1]).all():
-            raise AssertionError("range depends on the coset representative")
-        sources[index] = [unit_index[tuple(r)] for r in src_rows[:, 0].tolist()]
-        ranges[index] = [unit_index[tuple(r)] for r in rng_rows[:, 0].tolist()]
+    ranges = []
+    for sub, y in zip(family.members, np.split(reps, np.cumsum(index)[:-1])):
+        conjugates = np.sort(table[table[y[:, None], list(sub)], inv[y][:, None]], axis=1)
+        # a conjugate outside the family raises KeyError
+        ranges += [unit_index[row] for row in map(tuple, conjugates.tolist())]
 
     arrows = [Arrow(i, s, r, c.elements)
-              for i, (s, r, c) in enumerate(zip(sources.tolist(), ranges.tolist(), cosets))]
-    reps = np.array([c.elements[0] for c in cosets], dtype=np.intp)
+              for i, (s, r, c) in enumerate(zip(sources.tolist(), ranges, cosets))]
     # (y X)^-1 = X y^-1 = y^-1 (y X y^-1): the coset of the range containing y^-1
     inverse = coset_of[ranges, inv[reps]]
-    # (y X_a)(z X_b) = y z X_b whenever X_a = z X_b z^-1, that is s(a) = r(b) = u
-    compose = np.full((m, m), -1, dtype=np.int32)
-    for u in range(len(family.members)):
-        left = np.flatnonzero(sources == u)
-        right = np.flatnonzero(ranges == u)
-        compose[np.ix_(left, right)] = coset_of[
-            sources[right][None, :], table[reps[left][:, None], reps[right][None, :]]]
-
-    return FiniteGroupoid(family.members, arrows, inverse, compose)
+    # (y X_a)(z X_b) = y z X_b whenever X_a = z X_b z^-1, that is s(a) = r(b)
+    return FiniteGroupoid(family.members, arrows, inverse,
+                          lambda k, h: coset_of[sources[h], table[reps[k], reps[h]]])
 
 
 def q_map(group: FiniteGroup, family: SubgroupFamily, coeffs: Sequence,
@@ -267,22 +258,26 @@ def function_from_row(groupoid: FiniteGroupoid, row, den: int) -> GroupoidFuncti
                                              for n in row.tolist()]))
 
 
+def _matching(left: np.ndarray, right: np.ndarray, num_units: int):
+    """(i, j) over every i and j with left[i] = right[j], for unit arrays
+    ``left`` and ``right``, ordered by i."""
+    order = np.argsort(right, kind="stable")
+    # the js at unit u are order[first[u]:first[u] + at_unit[u]]; each i
+    # meets the at_unit[left[i]] of them, as one run
+    at_unit = np.bincount(right, minlength=num_units)
+    first = np.cumsum(at_unit) - at_unit
+    runs = at_unit[left]
+    i = np.repeat(np.arange(len(left)), runs)
+    offset = np.arange(len(i)) - np.repeat(np.cumsum(runs) - runs, runs)
+    return i, order[np.repeat(first[left], runs) + offset]
+
+
 def _composable_pairs(groupoid: FiniteGroupoid, ks: np.ndarray, hs: np.ndarray):
     """(k, h, k h) over every k in ``ks`` and h in ``hs`` with s(k) = r(h),
     ordered by the product arrow k h."""
-    ks = ks[np.argsort(groupoid._sources[ks], kind="stable")]
-    hs = hs[np.argsort(groupoid._ranges[hs], kind="stable")]
-    sources, ranges = groupoid._sources[ks], groupoid._ranges[hs]
-    # the hs at unit r are hs[first[r]:first[r] + at_unit[r]]; each k meets
-    # the at_unit[s(k)] of them, as one run of pairs
-    at_unit = np.bincount(ranges, minlength=len(groupoid.units))
-    first = np.cumsum(at_unit) - at_unit
-    runs = at_unit[sources]
-    run_start = np.cumsum(runs) - runs
-    k = np.repeat(ks, runs)
-    offset = np.arange(len(k)) - np.repeat(run_start, runs)
-    h = hs[np.repeat(first[sources], runs) + offset]
-    g = groupoid.compose_table[k, h]
+    i, j = _matching(groupoid._sources[ks], groupoid._ranges[hs], len(groupoid.units))
+    k, h = ks[i], hs[j]
+    g = groupoid.product(k, h)
     order = np.argsort(g, kind="stable")
     return k[order], h[order], g[order]
 
@@ -368,15 +363,15 @@ def reduction_groupoid(groupoid: FiniteGroupoid, units: Sequence[int]):
     unit_pos[units] = np.arange(len(units))
     sources, ranges = unit_pos[groupoid._sources], unit_pos[groupoid._ranges]
     kept = np.flatnonzero((sources >= 0) & (ranges >= 0))
-    # pos[a]: the new index of kept arrow a; pos[-1] = -1 keeps "undefined"
-    pos = np.full(groupoid.num_arrows() + 1, -1, dtype=np.int32)
+    # pos[a]: the new index of kept arrow a
+    pos = np.full(groupoid.num_arrows(), -1, dtype=np.int32)
     pos[kept] = np.arange(len(kept))
     arrows = [Arrow(i, s, r, groupoid.arrows[a].payload)
               for i, (a, s, r) in enumerate(zip(kept.tolist(), sources[kept].tolist(),
                                                 ranges[kept].tolist()))]
-    compose = pos[groupoid.compose_table[np.ix_(kept, kept)]]
-    reduced = FiniteGroupoid([groupoid.units[u] for u in units],
-                             arrows, pos[groupoid.inverse[kept]], compose)
+    reduced = FiniteGroupoid([groupoid.units[u] for u in units], arrows,
+                             pos[groupoid.inverse[kept]],
+                             lambda k, h: pos[groupoid.product(kept[k], kept[h])])
     return reduced, kept.tolist()
 
 

@@ -233,6 +233,25 @@ def test_malformed_specs_exit_1(capsys, group, family):
         assert captured.err == "error: bad group spec: Cayley table must be square\n"
 
 
+@pytest.mark.parametrize("case", ["group-is-a-directory", "group-not-utf8",
+                                  "out-in-a-missing-directory", "out-is-a-directory"])
+def test_unreadable_spec_or_unwritable_out_exits_1(capsys, tmp_path, case):
+    bad_spec = tmp_path / "latin1.json"
+    bad_spec.write_bytes('{"kind":"cyclic","n":2,"name":"\xe9"}'.encode("latin-1"))
+    group, out = {
+        "group-is-a-directory": (str(tmp_path), None),
+        "group-not-utf8": (str(bad_spec), None),
+        "out-in-a-missing-directory": (None, str(tmp_path / "missing" / "x.json")),
+        "out-is-a-directory": (None, str(tmp_path)),
+    }[case]
+    argv = ["analyze", "--group", group or '{"kind":"cyclic","n":2}',
+            "--family", '{"subgroups":[[0,1]]}']
+    code = main(argv + (["--out", out] if out else []))
+    captured = capsys.readouterr()
+    assert code == EXIT_PARSE and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
 def test_out_file_and_group_file(capsys, tmp_path):
     spec_path = tmp_path / "group.json"
     spec_path.write_text('{"kind":"cyclic","n":2}')

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,10 +16,10 @@ from singideal.groupoid import (Arrow, FiniteGroupoid, GroupoidFunction,
                                 kernel_of_q_dimension, q_map,
                                 reduction_groupoid, restrict_function,
                                 unit_indicator)
-from singideal.groups import (conjugation_closure, cyclic, dihedral,
-                              direct_product, distinct_cosets, make_family,
-                              minimal_subgroups, subgroup_generated,
-                              symmetric_group)
+from singideal.groups import (SizeCapError, conjugation_closure, cyclic,
+                              dihedral, direct_product, distinct_cosets,
+                              make_family, minimal_subgroups,
+                              subgroup_generated, symmetric_group)
 from singideal.ideals import algebraic_ideal_kernel
 from singideal.exact import same_subspace
 from singideal.sampling import random_coeffs, random_groupoid_function
@@ -46,11 +47,13 @@ def test_group_case_is_the_group():
 
 def test_identity_arrow_must_be_neutral_on_both_sides():
     arrows = [Arrow(0, 0, 0, (0,)), Arrow(1, 0, 0, (1,))]
-    assert FiniteGroupoid([0], arrows, [0, 1], [[0, 1], [1, 0]]).unit_arrows == (0,)
+    table = np.array([[0, 1], [1, 0]])
+    assert FiniteGroupoid([0], arrows, [0, 1],
+                          lambda k, h: table[k, h]).unit_arrows == (0,)
     # every arrow is idempotent and neutral on one side only
-    for table in ([[0, 1], [0, 1]], [[0, 0], [1, 1]]):
+    for table in (np.array([[0, 1], [0, 1]]), np.array([[0, 0], [1, 1]])):
         with pytest.raises(ValueError, match="no identity arrow"):
-            FiniteGroupoid([0], arrows, [0, 1], table)
+            FiniteGroupoid([0], arrows, [0, 1], lambda k, h: table[k, h])
 
 
 def test_whole_group_family_single_arrow():
@@ -74,6 +77,43 @@ def test_groupoid_axiom_suite_catalog(catalog_cases):
     for group, family in catalog_cases:
         gpd = build_coset_groupoid(group, family)
         gpd.check_axioms()
+
+
+def axiom_mutants(gpd):
+    """(inverse, compose table) pairs that each break one axiom of gpd: two
+    products a b and a c, or b a and c a, swapped, for a, b and c off the
+    unit arrows (so every unit keeps its identity arrow), or one inverse
+    replaced."""
+    table, m = gpd.compose_table, gpd.num_arrows()
+    off_units = [a for a in range(m) if a not in gpd.unit_arrows]
+    for t in (table, table.T):
+        for a in off_units:
+            for b, c in itertools.combinations([b for b in off_units if t[a, b] >= 0], 2):
+                swapped = t.copy()
+                swapped[a, b], swapped[a, c] = t[a, c], t[a, b]
+                yield gpd.inverse, swapped if t is table else swapped.T
+    for a in range(m):
+        for b in range(m):
+            if b != gpd.inv(a):
+                broken = gpd.inverse.copy()
+                broken[a] = b
+                yield broken, table
+
+
+@pytest.mark.parametrize("case", ["S3 {e}", "C6 {e, C2}", "S3 transpositions"])
+def test_check_axioms_catches_a_swapped_product_or_a_broken_inverse(case):
+    s3, c6 = symmetric_group(3), cyclic(6)
+    group, family = {"S3 {e}": (s3, make_family(s3, [(0,)])),
+                     "C6 {e, C2}": (c6, make_family(c6, [(0,), (0, 3)])),
+                     "S3 transpositions": (s3, transposition_family(s3))}[case]
+    gpd = build_coset_groupoid(group, family)
+    gpd.check_axioms()
+    mutants = list(axiom_mutants(gpd))
+    assert len(mutants) > gpd.num_arrows() ** 2 // 2
+    for inverse, table in mutants:
+        mutant = FiniteGroupoid(gpd.units, gpd.arrows, inverse, lambda k, h: table[k, h])
+        with pytest.raises(AssertionError):
+            mutant.check_axioms()
 
 
 def test_q_map_examples():
@@ -317,6 +357,33 @@ def test_reduction_matches_loop_reference(vectorised_layer_cases):
             assert kept == ref_kept
             assert reduced.units == tuple(gpd.units[u] for u in subset)
             assert_groupoid_is(reduced, arrows, inverse, compose)
+
+
+def test_d100_minimal_builds_without_a_dense_table():
+    # a dense (arrows x arrows) int32 table alone would take 392 MiB
+    group = dihedral(100)
+    family = minimal_subgroups(group)
+    tracemalloc.start()
+    gpd = build_coset_groupoid(group, family)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert gpd.num_arrows() == 10140
+    assert peak < 64 * 2 ** 20
+
+
+def test_c2_8_minimal_builds_and_reduces_like_the_reference():
+    # 255 members of index 128: 4.2M regular-block entries, but 32640^2
+    # = 1.07e9 compose entries, which the table refuses to allocate
+    group = direct_product([cyclic(2)] * 8)
+    gpd = build_coset_groupoid(group, minimal_subgroups(group))
+    assert gpd.num_arrows() == 32640
+    with pytest.raises(SizeCapError, match="32640 arrows"):
+        gpd.compose_table
+    reduced, kept = reduction_groupoid(gpd, [3, 200])
+    arrows, inverse, compose, ref_kept = reference_reduction(gpd, [3, 200])
+    assert kept == ref_kept
+    assert_groupoid_is(reduced, arrows, inverse, compose)
+    reduced.check_axioms()
 
 
 def test_convolve_matches_loop_reference(vectorised_layer_cases):

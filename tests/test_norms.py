@@ -307,7 +307,8 @@ def swap_two_products(gpd):
         if len(cols) >= 2 and table[a, cols[0]] != table[a, cols[1]]:
             b, c = cols[:2]
             table[a, b], table[a, c] = table[a, c], table[a, b]
-            return FiniteGroupoid(gpd.units, gpd.arrows, gpd.inverse, table)
+            return FiniteGroupoid(gpd.units, gpd.arrows, gpd.inverse,
+                                  lambda k, h: table[k, h])
     return gpd
 
 
