@@ -14,7 +14,8 @@ from .groups import (Coset, FamilyNotInvariantError, FiniteGroup,
                      GroupTableError, SizeCapError, SubgroupFamily,
                      cayley_group, conjugation_closure, coset_index,
                      cosets_of_subgroup, cyclic, dihedral, direct_product,
-                     distinct_cosets, enumerate_subgroups, left_coset,
+                     distinct_cosets, element_orders, enumerate_subgroups,
+                     left_coset,
                      make_family, make_group, minimal_subgroups,
                      normal_closure_subgroup, parse_family, quaternion_group,
                      restrict_family, subgroup_as_group, subgroup_generated,

@@ -28,21 +28,18 @@ def rank_mod_p(mat, p):
     for c in range(cols):
         if r == rows:
             break
-        piv = -1
-        for i in range(r, rows):
-            if mat[i, c] != 0:
-                piv = i
-                break
-        if piv < 0:
+        # the rows at or below r that are non-zero in column c
+        hits = r + mat[r:, c].nonzero()[0]
+        if not hits.size:
             continue
-        if piv != r:
-            mat[[r, piv]] = mat[[piv, r]]
-        pivval = mat[r, c]
-        below = mat[r + 1:, c] != 0
-        if below.any():
-            rows_below = mat[r + 1:][below]
+        if hits[0] != r:
+            # row r is zero in column c, so it needs no clearing at hits[0]
+            mat[[r, hits[0]]] = mat[[hits[0], r]]
+        clear = hits[1:]
+        if clear.size:
+            rows_below = mat[clear]
             # cross-multiplication avoids modular inverses; entries stay < p^2
-            mat[r + 1:][below] = np.mod(
-                rows_below * pivval - np.outer(rows_below[:, c], mat[r]), p)
+            mat[clear] = np.mod(
+                rows_below * mat[r, c] - rows_below[:, c, None] * mat[r], p)
         r += 1
     return r

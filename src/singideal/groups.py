@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -19,8 +20,9 @@ import numpy as np
 DEFAULT_ORDER_CAP = 5040
 DEFAULT_LATTICE_CAP = 48
 
-# generated tables are correct by construction, so only explicit tables
-# pay for associativity validation above this size
+# FiniteGroup runs Light's associativity test by default only up to this
+# order; cayley_group always runs it, and the generated tables above the
+# cap are associative by construction
 _ASSOC_CHECK_CAP = 512
 
 
@@ -60,16 +62,21 @@ class FiniteGroup:
         idx = np.arange(n, dtype=np.int32)
         if not np.array_equal(table[0], idx) or not np.array_equal(table[:, 0], idx):
             raise GroupTableError("index 0 is not a two-sided identity")
-        # Latin square: every row and column is a permutation
-        if not (np.array_equal(np.sort(table, axis=1), np.tile(idx, (n, 1)))
-                and np.array_equal(np.sort(table, axis=0), np.tile(idx[:, None], (1, n)))):
+        # Latin square: n entries per row (column) that hit all n values
+        hit = np.zeros((n, n), dtype=bool)
+        hit[idx[:, None], table] = True
+        rows_ok = hit.all()
+        hit[...] = False
+        hit[table, idx] = True
+        if not (rows_ok and hit.all()):
             raise GroupTableError("table rows/columns are not permutations")
-        inv = np.empty(n, dtype=np.int32)
-        for a in range(n):
-            hits = np.nonzero(table[a] == 0)[0]
-            inv[a] = hits[0]
-            if table[inv[a], a] != 0:
-                raise GroupTableError(f"element {a} has no two-sided inverse")
+        del hit
+        # each row holds one 0, at the right inverse; it must be two-sided
+        inv = np.argmin(table, axis=1).astype(np.int32)
+        left = table[inv, idx]
+        if left.any():
+            a = int(np.flatnonzero(left)[0])
+            raise GroupTableError(f"element {a} has no two-sided inverse")
         if check_associativity is None:
             check_associativity = n <= _ASSOC_CHECK_CAP
         if check_associativity:
@@ -117,8 +124,10 @@ def _associativity_failure(table: np.ndarray) -> Optional[int]:
     Light's test: the elements a with (x a) y = x (a y) for all x, y are
     closed under the product and contain the identity, so testing a
     generating set suffices.  Generators are chosen greedily, each the
-    smallest element outside the closure of the identity under right
-    multiplication by those chosen so far; each costs one O(n^2) check.
+    smallest element outside the product closure of the identity and those
+    chosen so far.  The closure grows by squaring, R <- R u R R, so it
+    needs O(log n) rounds, the last of which gathers |R|^2 <= n^2 products;
+    each generator costs one O(n^2) check.
     """
     n = table.shape[0]
     reached = np.zeros(n, dtype=bool)
@@ -126,13 +135,12 @@ def _associativity_failure(table: np.ndarray) -> Optional[int]:
     gens = []
     while not reached.all():
         gens.append(int(np.argmin(reached)))
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            fresh = np.zeros(n, dtype=bool)
-            fresh[table[np.ix_(frontier, gens)]] = True
-            fresh &= ~reached
-            reached |= fresh
-            frontier = np.flatnonzero(fresh)
+        reached[gens[-1]] = True
+        while True:
+            closure = np.flatnonzero(reached)
+            reached[table[closure[:, None], closure]] = True
+            if reached.sum() == closure.size:
+                break
     for a in gens:
         if not np.array_equal(table[table[:, a]], table[:, table[a]]):
             return a
@@ -142,20 +150,30 @@ def _associativity_failure(table: np.ndarray) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # constructors
 
+# Every constructor goes through FiniteGroup, so each pays the identity,
+# Latin-square and inverse checks; Light's associativity test runs up to
+# order _ASSOC_CHECK_CAP (all of S1-S5, Q8 and D_n for n <= 256).  The
+# tables are built with whole-array index arithmetic.
+
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic order must be >= 1")
-    idx = np.arange(n)
-    return FiniteGroup((idx[:, None] + idx[None, :]) % n, name=f"C{n}")
+    idx = np.arange(n, dtype=np.int32)
+    table = np.add.outer(idx, idx)
+    np.remainder(table, n, out=table)
+    return FiniteGroup(table, name=f"C{n}")
 
 
 def symmetric_group(n: int) -> FiniteGroup:
     """S_n on lexicographically ordered permutation tuples; (p*q)(i) = p[q[i]]."""
     if not 1 <= n <= 5:
         raise ValueError("symmetric groups are supported for 1 <= n <= 5")
-    perms = list(permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(p[q[i]] for i in range(n))] for q in perms] for p in perms]
+    perms = np.array(list(permutations(range(n))), dtype=np.int64).reshape(-1, n)
+    # a permutation's base-n digits, most significant first, increase in
+    # lexicographic order, so its index is the rank of that number
+    weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    products = perms[np.arange(len(perms))[:, None, None], perms[None, :, :]]
+    table = np.searchsorted(perms @ weights, products @ weights)
     return FiniteGroup(table, name=f"S{n}")
 
 
@@ -163,32 +181,24 @@ def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n; element f*n + k encodes flip^f rot^k."""
     if n < 1:
         raise ValueError("dihedral parameter must be >= 1")
-
-    def mul(a, b):
-        k1, f1 = a % n, a // n
-        k2, f2 = b % n, b // n
-        k = (k1 - k2) % n if f1 else (k1 + k2) % n
-        return (f1 ^ f2) * n + k
-
-    table = [[mul(a, b) for b in range(2 * n)] for a in range(2 * n)]
-    return FiniteGroup(table, name=f"D{n}")
+    k, f = np.divmod(np.arange(2 * n), n)[::-1]
+    # flip^f1 rot^k1 flip^f2 rot^k2 = flip^(f1^f2) rot^(k1 -+ k2)
+    rot = np.where(f[:, None] == 1, k[:, None] - k[None, :], k[:, None] + k[None, :]) % n
+    return FiniteGroup((f[:, None] ^ f[None, :]) * n + rot, name=f"D{n}")
 
 
-_Q8_AXIS = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
-_Q8_SIGN = ((0, 0, 0, 0), (0, 1, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1))
+_Q8_AXIS = np.array(((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)))
+_Q8_SIGN = np.array(((0, 0, 0, 0), (0, 1, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1)))
 
 
 def quaternion_group() -> FiniteGroup:
     """Q8 with element 2*axis + sign over the ordered basis 1, i, j, k."""
-
-    def mul(a, b):
-        s1, x1 = a & 1, a >> 1
-        s2, x2 = b & 1, b >> 1
-        # sign rule: i*j = k, j*k = i, k*i = j, squares of i,j,k are -1
-        sign_flip = _Q8_SIGN[x1][x2] if x1 and x2 else 0
-        return 2 * _Q8_AXIS[x1][x2] + (s1 ^ s2 ^ sign_flip)
-
-    table = [[mul(a, b) for b in range(8)] for a in range(8)]
+    sign, axis = np.arange(8) & 1, np.arange(8) >> 1
+    # sign rule: i*j = k, j*k = i, k*i = j, squares of i,j,k are -1; row 0
+    # and column 0 of _Q8_SIGN are zero, so 1 commutes without a flip
+    flip = _Q8_SIGN[axis[:, None], axis[None, :]]
+    table = (2 * _Q8_AXIS[axis[:, None], axis[None, :]]
+             + (sign[:, None] ^ sign[None, :] ^ flip))
     return FiniteGroup(table, name="Q8")
 
 
@@ -201,11 +211,11 @@ def direct_product(factors: Sequence[FiniteGroup], max_order: int = DEFAULT_ORDE
         order *= g.order
     if order > max_order:
         raise SizeCapError(f"product order {order} exceeds cap {max_order}")
-    table = np.zeros((1, 1), dtype=np.int64)
+    table = np.zeros((1, 1), dtype=np.int32)
     for g in factors:
         m = g.order
         # index (a, x) -> a*m + x
-        table = (table[:, None, :, None] * m + np.asarray(g.table, dtype=np.int64)[None, :, None, :])
+        table = (table[:, None, :, None] * m + g.table[None, :, None, :])
         table = table.reshape(table.shape[0] * m, table.shape[2] * m)
     name = " x ".join(g.name for g in factors)
     return FiniteGroup(table, name=name)
@@ -294,6 +304,27 @@ def subgroup_generated(group: FiniteGroup, gens: Iterable[int]) -> tuple:
     return tuple(sorted(elems))
 
 
+def element_orders(group: FiniteGroup) -> np.ndarray:
+    """The order of every element, as an int64 array indexed by element.
+
+    An element's order is the smallest divisor d of |G| with g^d = 1, so
+    the divisors are tried in increasing order, each power g^d taken for
+    all elements at once from the repeated squares g^(2^j).
+    """
+    n, table = group.order, group.table
+    squares = [np.arange(n)]
+    while 1 << len(squares) <= n:
+        squares.append(table[squares[-1], squares[-1]])
+    orders = np.zeros(n, dtype=np.int64)
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        power = np.zeros(n, dtype=np.intp)
+        for j, square in enumerate(squares):
+            if d >> j & 1:
+                power = table[power, square]
+        orders[(power == 0) & (orders == 0)] = d
+    return orders
+
+
 def is_subgroup(group: FiniteGroup, elems: Sequence[int]) -> bool:
     s = set(elems)
     if 0 not in s:
@@ -338,12 +369,27 @@ def conjugate_subgroup(group: FiniteGroup, g: int, sub: Sequence[int]) -> tuple:
     return tuple(sorted(group.conjugate(g, x) for x in sub))
 
 
+def _conjugates(group: FiniteGroup, sub: Sequence[int]) -> set:
+    """The distinct conjugates g X g^-1 of one subgroup, as sorted tuples:
+    one (|G| x |X|) gather, its rows sorted, then the set of rows."""
+    rows = group.table[group.table[:, list(sub)], group.inverse[:, None]]
+    return set(map(tuple, np.sort(rows, axis=1).tolist()))
+
+
 @dataclass(frozen=True)
 class SubgroupFamily:
     """A conjugation-invariant set of subgroups in canonical sorted form."""
 
     group: FiniteGroup
     members: tuple
+
+    @cached_property
+    def coset_index(self) -> np.ndarray:
+        """``coset_index(self.group, self)``, numbered once per family and
+        read-only, so that every consumer shares one array."""
+        index = _number_cosets(self.group, self.members)
+        index.setflags(write=False)
+        return index
 
     def __len__(self) -> int:
         return len(self.members)
@@ -369,8 +415,7 @@ def make_family(group: FiniteGroup, subgroups: Iterable[Sequence[int]],
     members = _canonical_members(subgroups)
     for sub in members:
         _require_subgroup(group, sub)
-    closed = _canonical_members(
-        conjugate_subgroup(group, g, sub) for sub in members for g in group.elements())
+    closed = _canonical_members(conj for sub in members for conj in _conjugates(group, sub))
     if closed != members:
         if not auto_close:
             raise FamilyNotInvariantError(
@@ -386,18 +431,36 @@ def conjugation_closure(group: FiniteGroup, seeds: Iterable[Sequence[int]]) -> S
     seeds = [tuple(sorted(s)) for s in seeds]
     for sub in seeds:
         _require_subgroup(group, sub)
-    members = _canonical_members(
-        conjugate_subgroup(group, g, sub) for sub in seeds for g in group.elements())
+    members = _canonical_members(conj for sub in seeds for conj in _conjugates(group, sub))
     return SubgroupFamily(group, members)
 
 
 def minimal_subgroups(group: FiniteGroup) -> SubgroupFamily:
-    """The cyclic subgroups of prime order, as an invariant family."""
-    members = set()
-    for g in range(1, group.order):
-        if _is_prime(group.element_order(g)):
-            members.add(subgroup_generated(group, (g,)))
+    """The cyclic subgroups of prime order, as an invariant family.
+
+    An element of prime order p lies in exactly one subgroup of order p,
+    its own powers, so an element that a found subgroup holds is skipped.
+    """
+    orders = element_orders(group)
+    covered = np.zeros(group.order, dtype=bool)
+    table = group.table
+    members = []
+    for g in np.flatnonzero(_prime_mask(orders)).tolist():
+        if covered[g]:
+            continue
+        powers, x = [0], g
+        while x:
+            powers.append(x)
+            x = int(table[x, g])
+        covered[powers] = True
+        members.append(powers)
     return SubgroupFamily(group, _canonical_members(members))
+
+
+def _prime_mask(values: np.ndarray) -> np.ndarray:
+    """values[i] is prime, for an array of positive integers."""
+    prime = np.array([_is_prime(k) for k in range(int(values.max()) + 1)])
+    return prime[values]
 
 
 def _is_prime(n: int) -> bool:
@@ -417,9 +480,8 @@ def normal_closure_subgroup(group: FiniteGroup, family: SubgroupFamily) -> tuple
         raise ValueError("family must be non-empty")
     gens = set()
     for sub in family.members:
-        gens.update(sub)
-        for g in group.elements():
-            gens.update(conjugate_subgroup(group, g, sub))
+        for conj in _conjugates(group, sub):
+            gens.update(conj)
     return subgroup_generated(group, gens)
 
 
@@ -438,7 +500,8 @@ def left_coset(group: FiniteGroup, g: int, sub: Sequence[int]) -> tuple:
 
 def coset_index(group: FiniteGroup, family: SubgroupFamily) -> np.ndarray:
     """The coset numbering: entry (u, g) is the position of the coset
-    g*X_u in ``distinct_cosets``, as a (members x order) int32 array.
+    g*X_u in ``distinct_cosets``, as a read-only (members x order) int32
+    array, computed once per family (``SubgroupFamily.coset_index``).
 
     The smallest element of g*X names the coset, so one ``np.unique`` of
     the row minima per member numbers its cosets by smallest
@@ -446,9 +509,15 @@ def coset_index(group: FiniteGroup, family: SubgroupFamily) -> np.ndarray:
     """
     if not family.members:
         raise ValueError("family must be non-empty")
-    index = np.empty((len(family.members), group.order), dtype=np.int32)
+    if group is family.group:
+        return family.coset_index
+    return _number_cosets(group, family.members)
+
+
+def _number_cosets(group: FiniteGroup, members: tuple) -> np.ndarray:
+    index = np.empty((len(members), group.order), dtype=np.int32)
     offset = 0
-    for u, sub in enumerate(family.members):
+    for u, sub in enumerate(members):
         _, local = np.unique(group.table[:, list(sub)].min(axis=1),
                              return_inverse=True)
         index[u] = offset + local

@@ -16,9 +16,20 @@ therefore exactly the coset rows, so both kernels are the kernel of one
 and are computed by one elimination in integers; Fractions appear only
 in the public ``exact.kernel_basis`` views.  Two checks that can fail
 back this up: ``_check_entry_sets`` confirms the identity above from the
-Cayley table and the same numbering, and ``_certify_kernel`` substitutes
-the integer basis into the matrix and confirms its rank mod p.  A
-failure of either is an internal consistency failure, never a
+Cayley table and the same numbering, and ``_certify_kernel`` proves that
+the integer basis B of dimension d is a basis of ker M in three steps:
+
+* M B = 0, substituted exactly (in float64 only where every partial sum
+  is an integer below 2^53);
+* B is independent: each canonical vector's last non-zero entry is at
+  its own free column, so the vectors end in distinct columns and, put
+  in order of those columns, form a triangular matrix; a basis whose
+  vectors do not end in distinct columns has its rank taken mod p, then
+  exactly;
+* rank_mod_p(M) = cols - d, and rank mod p never exceeds the rational
+  rank, so no kernel vector is missing.
+
+A failure of either check is an internal consistency failure, never a
 mathematical outcome.
 """
 
@@ -34,8 +45,8 @@ from . import exact
 from ._kernels import CERT_PRIME, rank_mod_p
 from .exact import RationalMatrix
 from .groups import (Coset, FiniteGroup, SizeCapError, SubgroupFamily,
-                     _is_prime, coset_index, distinct_cosets,
-                     minimal_subgroups, subgroup_generated)
+                     _prime_mask, coset_index, distinct_cosets, element_orders,
+                     minimal_subgroups)
 
 # the int8 coset matrix takes one byte per entry, 128 MiB at the cap
 MATRIX_ENTRY_CAP = 2 ** 27
@@ -160,39 +171,89 @@ def quasi_regular_matrix(group: FiniteGroup, sub: Sequence[int], g: int) -> Rati
     return RationalMatrix(k, k, tuple(rows.ravel().tolist()))
 
 
+# table entries _check_entry_sets gathers at once: 256 KiB per int32 block
+ENTRY_SET_BLOCK = 1 << 16
+
+
+def _owners(us: np.ndarray, subs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """For each sorted row, the member us[i] with subs[i] equal to it, or -1:
+    one lexicographic sort of the members beside the rows."""
+    stacked = np.concatenate([subs, rows])
+    order = np.lexsort(stacked.T[::-1])
+    ranked = stacked[order]
+    fresh = np.ones(len(stacked), dtype=bool)
+    fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    ids = np.empty(len(stacked), dtype=np.intp)
+    ids[order] = np.cumsum(fresh) - 1
+    member_at = np.full(len(stacked), -1)
+    member_at[ids[:len(us)]] = us
+    return member_at[ids[len(us):]]
+
+
 def _check_entry_sets(group: FiniteGroup, family: SubgroupFamily) -> None:
     """Confirm that the stacked representation rows are the coset rows.
 
     For each member X with coset representatives c_0 < c_1 < ..., the
     entry set c_i X c_j^-1 must be a left coset of c_j X c_j^-1, that
     conjugate must be a family member, and every family coset must occur
-    as some entry set.  All lookups are (k, k, |X|) table gathers, one
-    block per member; no row of length |G| is built.
+    as some entry set.  The members of one order are checked together: a
+    conjugate equal to its own member is owned by it, one sort of the
+    other conjugates beside the members finds theirs, and the entry sets
+    are table gathers over their stacked representatives, at most
+    ENTRY_SET_BLOCK entries at a time; no row of length |G| is built.
     """
     table, inverse = group.table, group.inverse
-    position = {sub: i for i, sub in enumerate(family.members)}
     index = coset_index(group, family)
-    seen = np.zeros(int(index.max()) + 1, dtype=bool)
-    for sub, row in zip(family.members, index):
-        # c_0 < c_1 < ...: the first, hence smallest, element of each coset
-        c = np.unique(row, return_index=True)[1]
-        k = len(c)
-        # entries[i, j, :] = c_i X c_j^-1
-        entries = table[table[c][:, list(sub)][:, None, :], inverse[c][None, :, None]]
-        conjugates = np.sort(entries[np.arange(k), np.arange(k)], axis=1)
-        try:
-            owner = np.array([position[tuple(conj.tolist())]
-                              for conj in conjugates], dtype=np.int32)
-        except KeyError:
+    n, members = group.order, family.members
+    # a member's cosets are numbered in the order of their smallest
+    # elements, so g is a representative c_i exactly when its coset's
+    # number is larger than that of every element before it
+    first = np.ones(index.shape, dtype=bool)
+    first[:, 1:] = index[:, 1:] > np.maximum.accumulate(index, axis=1)[:, :-1]
+    seen = np.zeros(int(index[-1].max()) + 1, dtype=bool)
+    sizes = np.array([len(sub) for sub in members])
+    for size in sorted(set(sizes.tolist())):
+        us = np.flatnonzero(sizes == size)
+        subs = np.array([members[u] for u in us]).reshape(len(us), size)
+        k = n // size
+        splits = first[us].sum(axis=1) != k
+        if size * k != n or splits.any():
+            sub = members[us[int(np.argmax(splits))]]
+            raise InternalInconsistencyError(
+                f"the left translates of {list(sub)} do not partition {group.name}")
+        c = np.nonzero(first[us])[1].reshape(len(us), k)   # c_0 < c_1 < ...
+        left = table[c[:, :, None], subs[:, None, :]]      # c_i X
+        inv_c = inverse[c]
+        conjugates = np.sort(table[left, inv_c[:, :, None]], axis=2)
+        owner = np.repeat(us[:, None], k, axis=1)
+        moved = (conjugates != subs[:, None, :]).any(axis=2)
+        if moved.any():
+            owner[moved] = _owners(us, subs, conjugates[moved])
+        if (owner < 0).any():
+            sub = members[us[np.flatnonzero((owner < 0).any(axis=1))[0]]]
             raise InternalInconsistencyError(
                 f"a conjugate of {list(sub)} in {group.name} is not a family "
-                f"member") from None
-        ids = index[owner[None, :, None], entries]
-        if not (ids == ids[:, :, :1]).all():
-            raise InternalInconsistencyError(
-                f"an entry set of the representation on {group.name}/{list(sub)} "
-                f"is not a left coset of its conjugate")
-        seen[ids[:, :, 0].ravel()] = True
+                f"member")
+        # blocks of whole members, or of one member's rows, each gathering
+        # at most ENTRY_SET_BLOCK entries
+        per_member = k * k * size
+        members_step = max(1, ENTRY_SET_BLOCK // per_member)
+        rows_step = (k if per_member <= ENTRY_SET_BLOCK
+                     else max(1, ENTRY_SET_BLOCK // (k * size)))
+        for p in range(0, len(us), members_step):
+            block = slice(p, p + members_step)
+            for i in range(0, k, rows_step):
+                # entries[., i, j, :] = c_i X c_j^-1, for the c_j of the same member
+                entries = table[left[block, i:i + rows_step, None, :],
+                                inv_c[block, None, :, None]]
+                ids = index[owner[block, None, :, None], entries]
+                bad = (ids != ids[..., :1]).any(axis=(1, 2, 3))
+                if bad.any():
+                    sub = members[us[p + int(np.flatnonzero(bad)[0])]]
+                    raise InternalInconsistencyError(
+                        f"an entry set of the representation on {group.name}/{list(sub)} "
+                        f"is not a left coset of its conjugate")
+                seen[ids[..., 0].ravel()] = True
     if not seen.all():
         raise InternalInconsistencyError(
             f"{int((~seen).sum())} family cosets of {group.name} are not entry "
@@ -202,21 +263,39 @@ def _check_entry_sets(group: FiniteGroup, family: SubgroupFamily) -> None:
 def _certify_kernel(matrix: np.ndarray, basis: List[tuple]) -> None:
     """Raise unless the integer ``basis`` is a basis of ker ``matrix``.
 
-    The basis vectors are substituted into the matrix exactly, their rank
-    is confirmed mod CERT_PRIME, and rank_mod_p(M) == cols - d proves that
-    they span the whole kernel (rank mod p never exceeds the rational
-    rank).  A short mod-p rank is decided by exact elimination, so only a
-    proven disagreement raises.
+    The basis vectors are substituted into the matrix exactly: in float64
+    when the largest entry times the largest row weight of the matrix is
+    below 2^53, so that every partial sum is an exact integer, in int64 or
+    Python ints otherwise.  Independence is structural when it can be: if
+    the vectors' last non-zero columns are distinct, ordering the vectors
+    by that column makes them triangular, which the canonical RREF basis
+    always is; otherwise their rank is confirmed mod CERT_PRIME, then
+    exactly.  rank_mod_p(M) == cols - d then proves that they span the
+    whole kernel (rank mod p never exceeds the rational rank).  A short
+    mod-p rank is decided by exact elimination, so only a proven
+    disagreement raises.
     """
     cols, d = matrix.shape[1], len(basis)
     if d:
-        bound = max(abs(x) for v in basis for x in v)
+        try:
+            b = np.array(basis, dtype=np.int64)
+            bound = max(int(b.max()), -int(b.min()))
+        except OverflowError:
+            b = np.array(basis, dtype=object)
+            bound = max(abs(x) for v in basis for x in v)
         weight = int(np.abs(matrix, dtype=np.int64).sum(axis=1).max())
-        dtype = np.int64 if bound * weight < 2 ** 62 else object
-        b = np.array(basis, dtype=dtype).T
-        if (matrix.astype(dtype) @ b).any():
+        if bound * weight < 2 ** 53:
+            product = matrix.astype(np.float64) @ b.T.astype(np.float64)
+        else:
+            dtype = np.int64 if bound * weight < 2 ** 62 else object
+            product = matrix.astype(dtype) @ b.T.astype(dtype)
+        if product.any():
             raise InternalInconsistencyError("a kernel basis vector fails M x = 0")
-        if exact._rank_mod_prime(basis) < d and exact.rank(basis) < d:
+        nonzero = b != 0
+        last = np.sort(cols - 1 - np.argmax(nonzero[:, ::-1], axis=1))
+        triangular = nonzero.any(axis=1).all() and (last[1:] > last[:-1]).all()
+        if (not triangular and exact._rank_mod_prime(basis) < d
+                and exact.rank(basis) < d):
             raise InternalInconsistencyError("the kernel basis is linearly dependent")
     image_rank = rank_mod_p(matrix, CERT_PRIME)
     if image_rank > cols - d or (image_rank < cols - d
@@ -287,12 +366,14 @@ def property_AI(group: FiniteGroup) -> IdealReport:
 
 
 def abelian_AI_criterion(group: FiniteGroup) -> bool:
-    """For every prime p, at most one subgroup of order p."""
+    """For every prime p, at most one subgroup of order p.
+
+    Distinct subgroups of order p meet in the identity and each holds p - 1
+    elements of order p, so this is a count: at most p - 1 such elements.
+    """
     if not group.is_abelian:
         raise NotAbelianError(f"{group.name} is not abelian")
-    per_prime = {}
-    for g in range(1, group.order):
-        p = group.element_order(g)
-        if _is_prime(p):
-            per_prime.setdefault(p, set()).add(subgroup_generated(group, (g,)))
-    return all(len(subs) <= 1 for subs in per_prime.values())
+    orders = element_orders(group)
+    counts = np.bincount(orders[_prime_mask(orders)])
+    primes = np.flatnonzero(counts)
+    return bool((counts[primes] <= primes - 1).all())

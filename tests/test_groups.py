@@ -5,15 +5,17 @@ pin down the derived counts before the library paths are trusted.
 """
 
 import random
+import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
 
-from singideal.groups import (Coset, FamilyNotInvariantError, GroupTableError,
-                              SizeCapError, SubgroupFamily, cayley_group,
-                              conjugation_closure, coset_index,
+from singideal.groups import (Coset, FamilyNotInvariantError, FiniteGroup,
+                              GroupTableError, SizeCapError, SubgroupFamily,
+                              cayley_group, conjugation_closure, coset_index,
                               cosets_of_subgroup, cyclic, dihedral,
-                              direct_product, distinct_cosets,
+                              direct_product, distinct_cosets, element_orders,
                               enumerate_subgroups, is_subgroup, left_coset,
                               make_family, make_group, minimal_subgroups,
                               normal_closure_subgroup, parse_family,
@@ -21,6 +23,7 @@ from singideal.groups import (Coset, FamilyNotInvariantError, GroupTableError,
                               subgroup_as_group, subgroup_generated,
                               symmetric_group)
 from singideal.groups import _associativity_failure
+from singideal.atlas import abelian_groups_of_order
 
 
 def brute_force_subgroups(group):
@@ -76,6 +79,152 @@ def test_group_axioms_exhaustive(group):
         assert np.array_equal(table[table[a]], table[a][table])
 
 
+# the per-entry Python builders the constructors replaced, kept as references
+
+def loop_cyclic(n):
+    return FiniteGroup([[(a + b) % n for b in range(n)] for a in range(n)], name=f"C{n}")
+
+
+def loop_symmetric(n):
+    perms = list(permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[i]] for i in range(n))] for q in perms] for p in perms]
+    return FiniteGroup(table, name=f"S{n}")
+
+
+def loop_dihedral(n):
+    def mul(a, b):
+        k1, f1 = a % n, a // n
+        k2, f2 = b % n, b // n
+        k = (k1 - k2) % n if f1 else (k1 + k2) % n
+        return (f1 ^ f2) * n + k
+
+    return FiniteGroup([[mul(a, b) for b in range(2 * n)] for a in range(2 * n)],
+                       name=f"D{n}")
+
+
+def loop_quaternion():
+    axis = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+    sign = ((0, 0, 0, 0), (0, 1, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1))
+
+    def mul(a, b):
+        s1, x1 = a & 1, a >> 1
+        s2, x2 = b & 1, b >> 1
+        flip = sign[x1][x2] if x1 and x2 else 0
+        return 2 * axis[x1][x2] + (s1 ^ s2 ^ flip)
+
+    return FiniteGroup([[mul(a, b) for b in range(8)] for a in range(8)], name="Q8")
+
+
+def loop_product(factors):
+    """Mixed radix, leftmost factor most significant, one entry at a time."""
+    orders = [g.order for g in factors]
+
+    def digits(x):
+        out = []
+        for m in reversed(orders):
+            x, d = divmod(x, m)
+            out.append(d)
+        return out[::-1]
+
+    def mul(a, b):
+        out = 0
+        for g, m, x, y in zip(factors, orders, digits(a), digits(b)):
+            out = out * m + g.mul(x, y)
+        return out
+
+    n = int(np.prod(orders))
+    return FiniteGroup([[mul(a, b) for b in range(n)] for a in range(n)],
+                       name=" x ".join(g.name for g in factors))
+
+
+def assert_same_group(built, reference):
+    assert built.name == reference.name
+    assert built.table.dtype == reference.table.dtype == np.int32
+    assert built.table.tobytes() == reference.table.tobytes()
+    assert built.inverse.tobytes() == reference.inverse.tobytes()
+
+
+def test_constructors_match_the_loop_builders():
+    for n in range(1, 6):
+        assert_same_group(symmetric_group(n), loop_symmetric(n))
+    for n in [*range(1, 13), 50]:
+        assert_same_group(dihedral(n), loop_dihedral(n))
+    assert_same_group(quaternion_group(), loop_quaternion())
+    for n in range(1, 13):
+        assert_same_group(cyclic(n), loop_cyclic(n))
+    # the catalog's products, and products with non-abelian factors
+    for factors in ([cyclic(2), cyclic(2)], [cyclic(2)] * 3, [cyclic(2), cyclic(4)],
+                    [symmetric_group(3), cyclic(2)], [quaternion_group(), cyclic(3)]):
+        assert_same_group(direct_product(factors), loop_product(factors))
+
+
+def test_cyclic_5040_memory():
+    # an int32 table built in place and a scattered Latin-square check:
+    # the table itself is 96.9 MiB
+    tracemalloc.start()
+    try:
+        group = cyclic(5040)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert group.table[5039, 2] == 1
+    assert peak < 192 * 2 ** 20, f"cyclic(5040) peaked at {peak / 2 ** 20:.1f} MiB"
+
+
+def test_element_orders_match_brute_force(catalog):
+    for group in [*catalog, symmetric_group(5), dihedral(50), cyclic(360)]:
+        orders = element_orders(group)
+        assert orders.dtype == np.int64
+        assert orders.tolist() == [brute_force_order(group, g) for g in group.elements()]
+        assert orders.tolist() == [group.element_order(g) for g in group.elements()]
+
+
+def loop_minimal_subgroups(group):
+    """Reference: the subgroup generated by each element of prime order."""
+    orders = [brute_force_order(group, g) for g in group.elements()]
+    subs = {subgroup_generated(group, (g,)) for g, k in enumerate(orders)
+            if k > 1 and all(k % d for d in range(2, k))}
+    return tuple(sorted(subs, key=lambda s: (len(s), s)))
+
+
+def test_minimal_subgroups_match_the_loop_reference(catalog):
+    atlas = [g for n in range(1, 65) for _, g in abelian_groups_of_order(n)]
+    for group in [*catalog, symmetric_group(5), dihedral(50), *atlas]:
+        assert minimal_subgroups(group).members == loop_minimal_subgroups(group)
+
+
+def test_conjugation_closure_matches_the_loop_reference():
+    def loop_closure(group, seeds):
+        conj = {tuple(sorted(group.conjugate(g, x) for x in sub))
+                for sub in seeds for g in group.elements()}
+        return tuple(sorted(conj, key=lambda s: (len(s), s)))
+
+    for group in (symmetric_group(4), dihedral(5), quaternion_group(),
+                  direct_product([symmetric_group(3), cyclic(2)])):
+        subs = enumerate_subgroups(group)
+        for sub in subs:
+            assert conjugation_closure(group, [sub]).members == loop_closure(group, [sub])
+        assert make_family(group, subs, auto_close=False).members == loop_closure(group, subs)
+
+
+def test_coset_index_is_one_read_only_array_per_family():
+    s4 = symmetric_group(4)
+    family = minimal_subgroups(s4)
+    index = coset_index(s4, family)
+    assert coset_index(s4, family) is index is family.coset_index
+    assert not index.flags.writeable
+    with pytest.raises(ValueError):
+        index[0, 0] = 1
+    # a fresh family numbers its cosets afresh, to the same array
+    again = minimal_subgroups(s4)
+    assert coset_index(s4, again) is not index
+    assert np.array_equal(coset_index(s4, again), index)
+    # and a family of another group object is numbered on the group passed
+    other = symmetric_group(4)
+    assert np.array_equal(coset_index(other, family), index)
+
+
 def test_invalid_tables_rejected():
     with pytest.raises(GroupTableError):
         cayley_group([[0, 1], [1, 1]])  # not a Latin square
@@ -89,6 +238,18 @@ def test_invalid_tables_rejected():
     loop[4][1], loop[4][4] = loop[4][4], loop[4][1]
     with pytest.raises(GroupTableError):
         cayley_group(loop)
+
+
+def test_whole_array_checks_reject_each_axiom():
+    rows_only = [[0, 1, 2, 3], [1, 0, 2, 3], [2, 0, 1, 3], [3, 0, 1, 2]]
+    for table in (rows_only, np.array(rows_only).T):
+        with pytest.raises(GroupTableError, match="not permutations"):
+            FiniteGroup(table)
+    # a Latin square with identity in which 2 * 3 = 0 but 3 * 2 = 1
+    one_sided = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1],
+                 [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
+    with pytest.raises(GroupTableError, match="element 2 has no two-sided inverse"):
+        FiniteGroup(one_sided)
 
 
 def brute_force_associative(table):

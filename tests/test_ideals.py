@@ -1,27 +1,30 @@
 """Kernel computations, witnesses and the intersection-property verdicts."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from singideal import exact
+from singideal.atlas import abelian_groups_of_order
 from singideal.cli import EXIT_INCONSISTENT, main
 from singideal.exact import in_span, same_subspace, spans_full
 from singideal.groups import (SubgroupFamily, conjugation_closure,
-                              cosets_of_subgroup, cyclic, direct_product,
-                              distinct_cosets, enumerate_subgroups,
-                              make_family, minimal_subgroups,
-                              quaternion_group, restrict_family,
-                              subgroup_generated, symmetric_group)
+                              coset_index, cosets_of_subgroup, cyclic,
+                              direct_product, distinct_cosets,
+                              enumerate_subgroups, make_family,
+                              minimal_subgroups, quaternion_group,
+                              restrict_family, subgroup_generated,
+                              symmetric_group)
 from singideal.ideals import (GroupAlgebraElement, IdealReport,
                               InternalInconsistencyError, NotAbelianError,
-                              _certify_kernel, _coset_matrix,
-                              abelian_AI_criterion, algebraic_ideal_kernel,
-                              check_witness, class_I_check,
-                              coset_constraint_matrix, full_ideal_kernel,
-                              integer_witness, property_AI,
+                              _certify_kernel, _check_entry_sets,
+                              _coset_matrix, abelian_AI_criterion,
+                              algebraic_ideal_kernel, check_witness,
+                              class_I_check, coset_constraint_matrix,
+                              full_ideal_kernel, integer_witness, property_AI,
                               quasi_regular_matrix, weak_containment_regular)
 
 
@@ -206,6 +209,76 @@ def test_kernel_certificate_beyond_int64():
         _certify_kernel(matrix, [(big, 1 - big)])
 
 
+@pytest.fixture
+def c12_kernel():
+    """A catalog case with a 6-dimensional kernel: C12 with {0, 6}."""
+    g12 = cyclic(12)
+    family = make_family(g12, [(0, 6)])
+    matrix = _coset_matrix(g12, family)
+    return g12, family, matrix, exact.integer_kernel_basis(matrix)
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_kernel_certificate_independence_can_fail(monkeypatch, c12_kernel):
+    group, family, matrix, basis = c12_kernel
+    assert len(basis) == 6
+    fallback = count_calls(monkeypatch, exact, "_rank_mod_prime")
+    # the canonical basis is triangular: no elimination proves independence
+    _certify_kernel(matrix, basis)
+    assert fallback == []
+    real = exact.integer_kernel_basis
+    # one vector repeated: still in the kernel, but dependent
+    monkeypatch.setattr(exact, "integer_kernel_basis",
+                        lambda m: [real(m)[0], *real(m)[:-1]])
+    with pytest.raises(InternalInconsistencyError, match="linearly dependent"):
+        class_I_check(group, family)
+    # (v1 + v2, v2, ...) is independent, but its first two vectors end in
+    # the same column, so the mod-p rank decides, and passes
+    recombined = [tuple(x + y for x, y in zip(basis[0], basis[1])), *basis[1:]]
+    monkeypatch.setattr(exact, "integer_kernel_basis", lambda m: recombined)
+    fallback.clear()
+    assert class_I_check(group, family).algebraic_kernel_dim == 6
+    assert len(fallback) == 1
+
+
+def test_kernel_certificate_exact_past_float_range(c12_kernel):
+    # bound 2^54 times row weight 2 is past 2^53, where float64 sums stop
+    # being exact; the int64 substitution still sees a one-unit error
+    _, _, matrix, basis = c12_kernel
+    scaled = [tuple(x * 2 ** 54 for x in v) for v in basis]
+    _certify_kernel(matrix, scaled)
+    perturbed = [tuple(x + (i == 0) for i, x in enumerate(scaled[0])), *scaled[1:]]
+    as_floats = matrix.astype(np.float64) @ np.array(perturbed, dtype=np.float64).T
+    assert not as_floats.any()
+    with pytest.raises(InternalInconsistencyError, match="fails M x = 0"):
+        _certify_kernel(matrix, perturbed)
+
+
+def test_entry_set_check_memory_on_c5040():
+    # C5040 with {[0]} has 5040 cosets and 5040^2 entry sets, gathered in
+    # blocks of ideals.ENTRY_SET_BLOCK entries
+    g = cyclic(5040)
+    family = make_family(g, [(0,)])
+    coset_index(g, family)
+    tracemalloc.start()
+    try:
+        _check_entry_sets(g, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, f"the entry-set check peaked at {peak / 2 ** 20:.1f} MiB"
+
+
 def test_entry_set_check_rejects_a_non_invariant_family():
     s3 = symmetric_group(3)
     family = SubgroupFamily(s3, ((0, 1),))   # built directly, not closed
@@ -213,6 +286,13 @@ def test_entry_set_check_rejects_a_non_invariant_family():
         class_I_check(s3, family)
     with pytest.raises(InternalInconsistencyError, match="not a family member"):
         full_ideal_kernel(s3, family)
+
+
+def test_entry_set_check_rejects_a_member_that_is_no_subgroup():
+    # SubgroupFamily built directly skips the subgroup check of make_family
+    for group, member in ((symmetric_group(3), (0, 1, 2)), (cyclic(6), (0, 1, 2, 3))):
+        with pytest.raises(InternalInconsistencyError):
+            class_I_check(group, SubgroupFamily(group, (member,)))
 
 
 def test_class_I_check_eliminates_once(monkeypatch, catalog_cases):
@@ -310,6 +390,28 @@ def test_abelian_ai_criterion():
     assert abelian_AI_criterion(cyclic(4))
     assert not abelian_AI_criterion(direct_product([cyclic(2), cyclic(2)]))
     assert not abelian_AI_criterion(direct_product([cyclic(2), cyclic(4)]))
+    with pytest.raises(NotAbelianError):
+        abelian_AI_criterion(symmetric_group(3))
+
+
+def subgroup_set_criterion(group):
+    """Reference: collect the subgroups of each prime order and count them."""
+    per_prime = {}
+    for g in range(1, group.order):
+        p = group.element_order(g)
+        if all(p % d for d in range(2, p)):
+            per_prime.setdefault(p, set()).add(subgroup_generated(group, (g,)))
+    return all(len(subs) <= 1 for subs in per_prime.values())
+
+
+def test_abelian_ai_criterion_matches_the_subgroup_sets_on_the_atlas():
+    verdicts = []
+    for n in range(1, 65):
+        for _, group in abelian_groups_of_order(n):
+            verdict = abelian_AI_criterion(group)
+            assert verdict == subgroup_set_criterion(group), group.name
+            verdicts.append(verdict)
+    assert any(verdicts) and not all(verdicts)
     with pytest.raises(NotAbelianError):
         abelian_AI_criterion(symmetric_group(3))
 
