@@ -5,6 +5,7 @@ criterion on every class.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator, List, Tuple
 
 from .groups import FiniteGroup, SizeCapError, cyclic, direct_product
@@ -15,10 +16,6 @@ ATLAS_ORDER_CAP = 64
 
 def integer_partitions(n: int) -> Iterator[Tuple[int, ...]]:
     """Non-increasing partitions of n, in descending lexicographic order."""
-    if n == 0:
-        yield ()
-        return
-
     def rec(remaining, cap):
         if remaining == 0:
             yield ()
@@ -46,26 +43,20 @@ def _factorize(n: int) -> List[Tuple[int, int]]:
     return out
 
 
-def abelian_groups_of_order(n: int) -> List[Tuple[Tuple[int, ...], FiniteGroup]]:
+def abelian_groups_of_order(n: int, factor=cyclic) -> List[Tuple[Tuple[int, ...], FiniteGroup]]:
     """One group per isomorphism class: all choices of prime-power cyclic
     factors, primes ascending and exponents non-increasing within a prime.
 
-    Returns (prime-power factor tuple, group) pairs.
+    Returns (prime-power factor tuple, group) pairs.  ``factor(q)`` builds
+    the factor C_q; ``ai_atlas`` passes a memoised ``cyclic``.
     """
-    if n == 1:
-        return [((), cyclic(1))]
-    choices = [[()]]
-    for p, e in _factorize(n):
-        per_prime = [tuple(p ** k for k in part) for part in integer_partitions(e)]
-        choices.append(per_prime)
     combos = [()]
-    for block in choices:
-        combos = [c + b for c in combos for b in block]
-    out = []
-    for factors in sorted(set(combos)):
-        group = direct_product([cyclic(q) for q in factors])
-        out.append((factors, group))
-    return out
+    for p, e in _factorize(n):
+        combos = [c + tuple(p ** k for k in part)
+                  for c in combos for part in integer_partitions(e)]
+    # the empty product (n = 1) is cyclic(1)
+    return [(factors, direct_product([factor(q) for q in factors]))
+            for factors in sorted(combos)]
 
 
 def ai_atlas(max_order: int) -> dict:
@@ -78,8 +69,9 @@ def ai_atlas(max_order: int) -> dict:
         raise SizeCapError(f"the atlas is capped at order {ATLAS_ORDER_CAP}")
     rows = []
     disagreements = 0
+    factor = functools.cache(cyclic)     # one group per factor order, this call
     for n in range(1, max_order + 1):
-        for factors, group in abelian_groups_of_order(n):
+        for factors, group in abelian_groups_of_order(n, factor):
             report = property_AI(group)
             criterion = abelian_AI_criterion(group)
             agree = report.ai_verdict == criterion

@@ -45,7 +45,7 @@ class FiniteGroup:
     index 0 and ``inverse[a]`` is the index of a^-1.
     """
 
-    __slots__ = ("order", "table", "inverse", "name")
+    __slots__ = ("order", "table", "inverse", "name", "_orders")
 
     def __init__(self, table, name: str = "G", check_associativity: Optional[bool] = None):
         try:
@@ -89,6 +89,7 @@ class FiniteGroup:
         self.table = table
         self.inverse = inv
         self.name = name
+        self._orders = None    # element_orders, computed on first call
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -305,12 +306,15 @@ def subgroup_generated(group: FiniteGroup, gens: Iterable[int]) -> tuple:
 
 
 def element_orders(group: FiniteGroup) -> np.ndarray:
-    """The order of every element, as an int64 array indexed by element.
+    """The order of every element, as a read-only int64 array indexed by
+    element, computed once per group.
 
     An element's order is the smallest divisor d of |G| with g^d = 1, so
     the divisors are tried in increasing order, each power g^d taken for
     all elements at once from the repeated squares g^(2^j).
     """
+    if group._orders is not None:
+        return group._orders
     n, table = group.order, group.table
     squares = [np.arange(n)]
     while 1 << len(squares) <= n:
@@ -322,6 +326,8 @@ def element_orders(group: FiniteGroup) -> np.ndarray:
             if d >> j & 1:
                 power = table[power, square]
         orders[(power == 0) & (orders == 0)] = d
+    orders.setflags(write=False)
+    group._orders = orders
     return orders
 
 
@@ -363,10 +369,6 @@ def enumerate_subgroups(group: FiniteGroup, max_order: int = DEFAULT_LATTICE_CAP
                     new.append(bigger)
         frontier = new
     return sorted(found, key=lambda s: (len(s), s))
-
-
-def conjugate_subgroup(group: FiniteGroup, g: int, sub: Sequence[int]) -> tuple:
-    return tuple(sorted(group.conjugate(g, x) for x in sub))
 
 
 def _conjugates(group: FiniteGroup, sub: Sequence[int]) -> set:

@@ -3,11 +3,14 @@ subgroup family: one non-Hausdorff unit at infinity carrying the whole
 group, and finitely many discrete levels each carrying a copy of the
 coset groupoid.
 
-Every algebraic verdict (limit sets, the dangerous-point test, lifting of
-integer witnesses to functions vanishing on the dense Hausdorff part)
-depends only on the coset constraints, which are level-independent, so a
-small truncation depth already decides everything checkable here.  The
-level points are read off ``groups.coset_index`` and ``distinct_cosets``.
+Every verdict is read off the family in closed form.  The tail point
+(X, n) lies in a neighbourhood of (gamma, inf) iff gamma X' = X for some
+member X', which forces X' = X and gamma in X.  So the limit set of the
+constant tail (X, n) is X x {inf}, the essential fibre is the family, and
+the unit at infinity is extremely dangerous iff (0,) is not a member.
+The basic neighbourhoods and level groupoids are built only when read; a
+depth whose neighbourhoods would pass NEIGHBORHOOD_POINT_CAP is refused
+before anything is built.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Sequence
 from .groupoid import build_coset_groupoid
 from .groups import (FiniteGroup, SizeCapError, SubgroupFamily, coset_index,
                      distinct_cosets)
-from .ideals import coset_sums
+from .ideals import check_witness
 
 INFINITY = "inf"
 
@@ -39,12 +42,26 @@ class TruncatedHLS:
     family: SubgroupFamily
     depth: int
     infinity_arrows: tuple            # (gamma, "inf") for each group element
-    basic_neighborhoods: dict         # (gamma, cutoff) -> frozenset of points
 
     @functools.cached_property
     def level_groupoids(self) -> tuple:
         """depth references to one coset groupoid, built on first read."""
         return (build_coset_groupoid(self.group, self.family),) * self.depth
+
+    @functools.cached_property
+    def basic_neighborhoods(self) -> dict:
+        """(gamma, cutoff) -> frozenset of (gamma, inf) and the (gamma X, n)
+        with n from the cutoff to the depth, built on first read."""
+        payloads = [c.elements for c in distinct_cosets(self.group, self.family)]
+        neighborhoods = {}
+        for gamma, ids in enumerate(coset_index(self.group, self.family).T.tolist()):
+            translates = [payloads[i] for i in ids]
+            for cutoff in range(1, self.depth + 1):
+                pts = {(gamma, INFINITY)}
+                for coset in translates:
+                    pts.update((coset, n) for n in range(cutoff, self.depth + 1))
+                neighborhoods[(gamma, cutoff)] = frozenset(pts)
+        return neighborhoods
 
     @property
     def units(self) -> tuple:
@@ -74,58 +91,36 @@ def build_hls(group: FiniteGroup, family: SubgroupFamily, depth: int) -> Truncat
     if points > NEIGHBORHOOD_POINT_CAP:
         raise SizeCapError(f"hls depth {depth} needs {points} neighbourhood points, "
                            f"over the cap {NEIGHBORHOOD_POINT_CAP}")
-    payloads = [c.elements for c in distinct_cosets(group, family)]
-    neighborhoods = {}
-    for gamma, ids in enumerate(coset_index(group, family).T.tolist()):
-        translates = [payloads[i] for i in ids]
-        for cutoff in range(1, depth + 1):
-            pts = {(gamma, INFINITY)}
-            for coset in translates:
-                pts.update((coset, n) for n in range(cutoff, depth + 1))
-            neighborhoods[(gamma, cutoff)] = frozenset(pts)
     return TruncatedHLS(
         group=group,
         family=family,
         depth=depth,
         infinity_arrows=tuple((g, INFINITY) for g in group.elements()),
-        basic_neighborhoods=neighborhoods,
     )
 
 
 def limit_set(hls: TruncatedHLS, tail_subgroup: Sequence[int]) -> frozenset:
-    """Limit set at infinity of the constant-tail unit sequence ((X, n))_n.
-
-    Evaluated against the basic neighborhoods: (gamma, inf) is a limit
-    point iff every one of its neighborhoods absorbs the tail.
-    """
+    """Limit set at infinity of the constant-tail unit sequence ((X, n))_n,
+    which is X x {inf}."""
     sub = tuple(sorted(tail_subgroup))
     if sub not in hls.family.members:
         raise ValueError(f"{sub} is not a member of the family")
-    tail_point = (sub, hls.depth)
-    out = set()
-    for gamma in hls.group.elements():
-        if all(tail_point in hls.basic_neighborhood(gamma, cutoff)
-               for cutoff in range(1, hls.depth + 1)):
-            out.add((gamma, INFINITY))
-    return frozenset(out)
+    return frozenset((g, INFINITY) for g in sub)
 
 
 def essential_fiber(hls: TruncatedHLS) -> SubgroupFamily:
-    """Maximal limit sets of constant-tail unit sequences, as subgroups.
+    """Maximal limit sets of constant-tail unit sequences, as subgroups: the
+    family itself, whose members are already sorted by (|X|, X).
 
     For finite families every convergent unit sequence has an eventually
     constant subgroup subnet, so constant tails exhaust the fibre.
     """
-    subs = set()
-    for sub in hls.family.members:
-        pts = limit_set(hls, sub)
-        subs.add(tuple(sorted(g for g, _ in pts)))
-    return SubgroupFamily(hls.group, tuple(sorted(subs, key=lambda s: (len(s), s))))
+    return SubgroupFamily(hls.group, hls.family.members)
 
 
 def is_extremely_dangerous(hls: TruncatedHLS) -> bool:
     """True iff the trivial subgroup is missing from the essential fibre."""
-    return (0,) not in essential_fiber(hls).members
+    return (0,) not in hls.family.members
 
 
 @dataclass(frozen=True)
@@ -146,9 +141,9 @@ def singular_function_from_witness(hls: TruncatedHLS, witness, cutoff: int) -> S
     """Lift an integer kernel element: value b(gamma) at (gamma, inf) and the
     coset sum of b at each level point from the cutoff on.
 
-    For a genuine witness every level value vanishes while the infinity
-    values do not, which is the finite rendering of a non-zero function
-    whose zero set is dense.
+    Only a witness whose coset sums all vanish (``ideals.check_witness``)
+    is lifted, so every level value is 0 while the infinity values are
+    not: the finite rendering of a non-zero function whose zero set is dense.
     """
     coeffs = tuple(getattr(witness, "coeffs", witness))
     if len(coeffs) != hls.group.order:
@@ -157,15 +152,12 @@ def singular_function_from_witness(hls: TruncatedHLS, witness, cutoff: int) -> S
         raise ValueError("cutoff must lie between 1 and the depth")
     if all(c == 0 for c in coeffs):
         raise NotAWitnessError("witness must be non-zero")
-    cosets = distinct_cosets(hls.group, hls.family)
-    sums = coset_sums(cosets, coeffs)
-    if any(sums):
+    if not check_witness(hls.group, hls.family, coeffs):
         raise NotAWitnessError("element fails a coset-sum constraint")
     zero = Fraction(0)
-    level_values = {}
-    for coset, total in zip(cosets, sums):
-        for n in range(1, hls.depth + 1):
-            level_values[(coset.elements, n)] = total if n >= cutoff else zero
+    level_values = {(coset.elements, n): zero
+                    for coset in distinct_cosets(hls.group, hls.family)
+                    for n in range(1, hls.depth + 1)}
     return SingularCandidate(hls, coeffs, level_values, cutoff)
 
 
@@ -181,11 +173,10 @@ def verify_singular(hls: TruncatedHLS, candidate: SingularCandidate) -> bool:
 
 def hls_report(hls: TruncatedHLS, witness=None) -> dict:
     """JSON-ready summary: dangerous-point verdict, fibre, witness lift."""
-    fiber = essential_fiber(hls)
     report = {
         "depth": hls.depth,
         "extremely_dangerous": is_extremely_dangerous(hls),
-        "essential_fiber": [list(sub) for sub in fiber.members],
+        "essential_fiber": [list(sub) for sub in essential_fiber(hls).members],
         "witness_lifted": False,
         "verify_singular": None,
     }

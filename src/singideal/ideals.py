@@ -44,9 +44,8 @@ import numpy as np
 from . import exact
 from ._kernels import CERT_PRIME, rank_mod_p
 from .exact import RationalMatrix
-from .groups import (Coset, FiniteGroup, SizeCapError, SubgroupFamily,
-                     _prime_mask, coset_index, distinct_cosets, element_orders,
-                     minimal_subgroups)
+from .groups import (FiniteGroup, SizeCapError, SubgroupFamily, _prime_mask,
+                     coset_index, element_orders, minimal_subgroups)
 
 # the int8 coset matrix takes one byte per entry, 128 MiB at the cap
 MATRIX_ENTRY_CAP = 2 ** 27
@@ -149,15 +148,32 @@ def integer_witness(group: FiniteGroup, family: SubgroupFamily) -> Optional[Grou
     return GroupAlgebraElement(group, basis[0]) if basis else None
 
 
-def coset_sums(cosets: Sequence[Coset], coeffs: Sequence) -> list:
-    """The exact sum of ``coeffs`` over each coset, as Fractions."""
-    return [sum((coeffs[x] for x in c.elements), Fraction(0)) for c in cosets]
+def _substitute(matrix: np.ndarray, vectors: Sequence) -> tuple:
+    """(``matrix`` times the integer ``vectors``, exactly; the vectors as an
+    array): in float64 when the largest entry times the largest row weight
+    is below 2^53, so every partial sum is an exact integer, in int64
+    below 2^62 and in Python ints otherwise."""
+    try:
+        b = np.array(vectors, dtype=np.int64)
+        bound = max(int(b.max()), -int(b.min()))
+    except OverflowError:
+        b = np.array(vectors, dtype=object)
+        bound = max(abs(x) for v in vectors for x in v)
+    weight = int(np.abs(matrix, dtype=np.int64).sum(axis=1).max())
+    if bound * weight < 2 ** 53:
+        return matrix.astype(np.float64) @ b.T.astype(np.float64), b
+    dtype = np.int64 if bound * weight < 2 ** 62 else object
+    return matrix.astype(dtype) @ b.T.astype(dtype), b
 
 
 def check_witness(group: FiniteGroup, family: SubgroupFamily,
                   coeffs: Sequence) -> bool:
-    """Exact substitution of the coset-sum constraints; True iff all vanish."""
-    return not any(coset_sums(distinct_cosets(group, family), coeffs))
+    """Exact substitution of the coset-sum constraints; True iff all vanish:
+    the coefficients, denominators cleared, times the coset matrix."""
+    if len(coeffs) != group.order:
+        raise ValueError("witness length must equal the group order")
+    ints = exact._clear_denominators([Fraction(c) for c in coeffs])
+    return not _substitute(_coset_matrix(group, family), [ints])[0].any()
 
 
 def quasi_regular_matrix(group: FiniteGroup, sub: Sequence[int], g: int) -> RationalMatrix:
@@ -263,10 +279,8 @@ def _check_entry_sets(group: FiniteGroup, family: SubgroupFamily) -> None:
 def _certify_kernel(matrix: np.ndarray, basis: List[tuple]) -> None:
     """Raise unless the integer ``basis`` is a basis of ker ``matrix``.
 
-    The basis vectors are substituted into the matrix exactly: in float64
-    when the largest entry times the largest row weight of the matrix is
-    below 2^53, so that every partial sum is an exact integer, in int64 or
-    Python ints otherwise.  Independence is structural when it can be: if
+    The basis vectors are substituted into the matrix exactly
+    (``_substitute``).  Independence is structural when it can be: if
     the vectors' last non-zero columns are distinct, ordering the vectors
     by that column makes them triangular, which the canonical RREF basis
     always is; otherwise their rank is confirmed mod CERT_PRIME, then
@@ -277,18 +291,7 @@ def _certify_kernel(matrix: np.ndarray, basis: List[tuple]) -> None:
     """
     cols, d = matrix.shape[1], len(basis)
     if d:
-        try:
-            b = np.array(basis, dtype=np.int64)
-            bound = max(int(b.max()), -int(b.min()))
-        except OverflowError:
-            b = np.array(basis, dtype=object)
-            bound = max(abs(x) for v in basis for x in v)
-        weight = int(np.abs(matrix, dtype=np.int64).sum(axis=1).max())
-        if bound * weight < 2 ** 53:
-            product = matrix.astype(np.float64) @ b.T.astype(np.float64)
-        else:
-            dtype = np.int64 if bound * weight < 2 ** 62 else object
-            product = matrix.astype(dtype) @ b.T.astype(dtype)
+        product, b = _substitute(matrix, basis)
         if product.any():
             raise InternalInconsistencyError("a kernel basis vector fails M x = 0")
         nonzero = b != 0

@@ -23,6 +23,7 @@ from singideal.groups import (Coset, FamilyNotInvariantError, FiniteGroup,
                               subgroup_as_group, subgroup_generated,
                               symmetric_group)
 from singideal.groups import _associativity_failure
+import singideal.atlas
 from singideal.atlas import abelian_groups_of_order
 
 
@@ -178,6 +179,28 @@ def test_element_orders_match_brute_force(catalog):
         assert orders.dtype == np.int64
         assert orders.tolist() == [brute_force_order(group, g) for g in group.elements()]
         assert orders.tolist() == [group.element_order(g) for g in group.elements()]
+
+
+def test_element_orders_are_computed_once_per_group_and_read_only():
+    group = dihedral(6)
+    orders = element_orders(group)
+    assert element_orders(group) is orders
+    with pytest.raises(ValueError):
+        orders[1] = 0
+
+
+def test_atlas_builds_each_cyclic_factor_once(monkeypatch):
+    requested = []
+
+    def counting_cyclic(q):
+        requested.append(q)
+        return cyclic(q)
+    monkeypatch.setattr(singideal.atlas, "cyclic", counting_cyclic)
+    report = singideal.atlas.ai_atlas(32)
+    monkeypatch.undo()
+    assert sorted(requested) == sorted(set(requested))
+    assert set(requested) == {q for row in report["rows"] for q in map(int, row["factors"])}
+    assert report == singideal.atlas.ai_atlas(32)
 
 
 def loop_minimal_subgroups(group):

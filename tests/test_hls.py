@@ -16,7 +16,8 @@ from singideal.hls import (INFINITY, NEIGHBORHOOD_POINT_CAP, NotAWitnessError,
                            SingularCandidate, build_hls, essential_fiber,
                            hls_report, is_extremely_dangerous, limit_set,
                            singular_function_from_witness, verify_singular)
-from singideal.ideals import algebraic_ideal_kernel, integer_witness
+from singideal.ideals import (algebraic_ideal_kernel, check_witness,
+                              integer_witness)
 from singideal.sampling import random_coeffs
 
 
@@ -123,6 +124,109 @@ def test_essential_fiber_is_the_family(catalog_cases):
         for depth in (1, 2, 3):
             h = build_hls(group, family, depth)
             assert essential_fiber(h).members == family.members
+
+
+def reference_limit_set(h, sub):
+    """(gamma, inf) is a limit point iff every one of its basic
+    neighbourhoods holds the tail point (X, depth)."""
+    tail_point = (tuple(sorted(sub)), h.depth)
+    return frozenset((gamma, INFINITY) for gamma in h.group.elements()
+                     if all(tail_point in h.basic_neighborhood(gamma, cutoff)
+                            for cutoff in range(1, h.depth + 1)))
+
+
+def reference_essential_fiber(h):
+    subs = {tuple(sorted(g for g, _ in reference_limit_set(h, sub)))
+            for sub in h.family.members}
+    return tuple(sorted(subs, key=lambda s: (len(s), s)))
+
+
+def test_closed_forms_match_the_neighbourhoods(catalog_cases):
+    # every catalog family, and the same family with the trivial subgroup
+    # added, so that the dangerous-point test is seen both ways
+    families = list(catalog_cases)
+    families += [(g, make_family(g, [(0,), *f.members])) for g, f in catalog_cases
+                 if (0,) not in f.members]
+    dangerous = set()
+    for group, family in families:
+        for depth in (1, 2, 3):
+            h = build_hls(group, family, depth)
+            for sub in family.members:
+                assert limit_set(h, sub) == reference_limit_set(h, sub)
+            fiber = reference_essential_fiber(h)
+            assert essential_fiber(h).members == fiber
+            assert is_extremely_dangerous(h) == ((0,) not in fiber)
+            dangerous.add(is_extremely_dangerous(h))
+    assert dangerous == {True, False}
+
+
+def test_hls_report_reads_no_neighbourhood():
+    s3 = symmetric_group(3)
+    fam = transposition_family(s3)
+    h = build_hls(s3, fam, 3)
+    report = hls_report(h, integer_witness(s3, fam))
+    assert report["verify_singular"] is True
+    assert "basic_neighborhoods" not in h.__dict__
+    assert "level_groupoids" not in h.__dict__
+    points = sum(len(v) for v in h.basic_neighborhoods.values())
+    assert points == 6 * 3 * (2 + 3 * 4) // 2
+    assert h.__dict__["basic_neighborhoods"] is h.basic_neighborhoods
+
+
+def reference_coset_sums(group, family, coeffs):
+    return [sum((Fraction(coeffs[x]) for x in c.elements), Fraction(0))
+            for c in distinct_cosets(group, family)]
+
+
+def test_witness_substitution_past_int64_and_in_fractions(catalog_cases):
+    # C12 with {0, 6}: its coset rows weigh 2, so 2^54 goes past exact
+    # float64 sums and 2^70 past int64
+    g12 = cyclic(12)
+    fam = make_family(g12, [(0, 6)])
+    w = integer_witness(g12, fam).coeffs
+    h = build_hls(g12, fam, 2)
+    for scale in (1, 2 ** 54, 2 ** 70):
+        big = tuple(c * scale for c in w)
+        assert check_witness(g12, fam, big)
+        cand = singular_function_from_witness(h, big, 1)
+        assert cand.infinity_values == big and verify_singular(h, cand)
+        for i in (0, 11):
+            perturbed = tuple(c + (j == i) for j, c in enumerate(big))
+            assert not check_witness(g12, fam, perturbed)
+            with pytest.raises(NotAWitnessError):
+                singular_function_from_witness(h, perturbed, 1)
+    with pytest.raises(ValueError):
+        check_witness(g12, fam, w[:-1])
+    # a Fraction view from kernel_basis with denominators 3 (S4 with its
+    # cyclic subgroups of order 4)
+    s4 = symmetric_group(4)
+    fam4 = conjugation_closure(s4, [(0, 7, 17, 22)])
+    view = next(v for v in algebraic_ideal_kernel(s4, fam4)
+                if any(c.denominator > 1 for c in v))
+    h4 = build_hls(s4, fam4, 2)
+    assert check_witness(s4, fam4, view)
+    cand = singular_function_from_witness(h4, view, 2)
+    assert cand.infinity_values == view and verify_singular(h4, cand)
+    assert list(cand.level_values) == [(c.elements, n) for c in distinct_cosets(s4, fam4)
+                                       for n in (1, 2)]
+    perturbed = (view[0] + Fraction(1, 3), *view[1:])
+    assert not check_witness(s4, fam4, perturbed)
+    with pytest.raises(NotAWitnessError):
+        singular_function_from_witness(h4, perturbed, 1)
+    # against the Fraction coset sums: kernel vectors with random rational
+    # weights pass, random rational vectors fail exactly when some sum does
+    rng = random.Random(11)
+    for group, family in catalog_cases:
+        basis = algebraic_ideal_kernel(group, family)
+        for _ in range(3):
+            coeffs = random_coeffs(rng, group.order)
+            assert check_witness(group, family, coeffs) == (
+                not any(reference_coset_sums(group, family, coeffs)))
+            if basis:
+                weights = random_coeffs(rng, len(basis))
+                combo = [sum((a * v[x] for a, v in zip(weights, basis)), Fraction(0))
+                         for x in group.elements()]
+                assert check_witness(group, family, combo)
 
 
 def test_extremely_dangerous():
