@@ -1,33 +1,40 @@
 """Exact rational linear algebra: rank, kernel bases, span tests, integerization.
 
-Everything here is exact and stays in integers: rows are cleared of
-denominators, eliminated fraction-free (cross-multiplication with gcd
-stripping, pivots at the first non-zero entry in column order) and
-back-substituted the same way into an integer RREF.  The RREF is
-canonical, so its kernel basis (``integer_kernel_basis``) is
-reproducible across platforms; ``kernel_basis`` is its Fraction view.
+Everything here is exact and stays in integers: ``integer_rows`` is the
+one conversion of rational values (ints, Fractions, floats taken
+exactly) to integer rows over a common denominator, and the rows are
+eliminated fraction-free (cross-multiplication with gcd stripping,
+pivots at the first non-zero entry in column order) and back-substituted
+the same way into an integer RREF.  The RREF is canonical, so its kernel
+basis (``integer_kernel_basis``) is reproducible across platforms;
+``kernel_basis`` is its Fraction view.
 
-Machine integers enter only through the mod-p rank (``_kernels``), and
-only as a sound certificate: the rank of an integer matrix mod p never
-exceeds its rational rank.  Here, full column rank mod p proves full
-rational column rank, read straight off an integer numpy array, and
-deficient cases fall through to exact elimination on Python ints.
-``ideals.class_I_check`` uses the same bound the other way round: after
-substituting the integer kernel basis of dimension d into the matrix
-exactly, a mod-p rank of cols - d proves that the basis spans the whole
-kernel, and a shorter mod-p rank is decided by ``rank``.
+Machine integers enter only through ``integer_product``, exact in
+float64 while every partial sum is an integer below 2^53, and the mod-p
+rank (``_kernels``), a sound certificate: the rank of an integer matrix
+mod p never exceeds its rational rank.  Here, full column rank mod p
+proves full rational column rank, read straight off an integer numpy
+array, and deficient cases fall through to exact elimination on Python
+ints.  ``ideals.class_I_check`` uses the same bound the other way round:
+after substituting the integer kernel basis of dimension d into the
+matrix exactly, a mod-p rank of cols - d proves that the basis spans the
+whole kernel, and a shorter mod-p rank is decided by ``rank``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from ._kernels import CERT_PRIME, rank_mod_p
+
+# integers below these in magnitude convert to float64 exactly, and fit int64
+EXACT_FLOAT_INT = 2 ** 53
+INT64_LIMIT = 2 ** 63
 
 
 @dataclass(frozen=True)
@@ -61,33 +68,62 @@ class RationalMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
 
-def _integer_rows(m):
-    """(rows, cols): an integer numpy array as it is, any other matrix as
-    lists of Python ints, its rows cleared of denominators."""
-    if isinstance(m, np.ndarray):
-        if m.ndim != 2:
+def integer_rows(rows) -> tuple:
+    """(numerators, d): row i of the integer array is d times row i of the
+    rational matrix ``rows``, d the least common denominator of its entries.
+
+    ``rows`` is a 2-d numpy array, a RationalMatrix or a sequence of
+    equal-length rows (none: 0 x 0) of ints, Fractions and floats, each
+    float taken exactly and a NaN or infinity refused with ValueError.
+    An integer array is returned as it is; otherwise the array is int64
+    when every numerator is below 2^63 in magnitude, Python ints if not.
+    """
+    if isinstance(rows, np.ndarray):
+        if rows.ndim != 2:
             raise ValueError("need a 2-d array")
-        if np.can_cast(m.dtype, np.int64):
-            return m, m.shape[1]
-        m = RationalMatrix(*m.shape, tuple(m.ravel().tolist()))
-    elif not isinstance(m, RationalMatrix):
-        m = RationalMatrix.from_rows(m)
-    return [_clear_denominators(r) for r in m.row_lists()], m.cols
+        if np.can_cast(rows.dtype, np.int64):
+            return rows, 1
+        shape, values = rows.shape, rows.ravel().tolist()
+    elif isinstance(rows, RationalMatrix):
+        shape, values = (rows.rows, rows.cols), rows.entries
+    else:
+        shape = (len(rows), len(rows[0]) if len(rows) else 0)
+        if any(len(r) != shape[1] for r in rows):
+            raise ValueError("ragged rows")
+        values = [x for r in rows for x in r]
+    if values and type(values[0]) is int:
+        # numpy reads an int matrix in one pass, as int64 only when every
+        # entry is an int that fits
+        ints = np.array(values)
+        if ints.dtype == np.int64:
+            return ints.reshape(shape), 1
+    # ints are kept as they are: reading their denominator builds no Fraction
+    if not set(map(type, values)) <= {int, Fraction}:
+        if any(isinstance(x, float) and not isfinite(x) for x in values):
+            raise ValueError("a NaN or infinite entry is not a rational")
+        values = [x if type(x) in (int, Fraction) else Fraction(x) for x in values]
+    dens = {x.denominator for x in values}
+    den = lcm(*dens)
+    scale = {d: den // d for d in dens}
+    nums = [x.numerator * scale[x.denominator] for x in values]
+    dtype = np.int64 if max(map(abs, nums), default=0) < INT64_LIMIT else object
+    return np.array(nums, dtype=dtype).reshape(shape), den
 
 
-def _clear_denominators(row: Sequence) -> List[int]:
-    # fast path: an all-int row (the 0/1 constraint rows) skips the
-    # isinstance(x, Fraction) checks, which go through the numbers ABCs
-    if set(map(type, row)) <= {int}:
-        return list(row)
-    mult = lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
-    out = []
-    for x in row:
-        if isinstance(x, Fraction):
-            out.append(x.numerator * (mult // x.denominator))
-        else:
-            out.append(int(x) * mult)
-    return out
+def _max_abs(a: np.ndarray) -> int:
+    return max(-int(a.min()), int(a.max())) if a.size else 0
+
+
+def integer_product(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``matrix @ rows.T`` exactly, for integer arrays, as an integer array:
+    in float64 when max|rows| times the largest absolute row sum of
+    ``matrix`` is below 2^53, so that every partial sum is an exact
+    integer, in int64 below 2^63 and in Python ints otherwise."""
+    bound = _max_abs(rows) * int(np.abs(matrix, dtype=np.int64).sum(axis=1).max())
+    if bound < EXACT_FLOAT_INT:
+        return (matrix.astype(np.float64) @ rows.T.astype(np.float64)).astype(np.int64)
+    dtype = np.int64 if bound < INT64_LIMIT else object
+    return matrix.astype(dtype) @ rows.T.astype(dtype)
 
 
 def _strip_row(row: List[int]) -> List[int]:
@@ -127,21 +163,17 @@ def _echelon(int_rows: Iterable[List[int]]):
 def _reduce(m):
     """(pivot_cols, pivot_rows, cols) of m's exact elimination, or every
     column and no rows when full column rank mod CERT_PRIME proves it."""
-    rows, cols = _integer_rows(m)
+    rows = integer_rows(m)[0]
+    cols = rows.shape[1]
     if cols == 0 or len(rows) >= cols and _rank_mod_prime(rows) == cols:
         return list(range(cols)), [], cols
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()
-    return (*_echelon(rows), cols)
+    return (*_echelon(rows.tolist()), cols)
 
 
-def _rank_mod_prime(rows) -> int:
-    """rank_mod_p of an integer array, or of integer rows of any size."""
-    if not isinstance(rows, np.ndarray):
-        try:
-            rows = np.array(rows, dtype=np.int64)
-        except OverflowError:
-            rows = np.mod(np.array(rows, dtype=object), CERT_PRIME).astype(np.int64)
+def _rank_mod_prime(rows: np.ndarray) -> int:
+    """rank_mod_p of an integer array, Python ints reduced mod p first."""
+    if rows.dtype == object:
+        rows = np.mod(rows, CERT_PRIME).astype(np.int64)
     return int(rank_mod_p(rows, CERT_PRIME))
 
 
@@ -209,7 +241,7 @@ def spans_full(vectors: Sequence[Sequence], dim: int) -> bool:
 
 def integerize(vec: Sequence) -> tuple:
     """Primitive integer vector: positive multiple, gcd 1, leading entry > 0."""
-    ints = _clear_denominators([Fraction(x) for x in vec])
+    ints = integer_rows([vec])[0][0].tolist()
     if not any(ints):
         raise ValueError("cannot integerize the zero vector")
     return tuple(_strip_row(ints))

@@ -8,16 +8,16 @@ index arrays, not a stored table: for the coset groupoid it reads
 coset_of = ``groups.coset_index`` (coset_of[u, g] is the arrow g X_u),
 the product of y X_a and z X_b (where s(a) = r(b)) being coset_of[b, y z],
 and a reduction composes its parent's rule with one index lookup.
-Convolution stays exact: functions become integer numerator rows over
-one common denominator (``integer_rows``), and one engine
-(``convolve_rows``) convolves whole blocks of such rows, in int64 when a
-bound taken before multiplying proves that no sum can overflow, in
-Python ints otherwise.
+The coset-sum map q is one exact product of the coefficients with the
+coset matrix, whose rows are numbered like the arrows.  Convolution
+stays exact: functions become integer numerator rows over one common
+denominator (``exact.integer_rows``), and one engine (``convolve_rows``)
+convolves whole blocks of such rows, in int64 when a bound taken before
+multiplying proves that no sum can overflow, in Python ints otherwise.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence
@@ -27,7 +27,7 @@ import numpy as np
 from . import exact
 from .groups import (FiniteGroup, SizeCapError, SubgroupFamily, coset_index,
                      distinct_cosets)
-from .ideals import _coset_matrix
+from .ideals import _coset_matrix, _coset_sums
 
 # int32 entries a groupoid allocates at once, 512 MiB at the cap: the
 # regular index blocks Σ_X [G:X]^2 when building, the compose table m^2 on read
@@ -225,30 +225,14 @@ def build_coset_groupoid(group: FiniteGroup, family: SubgroupFamily) -> FiniteGr
 
 def q_map(group: FiniteGroup, family: SubgroupFamily, coeffs: Sequence,
           groupoid: Optional[FiniteGroupoid] = None) -> GroupoidFunction:
-    """Coset-sum image of a group-algebra element: value at Y is sum over Y."""
+    """Coset-sum image of a group-algebra element: value at Y is sum over Y,
+    one exact product with the coset matrix, whose row i is the arrow i; a
+    ``groupoid`` with another arrow count raises ValueError."""
     coeffs = getattr(coeffs, "coeffs", coeffs)
-    if len(coeffs) != group.order:
-        raise ValueError("coefficient vector length must equal the group order")
+    sums, den = _coset_sums(group, family, coeffs)
     if groupoid is None:
         groupoid = build_coset_groupoid(group, family)
-    vals = tuple(sum((coeffs[x] for x in a.payload), Fraction(0))
-                 for a in groupoid.arrows)
-    return GroupoidFunction(groupoid, vals)
-
-
-def integer_rows(fs: Sequence[GroupoidFunction]):
-    """(numerators, d) for d the least common denominator of every value of
-    the functions ``fs``: row i of the (functions, arrows) array is d fs[i],
-    in int64 when every entry is below 2^63 in magnitude, as Python ints in
-    an object array otherwise."""
-    values = [v for f in fs for v in f.values]
-    dens = {v.denominator for v in values}
-    den = math.lcm(*dens)
-    scale = {d: den // d for d in dens}
-    nums = [v.numerator * scale[v.denominator] for v in values]
-    dtype = np.int64 if max(map(abs, nums), default=0) < 2 ** 63 else object
-    width = len(nums) // len(fs) if fs else 0
-    return np.array(nums, dtype=dtype).reshape(len(fs), width), den
+    return function_from_row(groupoid, sums, den)
 
 
 def function_from_row(groupoid: FiniteGroupoid, row, den: int) -> GroupoidFunction:
@@ -282,10 +266,6 @@ def _composable_pairs(groupoid: FiniteGroupoid, ks: np.ndarray, hs: np.ndarray):
     return k[order], h[order], g[order]
 
 
-def _max_abs(a: np.ndarray) -> int:
-    return max(-int(a.min()), int(a.max())) if a.size else 0
-
-
 def convolve_rows(groupoid: FiniteGroupoid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact convolution of integer rows: row i of the result is a[i] * b[i]
     (a single row on either side is used for every row of the other).
@@ -305,7 +285,8 @@ def convolve_rows(groupoid: FiniteGroupoid, a: np.ndarray, b: np.ndarray) -> np.
     # terms as the support of b has arrows with source s(g)
     terms = int(np.bincount(groupoid._sources[hs]).max()) if len(hs) else 0
     exact_in_int64 = (a.dtype == np.int64 and b.dtype == np.int64
-                      and _max_abs(a) * _max_abs(b) * terms < 2 ** 63)
+                      and exact._max_abs(a) * exact._max_abs(b) * terms
+                      < exact.INT64_LIMIT)
     dtype = np.int64 if exact_in_int64 else object
     out = np.zeros((n, groupoid.num_arrows()), dtype=dtype)
     # each k meets at most this many hs
@@ -328,7 +309,7 @@ def convolve(groupoid: FiniteGroupoid, f1: GroupoidFunction,
     denominators."""
     if f1.groupoid is not groupoid or f2.groupoid is not groupoid:
         raise ValueError("functions live on a different groupoid")
-    (a, den1), (b, den2) = integer_rows([f1]), integer_rows([f2])
+    (a, den1), (b, den2) = (exact.integer_rows([f.values]) for f in (f1, f2))
     return function_from_row(groupoid, convolve_rows(groupoid, a, b)[0], den1 * den2)
 
 

@@ -19,8 +19,8 @@ back this up: ``_check_entry_sets`` confirms the identity above from the
 Cayley table and the same numbering, and ``_certify_kernel`` proves that
 the integer basis B of dimension d is a basis of ker M in three steps:
 
-* M B = 0, substituted exactly (in float64 only where every partial sum
-  is an integer below 2^53);
+* M B = 0, substituted exactly by ``exact.integer_product`` (in float64
+  only where every partial sum is an integer below 2^53);
 * B is independent: each canonical vector's last non-zero entry is at
   its own free column, so the vectors end in distinct columns and, put
   in order of those columns, form a triangular matrix; a basis whose
@@ -36,7 +36,6 @@ mathematical outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -148,32 +147,19 @@ def integer_witness(group: FiniteGroup, family: SubgroupFamily) -> Optional[Grou
     return GroupAlgebraElement(group, basis[0]) if basis else None
 
 
-def _substitute(matrix: np.ndarray, vectors: Sequence) -> tuple:
-    """(``matrix`` times the integer ``vectors``, exactly; the vectors as an
-    array): in float64 when the largest entry times the largest row weight
-    is below 2^53, so every partial sum is an exact integer, in int64
-    below 2^62 and in Python ints otherwise."""
-    try:
-        b = np.array(vectors, dtype=np.int64)
-        bound = max(int(b.max()), -int(b.min()))
-    except OverflowError:
-        b = np.array(vectors, dtype=object)
-        bound = max(abs(x) for v in vectors for x in v)
-    weight = int(np.abs(matrix, dtype=np.int64).sum(axis=1).max())
-    if bound * weight < 2 ** 53:
-        return matrix.astype(np.float64) @ b.T.astype(np.float64), b
-    dtype = np.int64 if bound * weight < 2 ** 62 else object
-    return matrix.astype(dtype) @ b.T.astype(dtype), b
+def _coset_sums(group: FiniteGroup, family: SubgroupFamily, coeffs: Sequence) -> tuple:
+    """(sums, d): sums[i] / d is the sum of the rational ``coeffs`` over the
+    coset numbered i, from one exact product with the coset matrix."""
+    if len(coeffs) != group.order:
+        raise ValueError("coefficient vector length must equal the group order")
+    nums, den = exact.integer_rows([coeffs])
+    return exact.integer_product(_coset_matrix(group, family), nums)[:, 0], den
 
 
 def check_witness(group: FiniteGroup, family: SubgroupFamily,
                   coeffs: Sequence) -> bool:
-    """Exact substitution of the coset-sum constraints; True iff all vanish:
-    the coefficients, denominators cleared, times the coset matrix."""
-    if len(coeffs) != group.order:
-        raise ValueError("witness length must equal the group order")
-    ints = exact._clear_denominators([Fraction(c) for c in coeffs])
-    return not _substitute(_coset_matrix(group, family), [ints])[0].any()
+    """Exact substitution of the coset-sum constraints; True iff all vanish."""
+    return not _coset_sums(group, family, coeffs)[0].any()
 
 
 def quasi_regular_matrix(group: FiniteGroup, sub: Sequence[int], g: int) -> RationalMatrix:
@@ -280,25 +266,25 @@ def _certify_kernel(matrix: np.ndarray, basis: List[tuple]) -> None:
     """Raise unless the integer ``basis`` is a basis of ker ``matrix``.
 
     The basis vectors are substituted into the matrix exactly
-    (``_substitute``).  Independence is structural when it can be: if
-    the vectors' last non-zero columns are distinct, ordering the vectors
-    by that column makes them triangular, which the canonical RREF basis
-    always is; otherwise their rank is confirmed mod CERT_PRIME, then
-    exactly.  rank_mod_p(M) == cols - d then proves that they span the
+    (``exact.integer_product``).  Independence is structural when it can
+    be: if the vectors' last non-zero columns are distinct, ordering the
+    vectors by that column makes them triangular, which the canonical RREF
+    basis always is; otherwise their rank is confirmed mod CERT_PRIME,
+    then exactly.  rank_mod_p(M) == cols - d then proves that they span the
     whole kernel (rank mod p never exceeds the rational rank).  A short
     mod-p rank is decided by exact elimination, so only a proven
     disagreement raises.
     """
     cols, d = matrix.shape[1], len(basis)
     if d:
-        product, b = _substitute(matrix, basis)
-        if product.any():
+        b = exact.integer_rows(basis)[0]
+        if exact.integer_product(matrix, b).any():
             raise InternalInconsistencyError("a kernel basis vector fails M x = 0")
         nonzero = b != 0
         last = np.sort(cols - 1 - np.argmax(nonzero[:, ::-1], axis=1))
         triangular = nonzero.any(axis=1).all() and (last[1:] > last[:-1]).all()
-        if (not triangular and exact._rank_mod_prime(basis) < d
-                and exact.rank(basis) < d):
+        if (not triangular and exact._rank_mod_prime(b) < d
+                and exact.rank(b) < d):
             raise InternalInconsistencyError("the kernel basis is linearly dependent")
     image_rank = rank_mod_p(matrix, CERT_PRIME)
     if image_rank > cols - d or (image_rank < cols - d

@@ -19,14 +19,14 @@ gather must be contiguous: a strided gather sends the Gram product down
 another matmul kernel, whose results differ in the last bits.
 
 The norm equation is evaluated on a ``NormBlock``: a batch of functions
-converted once to integer numerator rows over one common denominator,
-and once to floats.  For each unit subset the reduction groupoid is
-built once; p f p for the whole block is two ``convolve_rows`` calls with
-the unit-indicator row, checked exactly against the block's rows masked
-to the reduction's arrows; the restriction side is a column gather of
-the block's floats.  Floats are always float(Fraction), correctly
-rounded: numerator rows are divided in float64 only when the numerators
-and the denominator are below 2^53, and as Python ints otherwise.
+converted once to integer rows over one denominator (``exact.integer_rows``)
+and once to floats.  For each unit subset the reduction groupoid is built
+once; p f p for the whole block is two ``convolve_rows`` calls with the
+unit-indicator row, checked exactly to be the block's rows masked to the
+reduction's arrows, so both sides read the block's floats, masked or
+gathered.  Floats are always float(Fraction), correctly rounded: numerator
+rows are divided in float64 only when the numerators and the denominator
+are below 2^53, and as Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -36,17 +36,14 @@ from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
-from .groupoid import (FiniteGroupoid, GroupoidFunction, _max_abs,
-                       convolve_rows, function_from_row, integer_rows,
-                       reduction_groupoid)
+from .exact import EXACT_FLOAT_INT, _max_abs, integer_rows
+from .groupoid import (FiniteGroupoid, GroupoidFunction, convolve_rows,
+                       function_from_row, reduction_groupoid)
 from .ideals import InternalInconsistencyError
 
 # entries gathered per batched eigensolve chunk; the CLI also draws its
 # normcheck trial functions in blocks of at most this many values
 NORM_BATCH = 1 << 14
-
-# integers below this convert to float64 exactly
-EXACT_FLOAT_INT = 2 ** 53
 
 
 def _row_floats(nums: np.ndarray, den: int) -> np.ndarray:
@@ -76,7 +73,7 @@ class NormBlock(NamedTuple):
 
 def norm_block(fs: Sequence[GroupoidFunction]) -> NormBlock:
     """The functions ``fs`` converted once, for ``block_residuals``."""
-    nums, den = integer_rows(fs)
+    nums, den = integer_rows([f.values for f in fs])
     return NormBlock(nums, den, _row_floats(nums, den))
 
 
@@ -147,7 +144,7 @@ def _compress(groupoid: FiniteGroupoid, nums: np.ndarray,
 def compress_to_units(groupoid: FiniteGroupoid, f: GroupoidFunction,
                       units: Sequence[int]) -> GroupoidFunction:
     """p f p for p the indicator of the identity arrows over the unit subset."""
-    nums, den = integer_rows([f])
+    nums, den = integer_rows([f.values])
     return function_from_row(groupoid, _compress(groupoid, nums, units)[0], den)
 
 
@@ -165,14 +162,14 @@ def block_residuals(groupoid: FiniteGroupoid, units: Sequence[int],
     nums = block.numerators
     if not len(nums):
         return []
-    pfp = _compress(groupoid, nums, units)
-    masked = np.zeros_like(nums)
-    masked[:, kept] = nums[:, kept]
-    if not np.array_equal(pfp, masked):
+    outside = np.ones(groupoid.num_arrows(), dtype=bool)
+    outside[kept] = False
+    if not np.array_equal(_compress(groupoid, nums, units), np.where(outside, 0, nums)):
         raise InternalInconsistencyError(
             f"p f p over units {units} is not f restricted to the reduction")
     lhs = _reduced_norms(reduced, _padded(block.floats[:, kept]))
-    rhs = _reduced_norms(groupoid, _padded(_row_floats(pfp, block.denominator)))
+    # p f p is f masked to the kept arrows, and so are its floats
+    rhs = _reduced_norms(groupoid, _padded(np.where(outside, 0.0, block.floats)))
     return [abs(a - b) for a, b in zip(lhs, rhs)]
 
 

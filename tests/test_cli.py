@@ -1,6 +1,7 @@
 """CLI contract: JSON schemas, exit codes, determinism, round-trips."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -407,3 +408,170 @@ def test_cli_fuzz_exit_codes(command, group_spec, family_spec, depth):
                     if line.startswith("error: ")]) == 1
     if command == "hls" and depth >= 1414:
         assert code == EXIT_PARSE
+
+
+# a spread of the tier-1 catalog, S5 minimal and C360 {[0,180]}: the
+# reports whose bytes every refactor must keep
+DIGEST_CASES = [
+    ("C1", {"kind": "cyclic", "n": 1}, {"subgroups": [[0]]}),
+    ("C2", {"kind": "cyclic", "n": 2}, {"subgroups": [[0, 1]]}),
+    ("C4", {"kind": "cyclic", "n": 4}, {"subgroups": [[0], [0, 2]]}),
+    ("C6", {"kind": "cyclic", "n": 6}, {"subgroups": [[0, 3]]}),
+    ("C8", {"kind": "cyclic", "n": 8}, {"minimal": True}),
+    ("C9", {"kind": "cyclic", "n": 9}, {"subgroups": [[0, 3, 6]]}),
+    ("C12", {"kind": "cyclic", "n": 12}, {"subgroups": [[0, 6]]}),
+    ("C12", {"kind": "cyclic", "n": 12}, {"minimal": True}),
+    ("C2^2", {"kind": "product", "factors": [{"kind": "cyclic", "n": 2}] * 2},
+     {"minimal": True}),
+    ("C2^3", {"kind": "product", "factors": [{"kind": "cyclic", "n": 2}] * 3},
+     {"minimal": True}),
+    ("C2xC4", {"kind": "product", "factors": [{"kind": "cyclic", "n": 2},
+                                              {"kind": "cyclic", "n": 4}]},
+     {"minimal": True}),
+    ("S3", {"kind": "symmetric", "n": 3}, {"conjugacy_class_of": [0, 2]}),
+    ("S4", {"kind": "symmetric", "n": 4}, {"minimal": True}),
+    ("D4", {"kind": "dihedral", "n": 4}, {"minimal": True}),
+    ("D5", {"kind": "dihedral", "n": 5}, {"minimal": True}),
+    ("Q8", {"kind": "quaternion8"}, {"minimal": True}),
+    ("S5", {"kind": "symmetric", "n": 5}, {"minimal": True}),
+    ("C360", {"kind": "cyclic", "n": 360}, {"subgroups": [[0, 180]]}),
+]
+
+
+def report_digests():
+    """SHA-256 of the stdout of analyze, witness and hls --depth 3 on every
+    DIGEST_CASES entry, and of ai-atlas --max-order 16."""
+    runs = {"ai-atlas 16": ["ai-atlas", "--max-order", "16"]}
+    for name, group, family in DIGEST_CASES:
+        spec = ["--group", json.dumps(group), "--family", json.dumps(family)]
+        for command, extra in (("analyze", []), ("witness", []), ("hls", ["--depth", "3"])):
+            runs[f"{command} {name} {json.dumps(family)}"] = [command, *spec, *extra]
+    digests = {}
+    for key, argv in runs.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == EXIT_OK, argv
+        digests[key] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return digests
+
+
+# recorded before the exact layer took over every rational-to-integer
+# conversion; a change that moves a byte of these reports fails here
+PINNED_DIGESTS = {
+    'ai-atlas 16':
+        "9b8018ced3b0b6ff7598abedd8427fd2e412156f3f5587db7de8b7d7f5ee14c0",
+    'analyze C1 {"subgroups": [[0]]}':
+        "7c5b8329e31e332ba484d29d1ea22371b052e9df5ce2616ef821444321d63418",
+    'witness C1 {"subgroups": [[0]]}':
+        "e5e32bcd98fb01ca8eb528c223dba6f184e4a133b85d26a65e8f790f3b805315",
+    'hls C1 {"subgroups": [[0]]}':
+        "93f85540f77723552026736b5f9619cb1b236f6828ac30207bc72c3f5b1b3653",
+    'analyze C2 {"subgroups": [[0, 1]]}':
+        "23b70b56ea852f1c6f3643f731b24e5dde9c35339542b52b50f858003eeefc33",
+    'witness C2 {"subgroups": [[0, 1]]}':
+        "d39fcb704afda2f8d64e159fc8c76c2a0657f85dc84a09e25a83904ff062a58b",
+    'hls C2 {"subgroups": [[0, 1]]}':
+        "3000c61a988eb5ec209f30792184f9dd5b8877c7e6ea6d661596fbe1d529dfb5",
+    'analyze C4 {"subgroups": [[0], [0, 2]]}':
+        "b324abb06517b59172ecb609b621bc0b287435c3f7d22031bec96bbd00c52f0f",
+    'witness C4 {"subgroups": [[0], [0, 2]]}':
+        "e5e32bcd98fb01ca8eb528c223dba6f184e4a133b85d26a65e8f790f3b805315",
+    'hls C4 {"subgroups": [[0], [0, 2]]}':
+        "f2743bfa6ce3b15257fdc12348264dfbed4c71d053c527e7302ef0abcfa3b833",
+    'analyze C6 {"subgroups": [[0, 3]]}':
+        "0f7b1176dd0a20a60d552e2f1b25602be2ff30cdd255d6f6459d39ff7591751b",
+    'witness C6 {"subgroups": [[0, 3]]}':
+        "14ed59ed721d85b20322545637dd8ca1f5bfe6c005b5ec7f54e6edbd001d5385",
+    'hls C6 {"subgroups": [[0, 3]]}':
+        "97e20c4769f90fca6e4ff0507665a5ad79699ef2dd75e4432ded8e20e12ee925",
+    'analyze C8 {"minimal": true}':
+        "c0078f7e5c2d770b7107da8da6de2e925d5de0db2817a32d4cd043259352d846",
+    'witness C8 {"minimal": true}':
+        "a2d2fadc77bbc48a58e882c46a6ab5a1a0136d432877ddedc7fdf819d5d48efc",
+    'hls C8 {"minimal": true}':
+        "b57b10185cb31067ee5489a4c2e44f8d27731f71f36a0f2d3aefe2eb6fdfe5de",
+    'analyze C9 {"subgroups": [[0, 3, 6]]}':
+        "2546dac99f3ea082479d1bed8b28b79ea7103a81feb6c1340d47c20d87d94116",
+    'witness C9 {"subgroups": [[0, 3, 6]]}':
+        "249bbf0a3173eca987c8f1740b4c01cbe75d3fa317d7d04bbf215fca4870b47b",
+    'hls C9 {"subgroups": [[0, 3, 6]]}':
+        "ad23e017ff5bab08ed84276d4be86f86362c69ddc0bb8c1e5dbcb2952e73c053",
+    'analyze C12 {"subgroups": [[0, 6]]}':
+        "c4ad4ffdbfa5e5dfbc9a38e1b9e29d059c43bb08f95572d55bed11e13afc45bb",
+    'witness C12 {"subgroups": [[0, 6]]}':
+        "c4f4062ac47dc0580e131f1f4b38e2ed1e4f51075efedfc12870acf25667049e",
+    'hls C12 {"subgroups": [[0, 6]]}':
+        "84aec12571682b2c31eb2490b805e92924fe6afd0ce4f858aef330bcfd0e1b79",
+    'analyze C12 {"minimal": true}':
+        "74e7ac55b57c8897612cf88a75e62ad36d552a60397f56787cb223296bba1090",
+    'witness C12 {"minimal": true}':
+        "0d00f1c7792ef153acdabd87cb6bd5e8a0ffe55ee5f11346a49c543af86e5f86",
+    'hls C12 {"minimal": true}':
+        "0e29a248681cfd4a9e1594d226f925e7f889ab09abdb520303c8ea5f63a34be5",
+    'analyze C2^2 {"minimal": true}':
+        "aa678f9516936204d5c99ac23fb9e7b6a8bf3b0663da6a734401783b4487ee10",
+    'witness C2^2 {"minimal": true}':
+        "e5e32bcd98fb01ca8eb528c223dba6f184e4a133b85d26a65e8f790f3b805315",
+    'hls C2^2 {"minimal": true}':
+        "f81c01fc0504dfd83c55d23f630aa4f123d7cd6ab8559458b851a1dd83d6e52b",
+    'analyze C2^3 {"minimal": true}':
+        "f54aff311518741ca8344fc40d4a152d9f3e09ec5ae97e2bcb2ed75b4a2ca529",
+    'witness C2^3 {"minimal": true}':
+        "e5e32bcd98fb01ca8eb528c223dba6f184e4a133b85d26a65e8f790f3b805315",
+    'hls C2^3 {"minimal": true}':
+        "241f55b18b9cf5b09700742755f4503ee72aa3e4c04fd1021ed3062cfe731fe6",
+    'analyze C2xC4 {"minimal": true}':
+        "8db330972e95b4a50dbf108e42a2a1cc74e525e53b6de21b0fd4217e863f0f38",
+    'witness C2xC4 {"minimal": true}':
+        "e5e32bcd98fb01ca8eb528c223dba6f184e4a133b85d26a65e8f790f3b805315",
+    'hls C2xC4 {"minimal": true}':
+        "77d599575684abb2369f79e8f9a6616cf92e5bfe444646b028adf3318640a3ff",
+    'analyze S3 {"conjugacy_class_of": [0, 2]}':
+        "b7eecd1303aecdc147a31ad179a667804c7c6c85bfb50c1b2e5642ad70c5ec0b",
+    'witness S3 {"conjugacy_class_of": [0, 2]}':
+        "f71f1a00b2f93779006f2f7802c9122648a1e0b2e1e9b331f496dd04a474ee68",
+    'hls S3 {"conjugacy_class_of": [0, 2]}':
+        "6a7510802652a34fef909f4e52e01fba87a8c9b43b9658c214104e18ba83f7db",
+    'analyze S4 {"minimal": true}':
+        "702f3896b2df7fd9200c10b106897ad6e3e0fb609430cf01011dc5593058ebe1",
+    'witness S4 {"minimal": true}':
+        "e5e32bcd98fb01ca8eb528c223dba6f184e4a133b85d26a65e8f790f3b805315",
+    'hls S4 {"minimal": true}':
+        "db320ceaf9dd056f7be400a604820105efcdb83a733ffef420a4e74c02ae3092",
+    'analyze D4 {"minimal": true}':
+        "18933a4fd5ff81007d1a55865d062aa089ef4d7e0fbc1d352eb40ee2db1c947f",
+    'witness D4 {"minimal": true}':
+        "e5e32bcd98fb01ca8eb528c223dba6f184e4a133b85d26a65e8f790f3b805315",
+    'hls D4 {"minimal": true}':
+        "2159a71bf3b7c76e39f37e007df78388e6963549606889b791d23c60f529e91c",
+    'analyze D5 {"minimal": true}':
+        "644a6f17943260c63ebb451d1f42de5e5a0f9b36d52d93ae97bacaf34cad0050",
+    'witness D5 {"minimal": true}':
+        "e5e32bcd98fb01ca8eb528c223dba6f184e4a133b85d26a65e8f790f3b805315",
+    'hls D5 {"minimal": true}':
+        "725e35bf266f449f1bb0b6a3c361b4f61e402098aaae21506f5e32167093e8ef",
+    'analyze Q8 {"minimal": true}':
+        "9bc0fc319f7990ff69a422fea79d85c0f1c55adc492d732a97e5199be9f545f9",
+    'witness Q8 {"minimal": true}':
+        "a183986b48034575ad090bf39e7f78b5739b995f024a7f70ce1d644216865b14",
+    'hls Q8 {"minimal": true}':
+        "dcbfb90fc89c0db4e746a2d1ac14a2153288a775732e9e0ded2972da889670cb",
+    'analyze S5 {"minimal": true}':
+        "5a50cf6b98d70c40d6b738af7a3443c1eb7a8befcd78bf210e689f2cb460ddc3",
+    'witness S5 {"minimal": true}':
+        "e5e32bcd98fb01ca8eb528c223dba6f184e4a133b85d26a65e8f790f3b805315",
+    'hls S5 {"minimal": true}':
+        "90cfd7c51367a7b59e0df3099f29ef23eab7de08d0042831734cda3b4ac938e6",
+    'analyze C360 {"subgroups": [[0, 180]]}':
+        "edcd5dd7625e8e0fd0dbdd2e08238dcf3a2d367945b3ebef1479122284b92355",
+    'witness C360 {"subgroups": [[0, 180]]}':
+        "2e74ec5fca67bcc2f1dbde0d7d68f039a1289d177918267284ab0fb4c27fd1b3",
+    'hls C360 {"subgroups": [[0, 180]]}':
+        "d1a48770aebe20d9bce06db0be45e7d60b2aedc5fdde437c555a42e665ae339f",
+}
+
+
+def test_reports_match_the_pinned_digests():
+    digests = report_digests()
+    assert len(digests) == 3 * len(DIGEST_CASES) + 1
+    assert digests == PINNED_DIGESTS

@@ -3,12 +3,13 @@
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singideal.exact import (RationalMatrix, _clear_denominators, _echelon,
-                             in_span, integer_kernel_basis, integerize,
+from singideal.exact import (RationalMatrix, _echelon, in_span,
+                             integer_kernel_basis, integer_rows, integerize,
                              kernel_basis, kernel_dim, rank, same_subspace,
                              spans_full)
 from singideal.groups import make_group, minimal_subgroups, parse_family
@@ -148,6 +149,44 @@ def test_fraction_entries_cleared_exactly():
     assert dot(rows[0], basis[0]) == 0
 
 
+def test_float_entries_are_taken_exactly():
+    # each float is its exact binary fraction, never truncated to an int
+    assert kernel_basis([[0.5, 1.0]]) == kernel_basis([[Fraction(1, 2), 1]])
+    assert kernel_basis(np.array([[0.5, 1.0]])) == [(Fraction(-2), Fraction(1))]
+    for rows in ([[0.5, 0.25]], np.array([[0.5, 0.25]]), [[Fraction(1, 2), 0.25]]):
+        assert rank(rows) == 1
+    # 2^60 + 1 beside a float: no float64 rounding of the int
+    nums, den = integer_rows([[0.1, 2 ** 60 + 1]])
+    assert den == 2 ** 55 and nums.tolist() == [[Fraction(0.1) * den, (2 ** 60 + 1) * den]]
+    assert integerize([0.1, 0.2]) == integerize([Fraction(0.1), Fraction(0.2)])
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for rows in ([[1, bad]], np.array([[1.0, bad]])):
+            with pytest.raises(ValueError):
+                integer_rows(rows)
+            with pytest.raises(ValueError):
+                rank(rows)
+
+
+def test_integer_rows_dtype_and_denominator():
+    big = 2 ** 63
+    cases = [([[1, -2], [3, 4]], np.int64, 1, [[1, -2], [3, 4]]),
+             ([[Fraction(1, 2), Fraction(-1, 3)]], np.int64, 6, [[3, -2]]),
+             ([[big - 1, -(big - 1)]], np.int64, 1, [[big - 1, -(big - 1)]]),
+             ([[big, 1]], object, 1, [[big, 1]]),
+             ([[Fraction(big, 3), 1]], object, 3, [[big, 3]]),
+             ([[Fraction(1, 2), 2 ** 62]], object, 2, [[1, 2 ** 63]])]
+    for rows, dtype, den, nums in cases:
+        array, d = integer_rows(rows)
+        assert array.dtype == dtype and d == den and array.tolist() == nums
+        assert integer_rows(RationalMatrix.from_rows(rows))[0].tolist() == nums
+    int8 = np.eye(2, dtype=np.int8)
+    assert integer_rows(int8)[0] is int8
+    assert integer_rows([])[0].shape == (0, 0)
+    assert integer_rows(RationalMatrix(0, 3, ()))[0].shape == (0, 3)
+    with pytest.raises(ValueError):
+        integer_rows([[1, 2], [3]])
+
+
 def reference_rref(pivot_cols, pivot_rows):
     """Canonical reduced row echelon form of the pivot rows, in Fractions."""
     rows = [[Fraction(x) for x in r] for r in pivot_rows]
@@ -165,7 +204,7 @@ def reference_rref(pivot_cols, pivot_rows):
 def reference_kernel_basis(rows, cols):
     """The canonical kernel basis read off the Fraction RREF: one vector
     per free column, 1 there and minus the RREF column at the pivots."""
-    pivot_cols, pivot_rows = _echelon([_clear_denominators(r) for r in rows])
+    pivot_cols, pivot_rows = _echelon(integer_rows(rows)[0].tolist())
     rref = reference_rref(pivot_cols, pivot_rows)
     basis = []
     for free in sorted(set(range(cols)) - set(pivot_cols)):

@@ -11,17 +11,16 @@ import pytest
 from singideal import groupoid as groupoid_module
 from singideal.groupoid import (Arrow, FiniteGroupoid, GroupoidFunction,
                                 build_coset_groupoid, convolve, convolve_rows,
-                                delta, function_from_row, integer_rows,
-                                involution, kernel_of_q_basis,
-                                kernel_of_q_dimension, q_map,
-                                reduction_groupoid, restrict_function,
+                                delta, function_from_row, involution,
+                                kernel_of_q_basis, kernel_of_q_dimension,
+                                q_map, reduction_groupoid, restrict_function,
                                 unit_indicator)
 from singideal.groups import (SizeCapError, conjugation_closure, cyclic,
                               dihedral, direct_product, distinct_cosets,
                               make_family, minimal_subgroups,
                               subgroup_generated, symmetric_group)
 from singideal.ideals import algebraic_ideal_kernel
-from singideal.exact import same_subspace
+from singideal.exact import integer_rows, same_subspace
 from singideal.sampling import random_coeffs, random_groupoid_function
 
 
@@ -135,6 +134,40 @@ def test_q_map_examples():
     q1 = q_map(g6, fam6, [0, 1, 0, 0, 0, 0], gpd6)
     target = arrow_by_payload(gpd6, (1, 4))
     assert q1.values[target] == 1 and sum(abs(v) for v in q1.values) == 1
+
+
+def reference_q_map(gpd, coeffs):
+    """The coset sums arrow by arrow, in Fractions."""
+    return tuple(sum((Fraction(coeffs[x]) for x in a.payload), Fraction(0))
+                 for a in gpd.arrows)
+
+
+def test_q_map_matches_the_per_arrow_sums(catalog_cases):
+    rng = random.Random(31)
+    for group, family in catalog_cases:
+        gpd = build_coset_groupoid(group, family)
+        n = group.order
+        small = random_coeffs(rng, n)
+        # sums past 2^53 (the int64 product) and past 2^63 (Python ints)
+        mid = tuple(rng.randrange(-2 ** 55, 2 ** 55) for _ in range(n))
+        huge = tuple(Fraction(rng.randrange(-2 ** 70, 2 ** 70), rng.choice(BIG_DENOMINATORS))
+                     for _ in range(n))
+        for coeffs in (small, mid, huge):
+            out = q_map(group, family, coeffs, gpd).values
+            assert out == reference_q_map(gpd, coeffs), (group.name, family.members)
+            assert all(type(v) is Fraction for v in out)
+    # a groupoid whose arrows are not the family's cosets
+    g6 = cyclic(6)
+    other = build_coset_groupoid(g6, make_family(g6, [(0,)]))
+    with pytest.raises(ValueError):
+        q_map(g6, make_family(g6, [(0, 3)]), [1] * 6, other)
+
+
+def test_q_map_takes_floats_exactly():
+    g2 = cyclic(2)
+    out = q_map(g2, make_family(g2, [(0,)]), [0.1, 0.2]).values
+    assert out == (Fraction(0.1), Fraction(0.2))
+    assert all(type(v) is Fraction for v in out)
 
 
 def test_q_map_is_a_star_homomorphism():
@@ -463,7 +496,8 @@ def test_convolve_rows_batches_match_loop_reference(vectorised_layer_cases,
         rows1, rows2 = small, small[1:] + small[:1]
         for fs1, fs2, dtype in ((rows1, rows2, np.int64),
                                 (rows1[:2] + huge, huge + rows2[:2], object)):
-            (a, den1), (b, den2) = integer_rows(fs1), integer_rows(fs2)
+            (a, den1), (b, den2) = (integer_rows([f.values for f in fs1]),
+                                    integer_rows([f.values for f in fs2]))
             assert a.dtype == b.dtype == dtype
             batches = [(convolve_rows(gpd, a, b), fs1, fs2),
                        (convolve_rows(gpd, a[:1], b), fs1[:1] * len(fs2), fs2),

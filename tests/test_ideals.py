@@ -331,6 +331,13 @@ def test_class_I_check_builds_no_fraction(monkeypatch):
     report = class_I_check(g, family)
     assert report.algebraic_kernel_dim == 180
     assert made == []
+    # int coefficients, int64 or past it, are substituted as they are
+    coeffs = report.witness.coeffs
+    for scale in (1, 2 ** 70):
+        scaled = [c * scale for c in coeffs]
+        assert check_witness(g, family, scaled)
+        assert exact.integer_rows([scaled])[1] == 1
+    assert made == []
     # the counter does see the Fractions of the public rational view
     exact.kernel_basis([[1, 1]])
     assert made

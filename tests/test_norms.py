@@ -101,6 +101,19 @@ def test_reduced_norm_examples():
     assert reduced_norm(gg, f) == pytest.approx(2.0, abs=TOL)
 
 
+def test_float_valued_functions_match_their_fraction_twins():
+    gpd = s3_groupoid()
+    rng = random.Random(17)
+    floats = tuple(rng.uniform(-9, 9) for _ in range(gpd.num_arrows()))
+    f = GroupoidFunction(gpd, floats)
+    twin = GroupoidFunction(gpd, tuple(map(Fraction, floats)))
+    assert reduced_norm(gpd, f) == reduced_norm(gpd, twin)
+    assert function_floats(f).tolist() == list(floats)
+    assert compress_to_units(gpd, f, [0]).values == compress_to_units(gpd, twin, [0]).values
+    assert verify_norm_equation(gpd, [0, 1], f) == verify_norm_equation(gpd, [0, 1], twin)
+    assert convolve(gpd, f, f).values == convolve(gpd, twin, twin).values
+
+
 def test_norm_equation_trivial_cases():
     gpd = s3_groupoid()
     rng = random.Random(2)
