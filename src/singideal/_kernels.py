@@ -1,9 +1,6 @@
-"""The mod-p rank certificate for exact rational ranks.
-
-``rank_mod_p`` is the row-reduction rank of an integer matrix modulo a
-prime.  Rank mod p never exceeds the rational rank, so full column rank
-mod ``CERT_PRIME`` is a sound certificate of full rational column rank.
-"""
+"""``rank_mod_p``, the row-reduction rank of an integer matrix modulo a
+prime: the certificate of exact ranks that the ``exact`` module
+docstring sets out."""
 
 from __future__ import annotations
 

@@ -11,14 +11,16 @@ basis (``integer_kernel_basis``) is reproducible across platforms;
 
 Machine integers enter only through ``integer_product``, exact in
 float64 while every partial sum is an integer below 2^53, and the mod-p
-rank (``_kernels``), a sound certificate: the rank of an integer matrix
-mod p never exceeds its rational rank.  Here, full column rank mod p
-proves full rational column rank, read straight off an integer numpy
-array, and deficient cases fall through to exact elimination on Python
-ints.  ``ideals.class_I_check`` uses the same bound the other way round:
-after substituting the integer kernel basis of dimension d into the
-matrix exactly, a mod-p rank of cols - d proves that the basis spans the
-whole kernel, and a shorter mod-p rank is decided by ``rank``.
+rank (``_kernels``), taken once per matrix, first, by ``_reduce``.  The
+rank of an integer matrix mod p never exceeds its rational rank, so that
+one rank r_p serves two proofs.  r_p == cols proves a trivial kernel
+with no elimination.  And ``_certify_kernel`` proves that the d rows of
+an integer array B are a basis of the kernel: M B = 0 exactly; B is
+independent, by structure when its rows end in distinct columns (in that
+order they are triangular, as the canonical basis always is), else by
+its rank mod p, then exactly; and r_p == cols - d leaves no kernel
+vector out.  A shorter mod-p rank proves nothing and falls back to exact
+elimination: the shortcut to ``_echelon``, the certificate to ``rank``.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ from ._kernels import CERT_PRIME, rank_mod_p
 # integers below these in magnitude convert to float64 exactly, and fit int64
 EXACT_FLOAT_INT = 2 ** 53
 INT64_LIMIT = 2 ** 63
+
+
+class InternalInconsistencyError(RuntimeError):
+    """A kernel consistency check failed: an implementation bug."""
 
 
 @dataclass(frozen=True)
@@ -161,13 +167,15 @@ def _echelon(int_rows: Iterable[List[int]]):
 
 
 def _reduce(m):
-    """(pivot_cols, pivot_rows, cols) of m's exact elimination, or every
-    column and no rows when full column rank mod CERT_PRIME proves it."""
+    """(pivot_cols, pivot_rows, cols, rank_p), rank_p the rank of m mod
+    CERT_PRIME: m's exact elimination, or every column and no rows when
+    rank_p is full column rank."""
     rows = integer_rows(m)[0]
     cols = rows.shape[1]
-    if cols == 0 or len(rows) >= cols and _rank_mod_prime(rows) == cols:
-        return list(range(cols)), [], cols
-    return (*_echelon(rows.tolist()), cols)
+    rank_p = _rank_mod_prime(rows)
+    if rank_p == cols:
+        return list(range(cols)), [], cols, rank_p
+    return (*_echelon(rows.tolist()), cols, rank_p)
 
 
 def _rank_mod_prime(rows: np.ndarray) -> int:
@@ -182,13 +190,18 @@ def rank(m) -> int:
     return len(_reduce(m)[0])
 
 
-def integer_kernel_basis(m) -> List[tuple]:
-    """Canonical basis of the right kernel {x : Mx = 0}: one primitive
-    integer vector (gcd 1, leading entry > 0) per free column of the RREF,
-    in ascending column order.  Back-substitution clears each pivot column
-    from the rows above with the forward step, so the RREF stays integral
-    (Bareiss 1968)."""
-    pivot_cols, rows, cols = _reduce(m)
+def _integer_kernel(m) -> tuple:
+    """(B, rank_p): the canonical basis of the right kernel {x : Mx = 0}
+    as the rows of one integer array, int64 when every entry fits and
+    Python ints otherwise, and m's rank mod CERT_PRIME.  There is one
+    primitive vector (gcd 1, leading entry > 0) per free column of the
+    RREF, in ascending column order.  Back-substitution clears each pivot
+    column from the rows above with the forward step, so the RREF stays
+    integral (Bareiss 1968)."""
+    pivot_cols, rows, cols, rank_p = _reduce(m)
+    free = sorted(set(range(cols)) - set(pivot_cols))
+    if not free:
+        return np.zeros((0, cols), dtype=np.int64), rank_p
     for i in reversed(range(len(rows))):
         for j in range(i):
             if rows[j][pivot_cols[i]]:
@@ -196,14 +209,45 @@ def integer_kernel_basis(m) -> List[tuple]:
     # row i reads p_i x[c_i] + a_i x[free] = 0 when the other free entries
     # are 0; x[free] = lcm(p_i) makes every x[c_i] an integer
     den = lcm(*(r[c] for r, c in zip(rows, pivot_cols)))
-    basis = []
-    for free in sorted(set(range(cols)) - set(pivot_cols)):
-        vec = [0] * cols
-        vec[free] = den
-        for r, c in zip(rows, pivot_cols):
-            vec[c] = -r[free] * (den // r[c])
-        basis.append(tuple(_strip_row(vec)))
-    return basis
+    scale = [den // r[c] for r, c in zip(rows, pivot_cols)]
+    a = integer_rows([[r[f] for f in free] for r in rows]
+                     or np.zeros((0, len(free)), dtype=np.int64))[0]
+    fits = max(den, _max_abs(a) * max(scale, default=0)) < INT64_LIMIT
+    dtype = np.int64 if fits else object
+    basis = np.zeros((len(free), cols), dtype=dtype)
+    basis[np.arange(len(free)), free] = den
+    basis[:, pivot_cols] = -(a.astype(dtype) * np.array(scale, dtype=dtype)[:, None]).T
+    # divide each vector by its gcd, signed by its leading entry
+    lead = basis[np.arange(len(free)), np.argmax(basis != 0, axis=1)]
+    g = np.gcd.reduce(basis, axis=1)
+    basis //= np.where(lead < 0, -g, g)[:, None]
+    if not fits and _max_abs(basis) < INT64_LIMIT:
+        basis = basis.astype(np.int64)
+    return basis, rank_p
+
+
+def _certify_kernel(matrix: np.ndarray, basis: np.ndarray, rank_p: int) -> None:
+    """Raise InternalInconsistencyError unless the rows of ``basis`` are a
+    basis of ker ``matrix``, whose rank mod CERT_PRIME is ``rank_p``; the
+    proof is in the module docstring."""
+    cols, d = matrix.shape[1], len(basis)
+    if d:
+        if integer_product(matrix, basis).any():
+            raise InternalInconsistencyError("a kernel basis vector fails M x = 0")
+        nonzero = basis != 0
+        last = np.sort(cols - 1 - np.argmax(nonzero[:, ::-1], axis=1))
+        triangular = nonzero.any(axis=1).all() and (last[1:] > last[:-1]).all()
+        if not triangular and _rank_mod_prime(basis) < d and rank(basis) < d:
+            raise InternalInconsistencyError("the kernel basis is linearly dependent")
+    if rank_p > cols - d or (rank_p < cols - d and rank(matrix) != cols - d):
+        raise InternalInconsistencyError(
+            f"kernel dimension {d} disagrees with the matrix rank")
+
+
+def integer_kernel_basis(m) -> List[tuple]:
+    """The canonical kernel basis of ``_integer_kernel``: one primitive
+    integer vector per free column, as a tuple of Python ints."""
+    return [tuple(vec) for vec in _integer_kernel(m)[0].tolist()]
 
 
 def kernel_basis(m) -> List[tuple]:
@@ -227,7 +271,7 @@ def kernel_basis(m) -> List[tuple]:
 
 
 def kernel_dim(m) -> int:
-    pivot_cols, _, cols = _reduce(m)
+    pivot_cols, _, cols, _ = _reduce(m)
     return cols - len(pivot_cols)
 
 

@@ -16,21 +16,11 @@ therefore exactly the coset rows, so both kernels are the kernel of one
 and are computed by one elimination in integers; Fractions appear only
 in the public ``exact.kernel_basis`` views.  Two checks that can fail
 back this up: ``_check_entry_sets`` confirms the identity above from the
-Cayley table and the same numbering, and ``_certify_kernel`` proves that
-the integer basis B of dimension d is a basis of ker M in three steps:
-
-* M B = 0, substituted exactly by ``exact.integer_product`` (in float64
-  only where every partial sum is an integer below 2^53);
-* B is independent: each canonical vector's last non-zero entry is at
-  its own free column, so the vectors end in distinct columns and, put
-  in order of those columns, form a triangular matrix; a basis whose
-  vectors do not end in distinct columns has its rank taken mod p, then
-  exactly;
-* rank_mod_p(M) = cols - d, and rank mod p never exceeds the rational
-  rank, so no kernel vector is missing.
-
-A failure of either check is an internal consistency failure, never a
-mathematical outcome.
+Cayley table and the same numbering, and ``exact._certify_kernel``
+proves that the integer basis is a basis of ker M, from the mod-p rank
+the elimination already took (the argument is in the ``exact`` module
+docstring).  A failure of either check is an internal consistency
+failure, never a mathematical outcome.
 """
 
 from __future__ import annotations
@@ -41,17 +31,12 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import exact
-from ._kernels import CERT_PRIME, rank_mod_p
-from .exact import RationalMatrix
+from .exact import InternalInconsistencyError, RationalMatrix
 from .groups import (FiniteGroup, SizeCapError, SubgroupFamily, _prime_mask,
                      coset_index, element_orders, minimal_subgroups)
 
 # the int8 coset matrix takes one byte per entry, 128 MiB at the cap
 MATRIX_ENTRY_CAP = 2 ** 27
-
-
-class InternalInconsistencyError(RuntimeError):
-    """A kernel consistency check failed: an implementation bug."""
 
 
 class NotAbelianError(ValueError):
@@ -143,8 +128,8 @@ def algebraic_ideal_kernel(group: FiniteGroup, family: SubgroupFamily) -> List[t
 
 def integer_witness(group: FiniteGroup, family: SubgroupFamily) -> Optional[GroupAlgebraElement]:
     """Primitive integer element of the algebraic kernel, or None if trivial."""
-    basis = exact.integer_kernel_basis(_coset_matrix(group, family))
-    return GroupAlgebraElement(group, basis[0]) if basis else None
+    basis = exact._integer_kernel(_coset_matrix(group, family))[0]
+    return GroupAlgebraElement(group, tuple(basis[0].tolist())) if len(basis) else None
 
 
 def _coset_sums(group: FiniteGroup, family: SubgroupFamily, coeffs: Sequence) -> tuple:
@@ -262,37 +247,6 @@ def _check_entry_sets(group: FiniteGroup, family: SubgroupFamily) -> None:
             f"sets of the stacked representation")
 
 
-def _certify_kernel(matrix: np.ndarray, basis: List[tuple]) -> None:
-    """Raise unless the integer ``basis`` is a basis of ker ``matrix``.
-
-    The basis vectors are substituted into the matrix exactly
-    (``exact.integer_product``).  Independence is structural when it can
-    be: if the vectors' last non-zero columns are distinct, ordering the
-    vectors by that column makes them triangular, which the canonical RREF
-    basis always is; otherwise their rank is confirmed mod CERT_PRIME,
-    then exactly.  rank_mod_p(M) == cols - d then proves that they span the
-    whole kernel (rank mod p never exceeds the rational rank).  A short
-    mod-p rank is decided by exact elimination, so only a proven
-    disagreement raises.
-    """
-    cols, d = matrix.shape[1], len(basis)
-    if d:
-        b = exact.integer_rows(basis)[0]
-        if exact.integer_product(matrix, b).any():
-            raise InternalInconsistencyError("a kernel basis vector fails M x = 0")
-        nonzero = b != 0
-        last = np.sort(cols - 1 - np.argmax(nonzero[:, ::-1], axis=1))
-        triangular = nonzero.any(axis=1).all() and (last[1:] > last[:-1]).all()
-        if (not triangular and exact._rank_mod_prime(b) < d
-                and exact.rank(b) < d):
-            raise InternalInconsistencyError("the kernel basis is linearly dependent")
-    image_rank = rank_mod_p(matrix, CERT_PRIME)
-    if image_rank > cols - d or (image_rank < cols - d
-                                 and exact.rank(matrix) != cols - d):
-        raise InternalInconsistencyError(
-            f"kernel dimension {d} disagrees with the matrix rank")
-
-
 def full_ideal_kernel(group: FiniteGroup, family: SubgroupFamily) -> List[tuple]:
     """Basis of the joint kernel of the stacked quasi-regular representations.
 
@@ -319,10 +273,10 @@ def class_I_check(group: FiniteGroup, family: SubgroupFamily) -> IdealReport:
     """
     matrix = _coset_matrix(group, family)
     _check_entry_sets(group, family)
-    basis = exact.integer_kernel_basis(matrix)
-    _certify_kernel(matrix, basis)
+    basis, rank_p = exact._integer_kernel(matrix)
+    exact._certify_kernel(matrix, basis, rank_p)
     dim = len(basis)
-    witness = GroupAlgebraElement(group, basis[0]) if basis else None
+    witness = GroupAlgebraElement(group, tuple(basis[0].tolist())) if dim else None
     # the certified kernel is both the algebraic and the full kernel, so
     # either it is trivial (weak containment) or it holds a witness
     return IdealReport(

@@ -410,8 +410,8 @@ def test_cli_fuzz_exit_codes(command, group_spec, family_spec, depth):
         assert code == EXIT_PARSE
 
 
-# a spread of the tier-1 catalog, S5 minimal and C360 {[0,180]}: the
-# reports whose bytes every refactor must keep
+# a spread of the tier-1 catalog, S5, D50 and C2^6 minimal and C360
+# {[0,180]}: the reports whose bytes every refactor must keep
 DIGEST_CASES = [
     ("C1", {"kind": "cyclic", "n": 1}, {"subgroups": [[0]]}),
     ("C2", {"kind": "cyclic", "n": 2}, {"subgroups": [[0, 1]]}),
@@ -434,6 +434,9 @@ DIGEST_CASES = [
     ("D5", {"kind": "dihedral", "n": 5}, {"minimal": True}),
     ("Q8", {"kind": "quaternion8"}, {"minimal": True}),
     ("S5", {"kind": "symmetric", "n": 5}, {"minimal": True}),
+    ("D50", {"kind": "dihedral", "n": 50}, {"minimal": True}),
+    ("C2^6", {"kind": "product", "factors": [{"kind": "cyclic", "n": 2}] * 6},
+     {"minimal": True}),
     ("C360", {"kind": "cyclic", "n": 360}, {"subgroups": [[0, 180]]}),
 ]
 
@@ -456,7 +459,8 @@ def report_digests():
 
 
 # recorded before the exact layer took over every rational-to-integer
-# conversion; a change that moves a byte of these reports fails here
+# conversion (D50 and C2^6 before the kernel certificate moved into it);
+# a change that moves a byte of these reports fails here
 PINNED_DIGESTS = {
     'ai-atlas 16':
         "9b8018ced3b0b6ff7598abedd8427fd2e412156f3f5587db7de8b7d7f5ee14c0",
@@ -562,6 +566,18 @@ PINNED_DIGESTS = {
         "e5e32bcd98fb01ca8eb528c223dba6f184e4a133b85d26a65e8f790f3b805315",
     'hls S5 {"minimal": true}':
         "90cfd7c51367a7b59e0df3099f29ef23eab7de08d0042831734cda3b4ac938e6",
+    'analyze D50 {"minimal": true}':
+        "36c9aaed0178a0bb6ff736d031ce7f42093641dd12f14ab6bbf3bac39704cd68",
+    'witness D50 {"minimal": true}':
+        "e5e32bcd98fb01ca8eb528c223dba6f184e4a133b85d26a65e8f790f3b805315",
+    'hls D50 {"minimal": true}':
+        "05fb0f2b9d3134522233118a0c3b614944fdc5f2ecd70d0b240a694f46a40b25",
+    'analyze C2^6 {"minimal": true}':
+        "f86b6636d13a5597ab90de09d400ac9128ccdd9518ab9148753be8216d073ec3",
+    'witness C2^6 {"minimal": true}':
+        "e5e32bcd98fb01ca8eb528c223dba6f184e4a133b85d26a65e8f790f3b805315",
+    'hls C2^6 {"minimal": true}':
+        "13c169206b3399d242e55ca24abc9face1c38194d019f9663f9ac1bb11a5c5f6",
     'analyze C360 {"subgroups": [[0, 180]]}':
         "edcd5dd7625e8e0fd0dbdd2e08238dcf3a2d367945b3ebef1479122284b92355",
     'witness C360 {"subgroups": [[0, 180]]}':

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singideal.exact import (RationalMatrix, _echelon, in_span,
-                             integer_kernel_basis, integer_rows, integerize,
+from singideal.exact import (RationalMatrix, _echelon, _integer_kernel,
+                             in_span, integer_kernel_basis, integer_rows, integerize,
                              kernel_basis, kernel_dim, rank, same_subspace,
                              spans_full)
 from singideal.groups import make_group, minimal_subgroups, parse_family
@@ -256,3 +256,25 @@ def test_kernel_basis_matches_the_fraction_rref(rows):
     # negative and fractional entries: sign flips in _strip_row and
     # pivots other than 1, which the 0/1 coset matrices never produce
     assert_canonical_basis(rows, rows, len(rows[0]))
+
+
+def test_integer_kernel_is_one_array():
+    """_integer_kernel's rows are integer_kernel_basis, in an int64 array
+    exactly when every entry fits, beside the rank mod p."""
+    big = 2 ** 32 + 15
+    cases = [
+        ([[1, 1]], np.int64),
+        ([[2 ** 70, 1]], object),
+        # a bound past 2^63 on the products, every entry below it
+        ([[big, 0, big, 1], [0, 1, 0, 1]], np.int64),
+        ([[0, 0, 0]], np.int64),
+        ([[1, 0], [0, 1]], np.int64),
+    ]
+    for m, dtype in cases:
+        basis, rank_p = _integer_kernel(m)
+        assert basis.dtype == dtype, m
+        assert basis.shape == (kernel_dim(m), len(m[0]))
+        assert [tuple(v) for v in basis.tolist()] == integer_kernel_basis(m)
+        assert rank_p == rank(m)
+    assert integer_kernel_basis([[big, 0, big, 1], [0, 1, 0, 1]]) == [
+        (1, 0, -1, 0), (1, big, 0, -big)]

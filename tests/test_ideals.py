@@ -1,26 +1,27 @@
 """Kernel computations, witnesses and the intersection-property verdicts."""
 
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from singideal import exact
+from singideal import _kernels, exact
 from singideal.atlas import abelian_groups_of_order
 from singideal.cli import EXIT_INCONSISTENT, main
-from singideal.exact import in_span, same_subspace, spans_full
+from singideal.exact import _certify_kernel, in_span, same_subspace, spans_full
 from singideal.groups import (SubgroupFamily, conjugation_closure,
                               coset_index, cosets_of_subgroup, cyclic,
-                              direct_product, distinct_cosets,
+                              dihedral, direct_product, distinct_cosets,
                               enumerate_subgroups, make_family,
                               minimal_subgroups, quaternion_group,
                               restrict_family, subgroup_generated,
                               symmetric_group)
 from singideal.ideals import (GroupAlgebraElement, IdealReport,
                               InternalInconsistencyError, NotAbelianError,
-                              _certify_kernel, _check_entry_sets,
+                              _check_entry_sets,
                               _coset_matrix, abelian_AI_criterion,
                               algebraic_ideal_kernel, check_witness,
                               class_I_check, coset_constraint_matrix,
@@ -180,16 +181,26 @@ def test_stacked_representation_rows_are_the_coset_rows(catalog_cases):
         assert stacked == coset_rows, (group.name, family.members)
 
 
+def patch_kernel(monkeypatch, change):
+    """Hand class_I_check the basis change(B) in place of the basis B of
+    exact._integer_kernel, with the rank mod p that the elimination took."""
+    real = exact._integer_kernel
+
+    def changed(m):
+        basis, rank_p = real(m)
+        return change(basis), rank_p
+    monkeypatch.setattr(exact, "_integer_kernel", changed)
+
+
 @pytest.mark.parametrize("change", [
     lambda basis: basis[:-1],
-    lambda basis: basis + [(1, 0, 0, 0)],
+    lambda basis: np.vstack([basis, [(1, 0, 0, 0)]]),
 ], ids=["drop-a-vector", "append-a-non-kernel-vector"])
 def test_kernel_certificate_catches_a_wrong_basis(monkeypatch, capsys, change):
     g4 = cyclic(4)
     family = make_family(g4, [(0, 2)])
     assert class_I_check(g4, family).algebraic_kernel_dim == 2
-    real = exact.integer_kernel_basis
-    monkeypatch.setattr(exact, "integer_kernel_basis", lambda m: change(real(m)))
+    patch_kernel(monkeypatch, change)
     with pytest.raises(InternalInconsistencyError):
         class_I_check(g4, family)
     code = main(["analyze", "--group", '{"kind":"cyclic","n":4}',
@@ -203,10 +214,11 @@ def test_kernel_certificate_beyond_int64():
     g2 = cyclic(2)
     matrix = _coset_matrix(g2, make_family(g2, [(0, 1)]))
     assert matrix.dtype == np.int8
+    rank_p = exact._integer_kernel(matrix)[1]
     big = 2 ** 70
-    _certify_kernel(matrix, [(big, -big)])
+    _certify_kernel(matrix, np.array([(big, -big)], dtype=object), rank_p)
     with pytest.raises(InternalInconsistencyError):
-        _certify_kernel(matrix, [(big, 1 - big)])
+        _certify_kernel(matrix, np.array([(big, 1 - big)], dtype=object), rank_p)
 
 
 @pytest.fixture
@@ -215,7 +227,7 @@ def c12_kernel():
     g12 = cyclic(12)
     family = make_family(g12, [(0, 6)])
     matrix = _coset_matrix(g12, family)
-    return g12, family, matrix, exact.integer_kernel_basis(matrix)
+    return (g12, family, matrix, *exact._integer_kernel(matrix))
 
 
 def count_calls(monkeypatch, module, name):
@@ -230,38 +242,68 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_kernel_certificate_independence_can_fail(monkeypatch, c12_kernel):
-    group, family, matrix, basis = c12_kernel
+    group, family, matrix, basis, rank_p = c12_kernel
     assert len(basis) == 6
-    fallback = count_calls(monkeypatch, exact, "_rank_mod_prime")
+    ranks = count_calls(monkeypatch, exact, "_rank_mod_prime")
     # the canonical basis is triangular: no elimination proves independence
-    _certify_kernel(matrix, basis)
-    assert fallback == []
-    real = exact.integer_kernel_basis
+    _certify_kernel(matrix, basis, rank_p)
+    assert ranks == []
     # one vector repeated: still in the kernel, but dependent
-    monkeypatch.setattr(exact, "integer_kernel_basis",
-                        lambda m: [real(m)[0], *real(m)[:-1]])
+    patch_kernel(monkeypatch, lambda b: np.vstack([b[:1], b[:-1]]))
     with pytest.raises(InternalInconsistencyError, match="linearly dependent"):
         class_I_check(group, family)
     # (v1 + v2, v2, ...) is independent, but its first two vectors end in
     # the same column, so the mod-p rank decides, and passes
-    recombined = [tuple(x + y for x, y in zip(basis[0], basis[1])), *basis[1:]]
-    monkeypatch.setattr(exact, "integer_kernel_basis", lambda m: recombined)
-    fallback.clear()
+    recombined = np.vstack([basis[:1] + basis[1:2], basis[1:]])
+    patch_kernel(monkeypatch, lambda b: recombined)
+    ranks.clear()
     assert class_I_check(group, family).algebraic_kernel_dim == 6
-    assert len(fallback) == 1
+    # one mod-p rank of the coset matrix, in _reduce, and one of the basis
+    assert len([args for args in ranks if args[0] is recombined]) == 1
+    assert len(ranks) == 2
 
 
 def test_kernel_certificate_exact_past_float_range(c12_kernel):
     # bound 2^54 times row weight 2 is past 2^53, where float64 sums stop
     # being exact; the int64 substitution still sees a one-unit error
-    _, _, matrix, basis = c12_kernel
-    scaled = [tuple(x * 2 ** 54 for x in v) for v in basis]
-    _certify_kernel(matrix, scaled)
-    perturbed = [tuple(x + (i == 0) for i, x in enumerate(scaled[0])), *scaled[1:]]
-    as_floats = matrix.astype(np.float64) @ np.array(perturbed, dtype=np.float64).T
+    _, _, matrix, basis, rank_p = c12_kernel
+    scaled = basis * 2 ** 54
+    _certify_kernel(matrix, scaled, rank_p)
+    perturbed = scaled.copy()
+    perturbed[0, 0] += 1
+    as_floats = matrix.astype(np.float64) @ perturbed.T.astype(np.float64)
     assert not as_floats.any()
     with pytest.raises(InternalInconsistencyError, match="fails M x = 0"):
-        _certify_kernel(matrix, perturbed)
+        _certify_kernel(matrix, perturbed, rank_p)
+
+
+@pytest.mark.parametrize("shortcut", [False, True], ids=["C12-{0,6}", "S4-minimal"])
+def test_kernel_certificate_reads_the_elimination_rank(monkeypatch, shortcut):
+    """The certificate takes its mod-p rank from exact._reduce: one too
+    high must raise, one too low must be decided by exact.rank, and pass.
+    S4 minimal has a trivial kernel, settled by the full-column-rank
+    shortcut; C12 {0, 6} has a 6-dimensional one."""
+    group = symmetric_group(4) if shortcut else cyclic(12)
+    family = (minimal_subgroups(group) if shortcut
+              else make_family(group, [(0, 6)]))
+    matrix = _coset_matrix(group, family)
+    dim = class_I_check(group, family).algebraic_kernel_dim
+    assert (dim == 0) == shortcut
+    real = exact._reduce
+
+    def shift_rank(by):
+        def shifted(m):
+            pivot_cols, rows, cols, rank_p = real(m)
+            return pivot_cols, rows, cols, rank_p + by
+        monkeypatch.setattr(exact, "_reduce", shifted)
+
+    shift_rank(1)
+    with pytest.raises(InternalInconsistencyError, match="disagrees with the matrix rank"):
+        class_I_check(group, family)
+    shift_rank(-1)
+    exact_ranks = count_calls(monkeypatch, exact, "rank")
+    assert class_I_check(group, family).algebraic_kernel_dim == dim
+    assert len(exact_ranks) == 1 and np.array_equal(exact_ranks[0][0], matrix)
 
 
 def test_entry_set_check_memory_on_c5040():
@@ -296,7 +338,7 @@ def test_entry_set_check_rejects_a_member_that_is_no_subgroup():
 
 
 def test_class_I_check_eliminates_once(monkeypatch, catalog_cases):
-    calls = {"integer_kernel_basis": [], "kernel_basis": []}
+    calls = {"_integer_kernel": [], "kernel_basis": []}
 
     def counting(name):
         real = getattr(exact, name)
@@ -312,8 +354,33 @@ def test_class_I_check_eliminates_once(monkeypatch, catalog_cases):
         for seen in calls.values():
             seen.clear()
         class_I_check(group, family)
-        assert len(calls["integer_kernel_basis"]) == 1, (group.name, family.members)
+        assert len(calls["_integer_kernel"]) == 1, (group.name, family.members)
         assert calls["kernel_basis"] == [], (group.name, family.members)
+
+
+def test_class_I_check_takes_one_mod_p_rank(monkeypatch, catalog_cases):
+    """One rank mod p per coset matrix, counted through every singideal
+    module that binds _kernels.rank_mod_p: the shortcut and the kernel
+    certificate read the same rank."""
+    calls = []
+    real = _kernels.rank_mod_p
+
+    def counting(mat, p):
+        calls.append(mat.shape)
+        return real(mat, p)
+    for name, module in list(sys.modules.items()):
+        if ((name == "singideal" or name.startswith("singideal."))
+                and getattr(module, "rank_mod_p", None) is real):
+            monkeypatch.setattr(module, "rank_mod_p", counting)
+    c2 = cyclic(2)
+    large = [(g, minimal_subgroups(g)) for g in
+             (symmetric_group(5), dihedral(50), direct_product([c2] * 6))]
+    c360 = cyclic(360)
+    cases = [*catalog_cases, *large, (c360, make_family(c360, [(0, 180)]))]
+    for group, family in cases:
+        calls.clear()
+        class_I_check(group, family)
+        assert len(calls) == 1, (group.name, family.members, calls)
 
 
 def test_class_I_check_builds_no_fraction(monkeypatch):
