@@ -94,7 +94,8 @@ class FiniteGroupoid:
         return tuple(unit_arrows)
 
     def _regular_index_blocks(self):
-        """(stacks, per-unit views into them) of the left-regular index blocks."""
+        """(stacks, per-unit views into them) of the left-regular index
+        blocks; an entry g h^-1, for g and h with one source, is always defined."""
         dims = sorted({len(v) for v in self.arrows_by_source})
         stacks, blocks = [], [None] * len(self.units)
         for d in dims:
@@ -211,8 +212,10 @@ def build_coset_groupoid(group: FiniteGroup, family: SubgroupFamily) -> FiniteGr
     ranges = []
     for sub, y in zip(family.members, np.split(reps, np.cumsum(index)[:-1])):
         conjugates = np.sort(table[table[y[:, None], list(sub)], inv[y][:, None]], axis=1)
-        # a conjugate outside the family raises KeyError
-        ranges += [unit_index[row] for row in map(tuple, conjugates.tolist())]
+        ranges += [unit_index.get(row, -1) for row in map(tuple, conjugates.tolist())]
+        if -1 in ranges[-len(y):]:
+            raise ValueError(f"a conjugate of {list(sub)} in {group.name} is not "
+                             f"a family member")
 
     arrows = [Arrow(i, s, r, c.elements)
               for i, (s, r, c) in enumerate(zip(sources.tolist(), ranges, cosets))]

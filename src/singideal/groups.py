@@ -5,10 +5,16 @@ Constructors define canonical element orderings (cyclic: residues,
 products: mixed radix with the leftmost factor most significant,
 symmetric: lexicographic permutations) so that kernels, witnesses and
 reports downstream are reproducible byte for byte.
+
+Subgroup tests and conjugation are table gathers, conjugation over one
+representative per left coset: a parsed subgroup may hold thousands of
+elements, and |X|^2 Python calls or |G| conjugates of it cost seconds
+and hundreds of MiB before any coset matrix exists.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -203,15 +209,15 @@ def quaternion_group() -> FiniteGroup:
     return FiniteGroup(table, name="Q8")
 
 
-def direct_product(factors: Sequence[FiniteGroup], max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def direct_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
     """Direct product with mixed-radix element indexing, leftmost factor most significant."""
     if not factors:
         return cyclic(1)
     order = 1
     for g in factors:
         order *= g.order
-    if order > max_order:
-        raise SizeCapError(f"product order {order} exceeds cap {max_order}")
+    if order > DEFAULT_ORDER_CAP:
+        raise SizeCapError(f"product order {order} exceeds cap {DEFAULT_ORDER_CAP}")
     table = np.zeros((1, 1), dtype=np.int32)
     for g in factors:
         m = g.order
@@ -222,16 +228,16 @@ def direct_product(factors: Sequence[FiniteGroup], max_order: int = DEFAULT_ORDE
     return FiniteGroup(table, name=name)
 
 
-def cayley_group(table, name: str = "cayley", max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def cayley_group(table) -> FiniteGroup:
     table = np.asarray(table)
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise GroupTableError("Cayley table must be square")
-    if table.shape[0] > max_order:
-        raise SizeCapError(f"explicit table order exceeds cap {max_order}")
-    return FiniteGroup(table, name=f"{name}[{table.shape[0]}]", check_associativity=True)
+    if table.shape[0] > DEFAULT_ORDER_CAP:
+        raise SizeCapError(f"explicit table order exceeds cap {DEFAULT_ORDER_CAP}")
+    return FiniteGroup(table, name=f"cayley[{table.shape[0]}]", check_associativity=True)
 
 
-def make_group(spec: dict, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def make_group(spec: dict) -> FiniteGroup:
     """Build a group from a JSON-style specification dict.
 
     Supported kinds: {"kind": "cyclic", "n": 6}, {"kind": "product",
@@ -244,18 +250,17 @@ def make_group(spec: dict, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     kind = spec["kind"]
     if kind == "cyclic":
         n = _spec_int(spec["n"], "n")
-        if n > max_order:
-            raise SizeCapError(f"order {n} exceeds cap {max_order}")
+        if n > DEFAULT_ORDER_CAP:
+            raise SizeCapError(f"order {n} exceeds cap {DEFAULT_ORDER_CAP}")
         return cyclic(n)
     if kind == "product":
-        factors = [make_group(f, max_order=max_order) for f in spec["factors"]]
-        return direct_product(factors, max_order=max_order)
+        return direct_product([make_group(f) for f in spec["factors"]])
     if kind == "symmetric":
         return symmetric_group(_spec_int(spec["n"], "n"))
     if kind == "dihedral":
         n = _spec_int(spec["n"], "n")
-        if 2 * n > max_order:
-            raise SizeCapError(f"order {2 * n} exceeds cap {max_order}")
+        if 2 * n > DEFAULT_ORDER_CAP:
+            raise SizeCapError(f"order {2 * n} exceeds cap {DEFAULT_ORDER_CAP}")
         return dihedral(n)
     if kind == "quaternion8":
         return quaternion_group()
@@ -264,10 +269,9 @@ def make_group(spec: dict, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         if not (isinstance(rows, list) and rows and all(
                 isinstance(row, list) and len(row) == len(rows) for row in rows)):
             raise GroupTableError("Cayley table must be square")
-        if len(rows) > max_order:
-            raise SizeCapError(f"explicit table order exceeds cap {max_order}")
-        table = [[_spec_int(x, "table entry") for x in row] for row in rows]
-        return cayley_group(table, max_order=max_order)
+        if len(rows) > DEFAULT_ORDER_CAP:
+            raise SizeCapError(f"explicit table order exceeds cap {DEFAULT_ORDER_CAP}")
+        return cayley_group([[_spec_int(x, "table entry") for x in row] for row in rows])
     raise ValueError(f"unknown group kind {kind!r}")
 
 
@@ -332,10 +336,12 @@ def element_orders(group: FiniteGroup) -> np.ndarray:
 
 
 def is_subgroup(group: FiniteGroup, elems: Sequence[int]) -> bool:
-    s = set(elems)
-    if 0 not in s:
-        return False
-    return all(group.mul(a, b) in s for a in s for b in s)
+    """``elems`` (repeats allowed) holds 0 and is closed under the product:
+    one membership mask and one |X| x |X| gather of the table."""
+    member = np.zeros(group.order, dtype=bool)
+    member[np.asarray(elems, dtype=np.intp)] = True
+    x = np.flatnonzero(member)
+    return bool(member[0] and member[group.table[x[:, None], x]].all())
 
 
 def _require_subgroup(group: FiniteGroup, sub: Sequence[int]) -> None:
@@ -349,11 +355,11 @@ def _require_subgroup(group: FiniteGroup, sub: Sequence[int]) -> None:
         raise ValueError(f"{tuple(sub)} is not a subgroup")
 
 
-def enumerate_subgroups(group: FiniteGroup, max_order: int = DEFAULT_LATTICE_CAP) -> list:
+def enumerate_subgroups(group: FiniteGroup) -> list:
     """All subgroups, each once, sorted by size then lexicographically."""
-    if group.order > max_order:
-        raise SizeCapError(
-            f"subgroup enumeration capped at order {max_order}; got {group.order}")
+    if group.order > DEFAULT_LATTICE_CAP:
+        raise SizeCapError(f"subgroup enumeration capped at order "
+                           f"{DEFAULT_LATTICE_CAP}; got {group.order}")
     found = {(0,)}
     frontier = [(0,)]
     while frontier:
@@ -372,10 +378,14 @@ def enumerate_subgroups(group: FiniteGroup, max_order: int = DEFAULT_LATTICE_CAP
 
 
 def _conjugates(group: FiniteGroup, sub: Sequence[int]) -> set:
-    """The distinct conjugates g X g^-1 of one subgroup, as sorted tuples:
-    one (|G| x |X|) gather, its rows sorted, then the set of rows."""
-    rows = group.table[group.table[:, list(sub)], group.inverse[:, None]]
-    return set(map(tuple, np.sort(rows, axis=1).tolist()))
+    """The distinct conjugates y X y^-1 of one subgroup, as sorted tuples:
+    y X y^-1 depends only on the coset y X, so y runs over the g with
+    min(g X) = g = table[0, g], one per left coset ([G:X] gathered rows)."""
+    table = group.table
+    left = table[:, list(sub)]
+    reps = (left.min(axis=1) == table[0]).nonzero()[0]
+    rows = np.sort(table[left[reps], group.inverse[reps, None]], axis=1)
+    return set(map(tuple, rows.tolist()))
 
 
 @dataclass(frozen=True)
@@ -415,17 +425,14 @@ def make_family(group: FiniteGroup, subgroups: Iterable[Sequence[int]],
     warning unless ``auto_close`` is False, in which case they are rejected.
     """
     members = _canonical_members(subgroups)
-    for sub in members:
-        _require_subgroup(group, sub)
-    closed = _canonical_members(conj for sub in members for conj in _conjugates(group, sub))
-    if closed != members:
+    family = conjugation_closure(group, members)
+    if family.members != members:
         if not auto_close:
             raise FamilyNotInvariantError(
                 "subgroup family is not conjugation invariant")
         warnings.warn("subgroup family was not conjugation invariant; "
                       "closed it under conjugation", stacklevel=2)
-        members = closed
-    return SubgroupFamily(group, members)
+    return family
 
 
 def conjugation_closure(group: FiniteGroup, seeds: Iterable[Sequence[int]]) -> SubgroupFamily:
@@ -460,20 +467,14 @@ def minimal_subgroups(group: FiniteGroup) -> SubgroupFamily:
 
 
 def _prime_mask(values: np.ndarray) -> np.ndarray:
-    """values[i] is prime, for an array of positive integers."""
-    prime = np.array([_is_prime(k) for k in range(int(values.max()) + 1)])
+    """values[i] is prime, for an array of positive integers: one sieve
+    of Eratosthenes up to the largest value."""
+    prime = np.ones(int(values.max()) + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, math.isqrt(len(prime) - 1) + 1):
+        if prime[p]:
+            prime[p * p::p] = False
     return prime[values]
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def normal_closure_subgroup(group: FiniteGroup, family: SubgroupFamily) -> tuple:
@@ -551,8 +552,8 @@ def subgroup_as_group(group: FiniteGroup, sub: Sequence[int]) -> FiniteGroup:
     """The subgroup as a standalone group, re-indexed in sorted element order."""
     sub = tuple(sorted(sub))
     _require_subgroup(group, sub)
-    pos = {x: i for i, x in enumerate(sub)}
-    table = [[pos[group.mul(a, b)] for b in sub] for a in sub]
+    x = np.array(sub, dtype=np.intp)
+    table = np.searchsorted(x, group.table[x[:, None], x])
     return FiniteGroup(table, name=f"{group.name}|{list(sub)}")
 
 

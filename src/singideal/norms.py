@@ -56,13 +56,6 @@ def _row_floats(nums: np.ndarray, den: int) -> np.ndarray:
                     dtype=np.float64).reshape(nums.shape)
 
 
-def _padded(floats: np.ndarray) -> np.ndarray:
-    """(functions, arrows + 1) float values; column -1 = undefined product."""
-    vals = np.zeros((floats.shape[0], floats.shape[1] + 1))
-    vals[:, :-1] = floats
-    return vals
-
-
 class NormBlock(NamedTuple):
     """A batch of functions as integer rows over one denominator, and as floats."""
 
@@ -91,7 +84,7 @@ def regular_rep_matrix(groupoid: FiniteGroupoid, f: GroupoidFunction,
     """
     if not 0 <= unit < len(groupoid.units):
         raise ValueError(f"unit {unit} not found")
-    return _padded(function_floats(f)[None])[0][groupoid._rep_blocks[unit]]
+    return function_floats(f)[groupoid._rep_blocks[unit]]
 
 
 def _gram_tops(a: np.ndarray) -> np.ndarray:
@@ -114,8 +107,8 @@ def spectral_norm(m) -> float:
 
 
 def _reduced_norms(groupoid: FiniteGroupoid, vals: np.ndarray) -> List[float]:
-    """Reduced norm of every row of the padded floats ``vals``, stack by
-    stack in chunks."""
+    """Reduced norm of every row of the (functions x arrows) floats
+    ``vals``, stack by stack in chunks."""
     tops = np.zeros(len(vals))
     for stack in groupoid._rep_stacks:
         per = max(1, NORM_BATCH // stack.size)
@@ -129,7 +122,7 @@ def _reduced_norms(groupoid: FiniteGroupoid, vals: np.ndarray) -> List[float]:
 
 def reduced_norm(groupoid: FiniteGroupoid, f: GroupoidFunction) -> float:
     """Sup over units of the operator norm of left convolution by f."""
-    return _reduced_norms(groupoid, _padded(function_floats(f)[None]))[0]
+    return _reduced_norms(groupoid, function_floats(f)[None])[0]
 
 
 def _compress(groupoid: FiniteGroupoid, nums: np.ndarray,
@@ -167,9 +160,9 @@ def block_residuals(groupoid: FiniteGroupoid, units: Sequence[int],
     if not np.array_equal(_compress(groupoid, nums, units), np.where(outside, 0, nums)):
         raise InternalInconsistencyError(
             f"p f p over units {units} is not f restricted to the reduction")
-    lhs = _reduced_norms(reduced, _padded(block.floats[:, kept]))
+    lhs = _reduced_norms(reduced, block.floats[:, kept])
     # p f p is f masked to the kept arrows, and so are its floats
-    rhs = _reduced_norms(groupoid, _padded(np.where(outside, 0.0, block.floats)))
+    rhs = _reduced_norms(groupoid, np.where(outside, 0.0, block.floats))
     return [abs(a - b) for a, b in zip(lhs, rhs)]
 
 

@@ -440,15 +440,28 @@ DIGEST_CASES = [
     ("C360", {"kind": "cyclic", "n": 360}, {"subgroups": [[0, 180]]}),
 ]
 
+# the norm-sweep normcheck cases: their residuals pin the float bits of
+# the reduced norms on both sides of every norm equation
+NORMCHECK_DIGEST_CASES = [
+    ("S4", {"kind": "symmetric", "n": 4}, {"minimal": True}),
+    ("D6", {"kind": "dihedral", "n": 6}, {"minimal": True}),
+    ("C70", {"kind": "cyclic", "n": 70}, {"subgroups": [[0]]}),
+]
+
 
 def report_digests():
     """SHA-256 of the stdout of analyze, witness and hls --depth 3 on every
-    DIGEST_CASES entry, and of ai-atlas --max-order 16."""
+    DIGEST_CASES entry, of normcheck --trials 20 --seed 0 on every
+    NORMCHECK_DIGEST_CASES entry, and of ai-atlas --max-order 16."""
     runs = {"ai-atlas 16": ["ai-atlas", "--max-order", "16"]}
     for name, group, family in DIGEST_CASES:
         spec = ["--group", json.dumps(group), "--family", json.dumps(family)]
         for command, extra in (("analyze", []), ("witness", []), ("hls", ["--depth", "3"])):
             runs[f"{command} {name} {json.dumps(family)}"] = [command, *spec, *extra]
+    for name, group, family in NORMCHECK_DIGEST_CASES:
+        runs[f"normcheck {name} {json.dumps(family)}"] = [
+            "normcheck", "--group", json.dumps(group), "--family", json.dumps(family),
+            "--trials", "20", "--seed", "0"]
     digests = {}
     for key, argv in runs.items():
         out = io.StringIO()
@@ -459,7 +472,8 @@ def report_digests():
 
 
 # recorded before the exact layer took over every rational-to-integer
-# conversion (D50 and C2^6 before the kernel certificate moved into it);
+# conversion (D50 and C2^6 before the kernel certificate moved into it,
+# normcheck before the regular representation stopped padding its floats);
 # a change that moves a byte of these reports fails here
 PINNED_DIGESTS = {
     'ai-atlas 16':
@@ -584,10 +598,16 @@ PINNED_DIGESTS = {
         "2e74ec5fca67bcc2f1dbde0d7d68f039a1289d177918267284ab0fb4c27fd1b3",
     'hls C360 {"subgroups": [[0, 180]]}':
         "d1a48770aebe20d9bce06db0be45e7d60b2aedc5fdde437c555a42e665ae339f",
+    'normcheck S4 {"minimal": true}':
+        "f79e0da6e86b5eb775e2f3e4a47425879cba660f31a302274a3954a4a2f71c01",
+    'normcheck D6 {"minimal": true}':
+        "3807590a7b2ba435868fa67e8e1a6c8a284697449d1b3e00791b90aea5427870",
+    'normcheck C70 {"subgroups": [[0]]}':
+        "12b45609bf6a804c2a73624ab1dda9430c12ea3c9607f52fbf52dd8806a4c75a",
 }
 
 
 def test_reports_match_the_pinned_digests():
     digests = report_digests()
-    assert len(digests) == 3 * len(DIGEST_CASES) + 1
+    assert len(digests) == 3 * len(DIGEST_CASES) + len(NORMCHECK_DIGEST_CASES) + 1
     assert digests == PINNED_DIGESTS

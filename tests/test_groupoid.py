@@ -15,10 +15,11 @@ from singideal.groupoid import (Arrow, FiniteGroupoid, GroupoidFunction,
                                 kernel_of_q_basis, kernel_of_q_dimension,
                                 q_map, reduction_groupoid, restrict_function,
                                 unit_indicator)
-from singideal.groups import (SizeCapError, conjugation_closure, cyclic,
-                              dihedral, direct_product, distinct_cosets,
-                              make_family, minimal_subgroups,
-                              subgroup_generated, symmetric_group)
+from singideal.groups import (SizeCapError, SubgroupFamily,
+                              conjugation_closure, cyclic, dihedral,
+                              direct_product, distinct_cosets, make_family,
+                              minimal_subgroups, subgroup_generated,
+                              symmetric_group)
 from singideal.ideals import algebraic_ideal_kernel
 from singideal.exact import integer_rows, same_subspace
 from singideal.sampling import random_coeffs, random_groupoid_function
@@ -59,6 +60,14 @@ def test_whole_group_family_single_arrow():
     g6 = cyclic(6)
     gpd = build_coset_groupoid(g6, make_family(g6, [tuple(range(6))]))
     assert len(gpd.units) == 1 and gpd.num_arrows() == 1
+
+
+def test_non_invariant_family_is_rejected_with_a_message():
+    s3 = symmetric_group(3)
+    # (0, 1) is a subgroup of order 2 whose conjugates are left out
+    with pytest.raises(ValueError,
+                       match=r"^a conjugate of \[0, 1\] in S3 is not a family member$"):
+        build_coset_groupoid(s3, SubgroupFamily(s3, ((0, 1),)))
 
 
 def test_s3_coset_groupoid_shape_and_axioms():

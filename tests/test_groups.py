@@ -22,9 +22,40 @@ from singideal.groups import (Coset, FamilyNotInvariantError, FiniteGroup,
                               quaternion_group, restrict_family,
                               subgroup_as_group, subgroup_generated,
                               symmetric_group)
-from singideal.groups import _associativity_failure
+from singideal.groups import (DEFAULT_LATTICE_CAP, DEFAULT_ORDER_CAP,
+                              _associativity_failure, _conjugates, _prime_mask)
 import singideal.atlas
 from singideal.atlas import abelian_groups_of_order
+
+
+# the per-pair and all-|G| subgroup routines the table gathers replaced,
+# kept as references
+
+def loop_is_subgroup(group, elems):
+    s = set(elems)
+    if 0 not in s:
+        return False
+    return all(group.mul(a, b) in s for a in s for b in s)
+
+
+def loop_conjugates(group, sub):
+    """Every conjugate g X g^-1, one row per element g of the group."""
+    rows = group.table[group.table[:, list(sub)], group.inverse[:, None]]
+    return set(map(tuple, np.sort(rows, axis=1).tolist()))
+
+
+def loop_subgroup_as_group(group, sub):
+    sub = tuple(sorted(sub))
+    for x in sub:
+        if not 0 <= x < group.order:
+            raise ValueError(f"element {x} out of range for order {group.order}")
+    if len(set(sub)) != len(sub):
+        raise ValueError(f"{tuple(sub)} repeats an element")
+    if not loop_is_subgroup(group, sub):
+        raise ValueError(f"{tuple(sub)} is not a subgroup")
+    pos = {x: i for i, x in enumerate(sub)}
+    table = [[pos[group.mul(a, b)] for b in sub] for a in sub]
+    return FiniteGroup(table, name=f"{group.name}|{list(sub)}")
 
 
 def brute_force_subgroups(group):
@@ -33,7 +64,7 @@ def brute_force_subgroups(group):
     found = []
     for mask in range(2 ** (n - 1)):
         elems = [0] + [i + 1 for i in range(n - 1) if mask >> i & 1]
-        if is_subgroup(group, elems):
+        if loop_is_subgroup(group, elems):
             found.append(tuple(elems))
     return sorted(found, key=lambda s: (len(s), s))
 
@@ -333,8 +364,17 @@ def test_make_group_specs_and_caps():
     prod = make_group({"kind": "product", "factors": [
         {"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 2}]})
     assert prod.order == 4 and prod.is_abelian
-    with pytest.raises(SizeCapError):
+    with pytest.raises(SizeCapError, match=f"^order 6000 exceeds cap {DEFAULT_ORDER_CAP}$"):
         make_group({"kind": "cyclic", "n": 6000})
+    with pytest.raises(SizeCapError, match=f"^order 5042 exceeds cap {DEFAULT_ORDER_CAP}$"):
+        make_group({"kind": "dihedral", "n": 2521})
+    with pytest.raises(SizeCapError,
+                       match=f"^product order 6084 exceeds cap {DEFAULT_ORDER_CAP}$"):
+        make_group({"kind": "product", "factors": [{"kind": "cyclic", "n": 78}] * 2})
+    with pytest.raises(SizeCapError,
+                       match=f"^explicit table order exceeds cap {DEFAULT_ORDER_CAP}$"):
+        cayley_group(np.broadcast_to(np.int32(0), (5041, 5041)))
+    assert cayley_group([[0, 1], [1, 0]]).name == "cayley[2]"
     with pytest.raises(ValueError):
         make_group({"kind": "symmetric", "n": 6})
     with pytest.raises(ValueError):
@@ -362,7 +402,8 @@ def test_enumerate_subgroups_against_brute_force(group, count):
 
 
 def test_enumerate_subgroups_cap():
-    with pytest.raises(SizeCapError):
+    with pytest.raises(SizeCapError, match=f"^subgroup enumeration capped at order "
+                                           f"{DEFAULT_LATTICE_CAP}; got 64$"):
         enumerate_subgroups(direct_product([cyclic(8), cyclic(8)]))
 
 
@@ -494,6 +535,76 @@ def test_restrict_family():
     # restricting by the trivial subgroup collapses everything
     triv = restrict_family(g6, (0,), fam)
     assert triv.members == ((0,),)
+
+
+def random_subsets(rng, group, count):
+    """``count`` lists holding 0 and further elements drawn with
+    replacement, so that most are not subgroups and many repeat one."""
+    n = group.order
+    out = []
+    for _ in range(count):
+        elems = [0] + rng.choices(range(n), k=rng.randint(0, n))
+        rng.shuffle(elems)
+        out.append(elems)
+    return out
+
+
+def subgroup_as_group_outcome(build, group, elems):
+    try:
+        inner = build(group, elems)
+    except ValueError as exc:
+        return str(exc)
+    return inner.name, inner.table.tobytes(), inner.inverse.tobytes()
+
+
+def test_subgroup_gathers_match_the_loop_references(catalog):
+    rng = random.Random(5)
+    subgroup_subsets = 0
+    for group in catalog:
+        for sub in enumerate_subgroups(group):
+            assert is_subgroup(group, sub) and loop_is_subgroup(group, sub)
+            assert _conjugates(group, sub) == loop_conjugates(group, sub)
+            assert (subgroup_as_group_outcome(subgroup_as_group, group, sub)
+                    == subgroup_as_group_outcome(loop_subgroup_as_group, group, sub))
+        subsets = random_subsets(rng, group, 200)
+        # subsets without 0 and the empty subset
+        subsets += [[x for x in elems if x] for elems in subsets[:20]]
+        for elems in subsets:
+            verdict = loop_is_subgroup(group, elems)
+            assert is_subgroup(group, elems) == verdict, elems
+            assert (subgroup_as_group_outcome(subgroup_as_group, group, elems)
+                    == subgroup_as_group_outcome(loop_subgroup_as_group, group, elems))
+            if verdict:
+                # conjugation is defined on subgroups, listed once each
+                sub = sorted(set(elems))
+                assert _conjugates(group, sub) == loop_conjugates(group, sub)
+                subgroup_subsets += 1
+    # the sample mixes subgroups with subsets that are not
+    assert 0 < subgroup_subsets < 220 * len(catalog) // 2
+
+
+def test_prime_mask_matches_trial_division():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    values = np.arange(1, 5041)
+    assert _prime_mask(values).tolist() == [trial_division(n) for n in range(1, 5041)]
+    assert _prime_mask(np.array([1])).tolist() == [False]
+    assert _prime_mask(np.array([4, 2, 3, 1, 2])).tolist() == [False, True, True, False, True]
+
+
+def test_parse_index_2_subgroup_of_c5040_memory():
+    # the |X|^2 closure gather is 24 MiB and the |G| x |X| coset gather
+    # 48 MiB; one conjugate per element of the group would be 2520 times more
+    group = cyclic(5040)
+    tracemalloc.start()
+    try:
+        family = parse_family(group, {"subgroups": [list(range(0, 5040, 2))]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert family.members == (tuple(range(0, 5040, 2)),)
+    assert peak < 64 * 2 ** 20, f"parsing peaked at {peak / 2 ** 20:.1f} MiB"
 
 
 def test_subgroup_as_group_is_a_group():
