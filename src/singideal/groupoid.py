@@ -3,10 +3,11 @@ and the coset-sum homomorphism q, whose kernel is the coset matrix's.
 
 Arrows of the coset groupoid are the distinct cosets g*X themselves; the
 source of y X_u is X_u, its range is y X_u y^-1, and composable pairs
-multiply pointwise.  A groupoid's product is a vectorised rule on arrow
-index arrays, not a stored table: for the coset groupoid it reads
-coset_of = ``groups.coset_index`` (coset_of[u, g] is the arrow g X_u),
-the product of y X_a and z X_b (where s(a) = r(b)) being coset_of[b, y z],
+multiply pointwise; ranges and representatives y come from the family's
+``groups.coset_table``.  A groupoid's product is a vectorised rule on
+arrow index arrays, not a stored table: the coset groupoid reads the
+table's numbering coset_of (coset_of[u, g] is the arrow g X_u), the
+product of y X_a and z X_b (where s(a) = r(b)) being coset_of[b, y z],
 and a reduction composes its parent's rule with one index lookup.
 The coset-sum map q is one exact product of the coefficients with the
 coset matrix, whose rows are numbered like the arrows.  Convolution
@@ -25,7 +26,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import exact
-from .groups import (FiniteGroup, SizeCapError, SubgroupFamily, coset_index,
+from .groups import (FiniteGroup, SizeCapError, SubgroupFamily, coset_table,
                      distinct_cosets)
 from .ideals import _coset_matrix, _coset_sums
 
@@ -200,30 +201,20 @@ def build_coset_groupoid(group: FiniteGroup, family: SubgroupFamily) -> FiniteGr
     if entries > ENTRY_CAP:
         raise SizeCapError(f"the coset groupoid of {group.name} has {count} arrows: "
                            f"{entries} regular-block entries, over the cap {ENTRY_CAP}")
-    cosets = distinct_cosets(group, family)
-    # coset_of[u, g]: the arrow g X_u
-    coset_of = coset_index(group, family)
-    table, inv = group.table, group.inverse
-    reps = np.array([c.representative for c in cosets], dtype=np.intp)
-    # the cosets of member u are numbered consecutively, and y X_u has
-    # source X_u and range y X_u y^-1
+    # coset_of[u, g]: the arrow g X_u; the cosets of X_u are numbered in a run
+    coset_of, reps, ranges, _ = coset_table(group, family)
     sources = np.repeat(np.arange(len(index)), index)
-    unit_index = {sub: i for i, sub in enumerate(family.members)}
-    ranges = []
-    for sub, y in zip(family.members, np.split(reps, np.cumsum(index)[:-1])):
-        conjugates = np.sort(table[table[y[:, None], list(sub)], inv[y][:, None]], axis=1)
-        ranges += [unit_index.get(row, -1) for row in map(tuple, conjugates.tolist())]
-        if -1 in ranges[-len(y):]:
-            raise ValueError(f"a conjugate of {list(sub)} in {group.name} is not "
-                             f"a family member")
-
-    arrows = [Arrow(i, s, r, c.elements)
-              for i, (s, r, c) in enumerate(zip(sources.tolist(), ranges, cosets))]
+    if (ranges < 0).any():
+        sub = family.members[sources[np.argmax(ranges < 0)]]
+        raise ValueError(f"a conjugate of {list(sub)} in {group.name} is not "
+                         f"a family member")
+    arrows = [Arrow(i, s, r, c.elements) for i, (s, r, c) in
+              enumerate(zip(sources.tolist(), ranges.tolist(), distinct_cosets(group, family)))]
     # (y X)^-1 = X y^-1 = y^-1 (y X y^-1): the coset of the range containing y^-1
-    inverse = coset_of[ranges, inv[reps]]
+    inverse = coset_of[ranges, group.inverse[reps]]
     # (y X_a)(z X_b) = y z X_b whenever X_a = z X_b z^-1, that is s(a) = r(b)
     return FiniteGroupoid(family.members, arrows, inverse,
-                          lambda k, h: coset_of[sources[h], table[reps[k], reps[h]]])
+                          lambda k, h: coset_of[sources[h], group.table[reps[k], reps[h]]])
 
 
 def q_map(group: FiniteGroup, family: SubgroupFamily, coeffs: Sequence,

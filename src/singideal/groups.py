@@ -9,7 +9,9 @@ reports downstream are reproducible byte for byte.
 Subgroup tests and conjugation are table gathers, conjugation over one
 representative per left coset: a parsed subgroup may hold thousands of
 elements, and |X|^2 Python calls or |G| conjugates of it cost seconds
-and hundreds of MiB before any coset matrix exists.
+and hundreds of MiB before any coset matrix exists.  A family builds one
+``coset_table`` (cosets numbered, represented and conjugated), which the
+closure, coset matrix, entry-set check and coset groupoid all read.
 """
 
 from __future__ import annotations
@@ -377,15 +379,17 @@ def enumerate_subgroups(group: FiniteGroup) -> list:
     return sorted(found, key=lambda s: (len(s), s))
 
 
-def _conjugates(group: FiniteGroup, sub: Sequence[int]) -> set:
-    """The distinct conjugates y X y^-1 of one subgroup, as sorted tuples:
-    y X y^-1 depends only on the coset y X, so y runs over the g with
-    min(g X) = g = table[0, g], one per left coset ([G:X] gathered rows)."""
-    table = group.table
-    left = table[:, list(sub)]
-    reps = (left.min(axis=1) == table[0]).nonzero()[0]
-    rows = np.sort(table[left[reps], group.inverse[reps, None]], axis=1)
-    return set(map(tuple, rows.tolist()))
+# table entries a blocked gather takes at once (256 KiB in int32)
+GATHER_BLOCK = 1 << 16
+
+
+class CosetTable(NamedTuple):
+    """The left cosets of a family's members, numbered as ``coset_index``."""
+
+    index: np.ndarray     # (members, order) int32: entry (u, g) numbers g X_u
+    reps: np.ndarray      # per coset, its smallest element
+    ranges: np.ndarray    # per coset y X, the member y X y^-1, or -1 if none is
+    outside: tuple        # the conjugates y X y^-1 that are no member, sorted
 
 
 @dataclass(frozen=True)
@@ -396,12 +400,14 @@ class SubgroupFamily:
     members: tuple
 
     @cached_property
+    def cosets(self) -> CosetTable:
+        """The members' coset table in ``self.group``, shared by every reader."""
+        return _coset_table(self.group, self.members)
+
+    @property
     def coset_index(self) -> np.ndarray:
-        """``coset_index(self.group, self)``, numbered once per family and
-        read-only, so that every consumer shares one array."""
-        index = _number_cosets(self.group, self.members)
-        index.setflags(write=False)
-        return index
+        """``coset_index(self.group, self)``, the read-only numbering of ``cosets``."""
+        return self.cosets.index
 
     def __len__(self) -> int:
         return len(self.members)
@@ -436,12 +442,17 @@ def make_family(group: FiniteGroup, subgroups: Iterable[Sequence[int]],
 
 
 def conjugation_closure(group: FiniteGroup, seeds: Iterable[Sequence[int]]) -> SubgroupFamily:
-    """Smallest conjugation-invariant family containing the seed subgroups."""
+    """Smallest conjugation-invariant family containing the seed subgroups:
+    the seeds' own family, coset table included, if it is invariant."""
     seeds = [tuple(sorted(s)) for s in seeds]
-    for sub in seeds:
-        _require_subgroup(group, sub)
-    members = _canonical_members(conj for sub in seeds for conj in _conjugates(group, sub))
-    return SubgroupFamily(group, members)
+    family = SubgroupFamily(group, _canonical_members(seeds))
+    try:
+        outside = family.cosets.outside
+    except ValueError:
+        for sub in seeds:       # name the first bad seed in the order given
+            _require_subgroup(group, sub)
+        raise
+    return SubgroupFamily(group, _canonical_members([*seeds, *outside])) if outside else family
 
 
 def minimal_subgroups(group: FiniteGroup) -> SubgroupFamily:
@@ -479,13 +490,8 @@ def _prime_mask(values: np.ndarray) -> np.ndarray:
 
 def normal_closure_subgroup(group: FiniteGroup, family: SubgroupFamily) -> tuple:
     """Subgroup generated by all members and their conjugates; normal in the group."""
-    if not family.members:
-        raise ValueError("family must be non-empty")
-    gens = set()
-    for sub in family.members:
-        for conj in _conjugates(group, sub):
-            gens.update(conj)
-    return subgroup_generated(group, gens)
+    outside = coset_table(group, family).outside
+    return subgroup_generated(group, {x for sub in family.members + outside for x in sub})
 
 
 # ---------------------------------------------------------------------------
@@ -502,30 +508,66 @@ def left_coset(group: FiniteGroup, g: int, sub: Sequence[int]) -> tuple:
 
 
 def coset_index(group: FiniteGroup, family: SubgroupFamily) -> np.ndarray:
-    """The coset numbering: entry (u, g) is the position of the coset
-    g*X_u in ``distinct_cosets``, as a read-only (members x order) int32
-    array, computed once per family (``SubgroupFamily.coset_index``).
+    """The coset numbering: entry (u, g) is the position of g*X_u in
+    ``distinct_cosets``, the read-only int32 index of ``coset_table``."""
+    return coset_table(group, family).index
 
-    The smallest element of g*X names the coset, so one ``np.unique`` of
-    the row minima per member numbers its cosets by smallest
-    representative, after those of the members before it.
-    """
+
+def coset_table(group: FiniteGroup, family: SubgroupFamily) -> CosetTable:
+    """``family.cosets``, or the table built afresh on another group."""
     if not family.members:
         raise ValueError("family must be non-empty")
-    if group is family.group:
-        return family.coset_index
-    return _number_cosets(group, family.members)
+    return family.cosets if group is family.group else _coset_table(group, family.members)
 
 
-def _number_cosets(group: FiniteGroup, members: tuple) -> np.ndarray:
-    index = np.empty((len(members), group.order), dtype=np.int32)
-    offset = 0
-    for u, sub in enumerate(members):
-        _, local = np.unique(group.table[:, list(sub)].min(axis=1),
-                             return_inverse=True)
-        index[u] = offset + local
-        offset += int(local.max()) + 1
-    return index
+def _coset_table(group: FiniteGroup, members: tuple) -> CosetTable:
+    """Validate, number, represent and conjugate the members' cosets, a
+    block of members of one size (at most GATHER_BLOCK entries, or one
+    member) at a time; a member that is not a subgroup gets the error of
+    ``_require_subgroup``.  g represents g X exactly when min(g X) = g.
+    y X y^-1 depends only on y X, so a coset's range is the conjugate by its
+    representative, looked up among the members of its size.
+    """
+    n, table, inverse = group.order, group.table, group.inverse
+    for sub in members:
+        if not (0 in sub and 0 <= min(sub) and max(sub) < n and len(set(sub)) == len(sub)):
+            _require_subgroup(group, sub)
+    sizes = np.array([len(sub) for sub in members], dtype=np.intp)
+    counts = n // sizes
+    starts = counts.cumsum() - counts
+    index = np.empty((len(members), n), dtype=np.int32)
+    reps, ranges = np.empty((2, int(counts.sum())), dtype=np.intp)
+    outside = []
+    for size in sorted(set(sizes.tolist())):
+        us = (sizes == size).nonzero()[0]
+        subs = np.array([members[u] for u in us], dtype=table.dtype)
+        k, step = n // size, max(1, GATHER_BLOCK // (n * size))
+        for block in (slice(p, p + step) for p in range(0, len(us), step)):
+            x, at = subs[block], starts[us[block], None] + np.arange(k)
+            rows = np.arange(len(x))[:, None]
+            mins = table[:, x].min(axis=2).T                   # min(g X_u)
+            # X holds 0, so it is closed iff each x y X holds 0 (x = 0: X = X^-1)
+            ok = (mins == 0)[rows, table[x[:, :, None], x[:, None]].reshape(len(x), -1)].all(1)
+            if not ok.all():
+                _require_subgroup(group, members[us[block][np.argmin(ok)]])
+            first = mins == np.arange(n)
+            index[us[block]] = first.cumsum(axis=1)[rows, mins] + (at[:, :1] - 1)
+            reps[at] = c = first.nonzero()[1].reshape(len(x), k)      # c_0 < c_1 < ...
+            conj = table[table[c[:, :, None], x[:, None, :]], inverse[c][:, :, None]]
+            conj.sort(axis=2)
+            owner = np.where((conj == x[:, None, :]).all(axis=2), us[block, None], -1)
+            moved = owner < 0
+            if moved.any() and len(us) > 1:   # search the other members' rows as bytes
+                key = np.dtype((np.void, subs.itemsize * size))
+                have, want = subs.view(key).ravel(), conj[moved].view(key).ravel()
+                order = have.argsort()
+                hit = order[np.searchsorted(have, want, sorter=order).clip(max=len(us) - 1)]
+                owner[moved] = np.where(have[hit] == want, us[hit], -1)
+            ranges[at] = owner
+            outside += map(tuple, conj[owner < 0].tolist())
+    for array in (index, reps, ranges):
+        array.setflags(write=False)
+    return CosetTable(index, reps, ranges, _canonical_members(outside))
 
 
 def cosets_of_subgroup(group: FiniteGroup, sub: Sequence[int]) -> list:

@@ -16,7 +16,7 @@ therefore exactly the coset rows, so both kernels are the kernel of one
 and are computed by one elimination in integers; Fractions appear only
 in the public ``exact.kernel_basis`` views.  Two checks that can fail
 back this up: ``_check_entry_sets`` confirms the identity above from the
-Cayley table and the same numbering, and ``exact._certify_kernel``
+Cayley table and the family's coset table, and ``exact._certify_kernel``
 proves that the integer basis is a basis of ker M, from the mod-p rank
 the elimination already took (the argument is in the ``exact`` module
 docstring).  A failure of either check is an internal consistency
@@ -32,8 +32,9 @@ import numpy as np
 
 from . import exact
 from .exact import InternalInconsistencyError, RationalMatrix
-from .groups import (FiniteGroup, SizeCapError, SubgroupFamily, _prime_mask,
-                     coset_index, element_orders, minimal_subgroups)
+from .groups import (GATHER_BLOCK, FiniteGroup, SizeCapError, SubgroupFamily,
+                     _prime_mask, coset_index, coset_table, element_orders,
+                     minimal_subgroups)
 
 # the int8 coset matrix takes one byte per entry, 128 MiB at the cap
 MATRIX_ENTRY_CAP = 2 ** 27
@@ -109,9 +110,8 @@ def _coset_matrix(group: FiniteGroup, family: SubgroupFamily) -> np.ndarray:
     if cosets * n > MATRIX_ENTRY_CAP:
         raise SizeCapError(f"the coset matrix of {group.name} needs {cosets} x {n} "
                            f"entries, over the cap {MATRIX_ENTRY_CAP}")
-    index = coset_index(group, family)
-    rows = np.zeros((int(index.max()) + 1, n), dtype=np.int8)
-    rows[index, np.arange(n)] = 1
+    rows = np.zeros((cosets, n), dtype=np.int8)
+    rows[coset_index(group, family), np.arange(n)] = 1
     return rows
 
 
@@ -149,8 +149,7 @@ def check_witness(group: FiniteGroup, family: SubgroupFamily,
 
 def quasi_regular_matrix(group: FiniteGroup, sub: Sequence[int], g: int) -> RationalMatrix:
     """Permutation matrix of g on the left cosets of the subgroup."""
-    ids = coset_index(group, SubgroupFamily(group, (tuple(sorted(sub)),)))[0]
-    reps = np.unique(ids, return_index=True)[1]
+    (ids,), reps = SubgroupFamily(group, (tuple(sorted(sub)),)).cosets[:2]
     k = len(reps)
     rows = np.zeros((k, k), dtype=np.int8)
     # column j: g c_j X is the coset numbered ids[g c_j]
@@ -158,75 +157,43 @@ def quasi_regular_matrix(group: FiniteGroup, sub: Sequence[int], g: int) -> Rati
     return RationalMatrix(k, k, tuple(rows.ravel().tolist()))
 
 
-# table entries _check_entry_sets gathers at once: 256 KiB per int32 block
-ENTRY_SET_BLOCK = 1 << 16
-
-
-def _owners(us: np.ndarray, subs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """For each sorted row, the member us[i] with subs[i] equal to it, or -1:
-    one lexicographic sort of the members beside the rows."""
-    stacked = np.concatenate([subs, rows])
-    order = np.lexsort(stacked.T[::-1])
-    ranked = stacked[order]
-    fresh = np.ones(len(stacked), dtype=bool)
-    fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    ids = np.empty(len(stacked), dtype=np.intp)
-    ids[order] = np.cumsum(fresh) - 1
-    member_at = np.full(len(stacked), -1)
-    member_at[ids[:len(us)]] = us
-    return member_at[ids[len(us):]]
-
-
 def _check_entry_sets(group: FiniteGroup, family: SubgroupFamily) -> None:
     """Confirm that the stacked representation rows are the coset rows.
 
     For each member X with coset representatives c_0 < c_1 < ..., the
     entry set c_i X c_j^-1 must be a left coset of c_j X c_j^-1, that
-    conjugate must be a family member, and every family coset must occur
-    as some entry set.  The members of one order are checked together: a
-    conjugate equal to its own member is owned by it, one sort of the
-    other conjugates beside the members finds theirs, and the entry sets
-    are table gathers over their stacked representatives, at most
-    ENTRY_SET_BLOCK entries at a time; no row of length |G| is built.
+    conjugate must be a family member of the size of X, and every family
+    coset must occur as some entry set.  Representatives and conjugates (the
+    groupoid's ranges) are read from ``groups.coset_table``; the entry sets
+    are gathered here, so a wrong range fails: X c_j^-1 (i = 0) is a left
+    coset of the true conjugate only.  Members of one order are checked
+    together, GATHER_BLOCK entries at a time; no row of length |G| is built.
     """
-    table, inverse = group.table, group.inverse
-    index = coset_index(group, family)
-    n, members = group.order, family.members
-    # a member's cosets are numbered in the order of their smallest
-    # elements, so g is a representative c_i exactly when its coset's
-    # number is larger than that of every element before it
-    first = np.ones(index.shape, dtype=bool)
-    first[:, 1:] = index[:, 1:] > np.maximum.accumulate(index, axis=1)[:, :-1]
-    seen = np.zeros(int(index[-1].max()) + 1, dtype=bool)
+    table, inverse, n, members = group.table, group.inverse, group.order, family.members
+    index, reps, ranges, _ = coset_table(group, family)
+    seen = np.zeros(len(reps), dtype=bool)
     sizes = np.array([len(sub) for sub in members])
+    starts = np.cumsum(n // sizes) - n // sizes
     for size in sorted(set(sizes.tolist())):
         us = np.flatnonzero(sizes == size)
         subs = np.array([members[u] for u in us]).reshape(len(us), size)
         k = n // size
-        splits = first[us].sum(axis=1) != k
-        if size * k != n or splits.any():
-            sub = members[us[int(np.argmax(splits))]]
-            raise InternalInconsistencyError(
-                f"the left translates of {list(sub)} do not partition {group.name}")
-        c = np.nonzero(first[us])[1].reshape(len(us), k)   # c_0 < c_1 < ...
+        arrows = starts[us, None] + np.arange(k)
+        c, owner = reps[arrows], ranges[arrows]            # c_0 < c_1 < ...
+        for bad, what in ((owner < 0, "not a family member"),
+                          (sizes[owner] != size, "read as a member of another size")):
+            if bad.any():
+                sub = members[us[np.flatnonzero(bad.any(axis=1))[0]]]
+                raise InternalInconsistencyError(
+                    f"a conjugate of {list(sub)} in {group.name} is {what}")
         left = table[c[:, :, None], subs[:, None, :]]      # c_i X
         inv_c = inverse[c]
-        conjugates = np.sort(table[left, inv_c[:, :, None]], axis=2)
-        owner = np.repeat(us[:, None], k, axis=1)
-        moved = (conjugates != subs[:, None, :]).any(axis=2)
-        if moved.any():
-            owner[moved] = _owners(us, subs, conjugates[moved])
-        if (owner < 0).any():
-            sub = members[us[np.flatnonzero((owner < 0).any(axis=1))[0]]]
-            raise InternalInconsistencyError(
-                f"a conjugate of {list(sub)} in {group.name} is not a family "
-                f"member")
         # blocks of whole members, or of one member's rows, each gathering
-        # at most ENTRY_SET_BLOCK entries
+        # at most GATHER_BLOCK entries
         per_member = k * k * size
-        members_step = max(1, ENTRY_SET_BLOCK // per_member)
-        rows_step = (k if per_member <= ENTRY_SET_BLOCK
-                     else max(1, ENTRY_SET_BLOCK // (k * size)))
+        members_step = max(1, GATHER_BLOCK // per_member)
+        rows_step = (k if per_member <= GATHER_BLOCK
+                     else max(1, GATHER_BLOCK // (k * size)))
         for p in range(0, len(us), members_step):
             block = slice(p, p + members_step)
             for i in range(0, k, rows_step):

@@ -410,8 +410,11 @@ def test_cli_fuzz_exit_codes(command, group_spec, family_spec, depth):
         assert code == EXIT_PARSE
 
 
-# a spread of the tier-1 catalog, S5, D50 and C2^6 minimal and C360
-# {[0,180]}: the reports whose bytes every refactor must keep
+# a spread of the tier-1 catalog, S5, D50 and C2^6 minimal, C360
+# {[0,180]}, and two explicit families: S4 {[0,1]}, closed under
+# conjugation with a warning, and the S3 transpositions, already closed
+# but moved among themselves by conjugation: the reports whose bytes
+# every refactor must keep
 DIGEST_CASES = [
     ("C1", {"kind": "cyclic", "n": 1}, {"subgroups": [[0]]}),
     ("C2", {"kind": "cyclic", "n": 2}, {"subgroups": [[0, 1]]}),
@@ -438,6 +441,8 @@ DIGEST_CASES = [
     ("C2^6", {"kind": "product", "factors": [{"kind": "cyclic", "n": 2}] * 6},
      {"minimal": True}),
     ("C360", {"kind": "cyclic", "n": 360}, {"subgroups": [[0, 180]]}),
+    ("S4", {"kind": "symmetric", "n": 4}, {"subgroups": [[0, 1]]}),
+    ("S3", {"kind": "symmetric", "n": 3}, {"subgroups": [[0, 1], [0, 2], [0, 5]]}),
 ]
 
 # the norm-sweep normcheck cases: their residuals pin the float bits of
@@ -473,7 +478,8 @@ def report_digests():
 
 # recorded before the exact layer took over every rational-to-integer
 # conversion (D50 and C2^6 before the kernel certificate moved into it,
-# normcheck before the regular representation stopped padding its floats);
+# normcheck before the regular representation stopped padding its floats,
+# the explicit S4 and S3 families before the coset table moved into groups);
 # a change that moves a byte of these reports fails here
 PINNED_DIGESTS = {
     'ai-atlas 16':
@@ -598,6 +604,18 @@ PINNED_DIGESTS = {
         "2e74ec5fca67bcc2f1dbde0d7d68f039a1289d177918267284ab0fb4c27fd1b3",
     'hls C360 {"subgroups": [[0, 180]]}':
         "d1a48770aebe20d9bce06db0be45e7d60b2aedc5fdde437c555a42e665ae339f",
+    'analyze S4 {"subgroups": [[0, 1]]}':
+        "cc52f061a1a0d5185bfba457e03e9472c21b685f6b96c20534a314da1786ec1e",
+    'witness S4 {"subgroups": [[0, 1]]}':
+        "e02bab0859395389e235050de4505949b82f855a4f531075d30c841571fe2fa0",
+    'hls S4 {"subgroups": [[0, 1]]}':
+        "dd8f16239dbf81fefe7aa9d14ecbfff1a9a434c6c57470d10d364aff8f340337",
+    'analyze S3 {"subgroups": [[0, 1], [0, 2], [0, 5]]}':
+        "b7eecd1303aecdc147a31ad179a667804c7c6c85bfb50c1b2e5642ad70c5ec0b",
+    'witness S3 {"subgroups": [[0, 1], [0, 2], [0, 5]]}':
+        "f71f1a00b2f93779006f2f7802c9122648a1e0b2e1e9b331f496dd04a474ee68",
+    'hls S3 {"subgroups": [[0, 1], [0, 2], [0, 5]]}':
+        "6a7510802652a34fef909f4e52e01fba87a8c9b43b9658c214104e18ba83f7db",
     'normcheck S4 {"minimal": true}':
         "f79e0da6e86b5eb775e2f3e4a47425879cba660f31a302274a3954a4a2f71c01",
     'normcheck D6 {"minimal": true}':

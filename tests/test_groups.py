@@ -23,7 +23,7 @@ from singideal.groups import (Coset, FamilyNotInvariantError, FiniteGroup,
                               subgroup_as_group, subgroup_generated,
                               symmetric_group)
 from singideal.groups import (DEFAULT_LATTICE_CAP, DEFAULT_ORDER_CAP,
-                              _associativity_failure, _conjugates, _prime_mask)
+                              _associativity_failure, _prime_mask)
 import singideal.atlas
 from singideal.atlas import abelian_groups_of_order
 
@@ -557,18 +557,45 @@ def subgroup_as_group_outcome(build, group, elems):
     return inner.name, inner.table.tobytes(), inner.inverse.tobytes()
 
 
+def table_conjugates(group, sub):
+    """The conjugates of one subgroup read off the coset table of the
+    family holding it alone: the member at every range that is not -1,
+    and the conjugates outside the family; or the table's error."""
+    family = SubgroupFamily(group, (tuple(sub),))
+    try:
+        cosets = family.cosets
+    except ValueError as exc:
+        return str(exc)
+    return ({family.members[r] for r in cosets.ranges.tolist() if r >= 0}
+            | set(cosets.outside))
+
+
+def loop_validation(group, sub):
+    """The loop reference's validation message for a sorted subset, or None."""
+    try:
+        loop_subgroup_as_group(group, sub)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def test_subgroup_gathers_match_the_loop_references(catalog):
     rng = random.Random(5)
     subgroup_subsets = 0
     for group in catalog:
         for sub in enumerate_subgroups(group):
             assert is_subgroup(group, sub) and loop_is_subgroup(group, sub)
-            assert _conjugates(group, sub) == loop_conjugates(group, sub)
+            assert table_conjugates(group, sub) == loop_conjugates(group, sub)
             assert (subgroup_as_group_outcome(subgroup_as_group, group, sub)
                     == subgroup_as_group_outcome(loop_subgroup_as_group, group, sub))
         subsets = random_subsets(rng, group, 200)
         # subsets without 0 and the empty subset
         subsets += [[x for x in elems if x] for elems in subsets[:20]]
+        if group.order <= 8:
+            # every subset holding 0: the table's closure test reads the
+            # coset minima, so it is checked against the loop on all of them
+            subsets += [[0] + [g for g in range(1, group.order) if mask >> g & 1]
+                        for mask in range(0, 2 ** group.order, 2)]
         for elems in subsets:
             verdict = loop_is_subgroup(group, elems)
             assert is_subgroup(group, elems) == verdict, elems
@@ -577,8 +604,13 @@ def test_subgroup_gathers_match_the_loop_references(catalog):
             if verdict:
                 # conjugation is defined on subgroups, listed once each
                 sub = sorted(set(elems))
-                assert _conjugates(group, sub) == loop_conjugates(group, sub)
+                assert table_conjugates(group, sub) == loop_conjugates(group, sub)
                 subgroup_subsets += 1
+            # the table refuses every other subset, repeats and all, with
+            # the loop reference's message
+            sub = sorted(elems)
+            assert table_conjugates(group, sub) == (loop_validation(group, sub)
+                                                    or loop_conjugates(group, sub))
     # the sample mixes subgroups with subsets that are not
     assert 0 < subgroup_subsets < 220 * len(catalog) // 2
 
@@ -605,6 +637,21 @@ def test_parse_index_2_subgroup_of_c5040_memory():
         tracemalloc.stop()
     assert family.members == (tuple(range(0, 5040, 2)),)
     assert peak < 64 * 2 ** 20, f"parsing peaked at {peak / 2 ** 20:.1f} MiB"
+
+
+def test_coset_index_read_after_parsing_c5040_allocates_nothing():
+    # the parse builds the family's coset table; reading its numbering
+    # afterwards must not gather the |G| x |X| = 48 MiB table again
+    group = cyclic(5040)
+    family = parse_family(group, {"subgroups": [list(range(0, 5040, 2))]})
+    tracemalloc.start()
+    try:
+        index = coset_index(group, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert index.tolist() == [[g % 2 for g in range(5040)]]
+    assert peak < 2 ** 20, f"reading coset_index peaked at {peak / 2 ** 20:.1f} MiB"
 
 
 def test_subgroup_as_group_is_a_group():

@@ -1,6 +1,7 @@
 """Kernel computations, witnesses and the intersection-property verdicts."""
 
 import random
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -8,15 +9,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from singideal import _kernels, exact
+from singideal import _kernels, exact, groups
 from singideal.atlas import abelian_groups_of_order
 from singideal.cli import EXIT_INCONSISTENT, main
 from singideal.exact import _certify_kernel, in_span, same_subspace, spans_full
+from singideal.groupoid import (build_coset_groupoid, kernel_of_q_dimension,
+                                q_map)
 from singideal.groups import (SubgroupFamily, conjugation_closure,
                               coset_index, cosets_of_subgroup, cyclic,
                               dihedral, direct_product, distinct_cosets,
                               enumerate_subgroups, make_family,
-                              minimal_subgroups, quaternion_group,
+                              minimal_subgroups, parse_family, quaternion_group,
                               restrict_family, subgroup_generated,
                               symmetric_group)
 from singideal.ideals import (GroupAlgebraElement, IdealReport,
@@ -308,7 +311,7 @@ def test_kernel_certificate_reads_the_elimination_rank(monkeypatch, shortcut):
 
 def test_entry_set_check_memory_on_c5040():
     # C5040 with {[0]} has 5040 cosets and 5040^2 entry sets, gathered in
-    # blocks of ideals.ENTRY_SET_BLOCK entries
+    # blocks of groups.GATHER_BLOCK entries
     g = cyclic(5040)
     family = make_family(g, [(0,)])
     coset_index(g, family)
@@ -330,11 +333,119 @@ def test_entry_set_check_rejects_a_non_invariant_family():
         full_ideal_kernel(s3, family)
 
 
+# members that are not subgroups; S3 [0, 2, 4] has 2 translates of 3
+# elements each, like a subgroup of index 2, so counting cosets passes it
+NON_SUBGROUP_MEMBERS = [(symmetric_group(3), (0, 1, 2)), (cyclic(6), (0, 1, 2, 3)),
+                        (symmetric_group(3), (0, 2, 4))]
+
+
 def test_entry_set_check_rejects_a_member_that_is_no_subgroup():
-    # SubgroupFamily built directly skips the subgroup check of make_family
-    for group, member in ((symmetric_group(3), (0, 1, 2)), (cyclic(6), (0, 1, 2, 3))):
-        with pytest.raises(InternalInconsistencyError):
-            class_I_check(group, SubgroupFamily(group, (member,)))
+    # SubgroupFamily built directly skips the subgroup check of make_family;
+    # the coset table refuses the member for every reader, with the one-line
+    # error of make_family, before any coset is numbered
+    for group, member in NON_SUBGROUP_MEMBERS:
+        entry_points = [
+            class_I_check, full_ideal_kernel, integer_witness,
+            algebraic_ideal_kernel, weak_containment_regular,
+            coset_constraint_matrix, build_coset_groupoid, kernel_of_q_dimension,
+            distinct_cosets, coset_index, groups.coset_table,
+            groups.normal_closure_subgroup,
+            lambda g, f: check_witness(g, f, [0] * g.order),
+            lambda g, f: q_map(g, f, [0] * g.order),
+            lambda g, f: quasi_regular_matrix(g, f.members[0], 1),
+            lambda g, f: cosets_of_subgroup(g, f.members[0]),
+            lambda g, f: make_family(g, f.members),
+            lambda g, f: conjugation_closure(g, f.members),
+        ]
+        message = f"^{re.escape(str(member))} is not a subgroup$"
+        for entry in entry_points:
+            with pytest.raises(ValueError, match=message):
+                entry(group, SubgroupFamily(group, (member,)))
+
+
+def mutate_ranges(monkeypatch, mutation):
+    """Patch `groups._coset_table` so that every table it builds has its
+    ranges changed by ``mutation(ranges, table, sizes)`` in place."""
+    real = groups._coset_table
+
+    def mutated(group, members):
+        table = real(group, members)
+        ranges = table.ranges.copy()
+        mutation(ranges, table, np.array([len(sub) for sub in members]))
+        return table._replace(ranges=ranges)
+    monkeypatch.setattr(groups, "_coset_table", mutated)
+
+
+def swap_two_ranges(ranges, table, sizes):
+    # two cosets of one member, neither the member itself, whose ranges are
+    # distinct members (of one size, the member's)
+    sources = np.repeat(np.arange(len(sizes)), table.index.shape[1] // sizes)
+    moved = np.flatnonzero(table.reps > 0)
+    for a in moved:
+        for b in moved[(moved > a) & (sources[moved] == sources[a])]:
+            if ranges[a] != ranges[b]:
+                ranges[[a, b]] = ranges[[b, a]]
+                return
+    raise AssertionError("no two ranges to swap")
+
+
+def range_of_another_size(ranges, table, sizes):
+    a = int(np.flatnonzero(table.reps > 0)[0])
+    ranges[a] = int(np.flatnonzero(sizes != sizes[ranges[a]])[0])
+
+
+def no_range(ranges, table, sizes):
+    ranges[int(np.flatnonzero(table.reps > 0)[0])] = -1
+
+
+MUTATION_CASES = [(symmetric_group(4), "S4"), (dihedral(5), "D5")]
+
+
+@pytest.mark.parametrize("group", [g for g, _ in MUTATION_CASES],
+                         ids=[name for _, name in MUTATION_CASES])
+def test_the_checks_catch_a_wrong_range_in_the_coset_table(monkeypatch, group):
+    """The ranges are computed once, in the coset table; the entry-set check
+    and the groupoid axioms read them and must still catch a wrong one."""
+    class_I_check(group, minimal_subgroups(group))
+    build_coset_groupoid(group, minimal_subgroups(group)).check_axioms()
+
+    mutate_ranges(monkeypatch, swap_two_ranges)
+    with pytest.raises(InternalInconsistencyError, match="not a left coset of its conjugate"):
+        class_I_check(group, minimal_subgroups(group))
+    with pytest.raises(AssertionError):
+        build_coset_groupoid(group, minimal_subgroups(group)).check_axioms()
+
+    mutate_ranges(monkeypatch, range_of_another_size)
+    with pytest.raises(InternalInconsistencyError, match="a member of another size"):
+        class_I_check(group, minimal_subgroups(group))
+    with pytest.raises(AssertionError):
+        build_coset_groupoid(group, minimal_subgroups(group)).check_axioms()
+
+    mutate_ranges(monkeypatch, no_range)
+    with pytest.raises(InternalInconsistencyError, match="not a family member"):
+        class_I_check(group, minimal_subgroups(group))
+    with pytest.raises(ValueError, match="not a family member"):
+        build_coset_groupoid(group, minimal_subgroups(group))
+
+
+def test_one_coset_table_per_family(monkeypatch, catalog_cases):
+    """Parsing a family, analyzing it and building its groupoid build one
+    coset table: the parse's, handed on with the family."""
+    calls = count_calls(monkeypatch, groups, "_coset_table")
+    c360 = cyclic(360)
+    cases = [(g, f.members) for g, f in catalog_cases] + [(c360, ((0, 180),))]
+    for group, members in cases:
+        calls.clear()
+        family = parse_family(group, {"subgroups": [list(m) for m in members]})
+        assert family.members == members
+        class_I_check(group, family)
+        build_coset_groupoid(group, family)
+        assert [args[1] for args in calls] == [members], (group.name, members)
+    # and so does the analyze command, parse included
+    calls.clear()
+    assert main(["analyze", "--group", '{"kind": "cyclic", "n": 360}',
+                 "--family", '{"subgroups": [[0, 180]]}']) == 0
+    assert [args[1] for args in calls] == [((0, 180),)]
 
 
 def test_class_I_check_eliminates_once(monkeypatch, catalog_cases):
