@@ -168,6 +168,7 @@ def _unit_subsets(num_units: int):
 
 def cmd_normcheck(config: RunConfig) -> int:
     group, family = _build_inputs(config)
+    norms.check_sweep_work(group, family)
     groupoid = build_coset_groupoid(group, family)
     rng = random.Random(config.seed)
     subsets = _unit_subsets(len(groupoid.units))
@@ -180,9 +181,8 @@ def cmd_normcheck(config: RunConfig) -> int:
         for start in range(0, config.trials, size):
             block = norms.norm_block([random_groupoid_function(rng, groupoid)
                                       for _ in range(min(size, config.trials - start))])
-            for key, subset in zip(keys, subsets):
-                per_subset[key] = max(per_subset[key],
-                                      *norms.block_residuals(groupoid, subset, block))
+            for key, residuals in zip(keys, norms.block_residuals(groupoid, subsets, block)):
+                per_subset[key] = max(per_subset[key], *residuals)
     except InternalInconsistencyError as exc:
         _emit({"error": "internal-inconsistency", "detail": str(exc)}, config.output)
         return EXIT_TOLERANCE

@@ -11,7 +11,9 @@ basis (``integer_kernel_basis``) is reproducible across platforms;
 
 Machine integers enter only through ``integer_product``, exact in
 float64 while every partial sum is an integer below 2^53, and the mod-p
-rank (``_kernels``), taken once per matrix, first, by ``_reduce``.  The
+rank (``_kernels``), taken at most once per matrix: first, by
+``_reduce``, when the matrix has at least as many rows as columns, and
+otherwise, since it cannot then be full, only by the certificate.  The
 rank of an integer matrix mod p never exceeds its rational rank, so that
 one rank r_p serves two proofs.  r_p == cols proves a trivial kernel
 with no elimination.  And ``_certify_kernel`` proves that the d rows of
@@ -168,11 +170,12 @@ def _echelon(int_rows: Iterable[List[int]]):
 
 def _reduce(m):
     """(pivot_cols, pivot_rows, cols, rank_p), rank_p the rank of m mod
-    CERT_PRIME: m's exact elimination, or every column and no rows when
-    rank_p is full column rank."""
+    CERT_PRIME, or None when m has fewer rows than columns and the rank
+    could settle nothing: m's exact elimination, or every column and no
+    rows when rank_p is full column rank."""
     rows = integer_rows(m)[0]
     cols = rows.shape[1]
-    rank_p = _rank_mod_prime(rows)
+    rank_p = _rank_mod_prime(rows) if len(rows) >= cols else None
     if rank_p == cols:
         return list(range(cols)), [], cols, rank_p
     return (*_echelon(rows.tolist()), cols, rank_p)
@@ -226,10 +229,11 @@ def _integer_kernel(m) -> tuple:
     return basis, rank_p
 
 
-def _certify_kernel(matrix: np.ndarray, basis: np.ndarray, rank_p: int) -> None:
+def _certify_kernel(matrix: np.ndarray, basis: np.ndarray,
+                    rank_p: Optional[int]) -> None:
     """Raise InternalInconsistencyError unless the rows of ``basis`` are a
-    basis of ker ``matrix``, whose rank mod CERT_PRIME is ``rank_p``; the
-    proof is in the module docstring."""
+    basis of ker ``matrix``, whose rank mod CERT_PRIME is ``rank_p`` (None:
+    not yet taken); the proof is in the module docstring."""
     cols, d = matrix.shape[1], len(basis)
     if d:
         if integer_product(matrix, basis).any():
@@ -239,6 +243,8 @@ def _certify_kernel(matrix: np.ndarray, basis: np.ndarray, rank_p: int) -> None:
         triangular = nonzero.any(axis=1).all() and (last[1:] > last[:-1]).all()
         if not triangular and _rank_mod_prime(basis) < d and rank(basis) < d:
             raise InternalInconsistencyError("the kernel basis is linearly dependent")
+    if rank_p is None:
+        rank_p = _rank_mod_prime(matrix)
     if rank_p > cols - d or (rank_p < cols - d and rank(matrix) != cols - d):
         raise InternalInconsistencyError(
             f"kernel dimension {d} disagrees with the matrix rank")

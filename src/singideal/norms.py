@@ -20,13 +20,23 @@ another matmul kernel, whose results differ in the last bits.
 
 The norm equation is evaluated on a ``NormBlock``: a batch of functions
 converted once to integer rows over one denominator (``exact.integer_rows``)
-and once to floats.  For each unit subset the reduction groupoid is built
-once; p f p for the whole block is two ``convolve_rows`` calls with the
-unit-indicator row, checked exactly to be the block's rows masked to the
-reduction's arrows, so both sides read the block's floats, masked or
-gathered.  Floats are always float(Fraction), correctly rounded: numerator
-rows are divided in float64 only when the numerators and the denominator
-are below 2^53, and as Python ints otherwise.
+and once to floats, for a list of unit subsets at once.  For each subset
+the reduction groupoid is built once; p f p for the whole block is two
+``convolve_rows`` calls with the unit-indicator row, checked exactly to be
+the block's rows masked to the reduction's arrows, and the left side reads
+the block's floats gathered onto the reduction.  On the right, entry
+(g, h) of the block of p f p at a unit v survives iff r(g) and r(h) lie
+in X, and both lie in reach(v), the ranges of the arrows out of v; so the
+block is one matrix for every X with the same X ∩ reach(v), and zero when
+that is empty.  Each distinct key (v, X ∩ reach(v)) takes one eigensolve,
+and a subset's right side is the root of the largest top among its keys.
+The bits are those of the reduced norm of the masked floats over the
+whole groupoid: each key's matrix is that block entry for entry, +0.0
+where masked, in a C-contiguous chunk; matmul and eigvalsh act matrix by
+matrix; max and sqrt are exact; and a skipped zero block's top, 0.0, is
+where the maximum starts.  Floats are always float(Fraction), correctly
+rounded: numerator rows are divided in float64 only when the numerators
+and the denominator are below 2^53, and as Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -39,11 +49,17 @@ import numpy as np
 from .exact import EXACT_FLOAT_INT, _max_abs, integer_rows
 from .groupoid import (FiniteGroupoid, GroupoidFunction, convolve_rows,
                        function_from_row, reduction_groupoid)
+from .groups import FiniteGroup, SizeCapError, SubgroupFamily
 from .ideals import InternalInconsistencyError
 
 # entries gathered per batched eigensolve chunk; the CLI also draws its
 # normcheck trial functions in blocks of at most this many values
 NORM_BATCH = 1 << 14
+
+# sum of d^3 over the d x d blocks one normcheck trial eigensolves: S5
+# minimal needs 5.6e8, about a second a trial on a 2-CPU x86 machine; D100
+# minimal and C5040 {[0]} need 1.3e11 and 2.6e11
+NORMCHECK_WORK_CAP = 2 * 10 ** 9
 
 
 def _row_floats(nums: np.ndarray, den: int) -> np.ndarray:
@@ -106,7 +122,7 @@ def spectral_norm(m) -> float:
     return math.sqrt(max(float(_gram_tops(a).max()), 0.0))
 
 
-def _reduced_norms(groupoid: FiniteGroupoid, vals: np.ndarray) -> List[float]:
+def _reduced_norms(groupoid: FiniteGroupoid, vals: np.ndarray) -> np.ndarray:
     """Reduced norm of every row of the (functions x arrows) floats
     ``vals``, stack by stack in chunks."""
     tops = np.zeros(len(vals))
@@ -117,12 +133,12 @@ def _reduced_norms(groupoid: FiniteGroupoid, vals: np.ndarray) -> List[float]:
             chunk = np.take(vals[start:start + per], stack, axis=1)
             part = tops[start:start + per]
             np.maximum(part, _gram_tops(chunk).max(axis=-1), out=part)
-    return np.sqrt(tops).tolist()
+    return np.sqrt(tops)
 
 
 def reduced_norm(groupoid: FiniteGroupoid, f: GroupoidFunction) -> float:
     """Sup over units of the operator norm of left convolution by f."""
-    return _reduced_norms(groupoid, function_floats(f)[None])[0]
+    return float(_reduced_norms(groupoid, function_floats(f)[None])[0])
 
 
 def _compress(groupoid: FiniteGroupoid, nums: np.ndarray,
@@ -141,36 +157,99 @@ def compress_to_units(groupoid: FiniteGroupoid, f: GroupoidFunction,
     return function_from_row(groupoid, _compress(groupoid, nums, units)[0], den)
 
 
-def block_residuals(groupoid: FiniteGroupoid, units: Sequence[int],
-                    block: NormBlock) -> List[float]:
-    """The norm-equation residual of every function of ``block``.
+def _compression_keys(groupoid: FiniteGroupoid, subsets: Sequence[Sequence[int]]):
+    """(keys, columns): the distinct keys (v, X ∩ reach(v)) with a non-empty
+    intersection over every sorted subset X and unit v, and for each
+    subset the indices of its keys."""
+    # reach(v) is v's orbit, labelled by its least unit
+    label = np.arange(len(groupoid.units))
+    np.minimum.at(label, groupoid._sources, groupoid._ranges)
+    label = label.tolist()
+    orbits = {}
+    for v, lab in enumerate(label):
+        orbits.setdefault(lab, []).append(v)
+    keys, columns = {}, []
+    for units in subsets:
+        parts = {}
+        for u in units:
+            parts.setdefault(label[u], []).append(u)
+        columns.append([keys.setdefault((v, tuple(part)), len(keys))
+                        for lab, part in parts.items() for v in orbits[lab]])
+    return list(keys), columns
 
-    Raises InternalInconsistencyError unless p f p equals f on the arrows
-    with source and range in the subset and vanishes elsewhere, exactly.
+
+def _key_tops(groupoid: FiniteGroupoid, keys, floats: np.ndarray) -> np.ndarray:
+    """(functions, keys) top Gram eigenvalues: key (v, S) is the block of
+    the ``floats`` at v, zero at the arrows without source and range in S.
+    The keys of one unit are gathered in C-contiguous chunks of at most
+    NORM_BATCH entries (or one block), split over keys and then over
+    functions: the block is taken once per chunk of functions, and masked
+    once per key."""
+    tops = np.empty((len(floats), len(keys)))
+    by_unit = {}
+    for k, (v, _) in enumerate(keys):
+        by_unit.setdefault(v, []).append(k)
+    for v, ks in by_unit.items():
+        index = groupoid._rep_blocks[v]
+        # entry (g, h) is the arrow g h^-1, of range r(g) and source r(h);
+        # column 0 holds the ranges r(g) of the rows
+        ranges = groupoid._ranges[index[:, 0]]
+        per = max(1, NORM_BATCH // index.size)
+        for start in range(0, len(ks), per):
+            cols = ks[start:start + per]
+            inside = np.zeros((len(cols), len(groupoid.units)), dtype=bool)
+            for i, k in enumerate(cols):
+                inside[i, list(keys[k][1])] = True
+            row = inside[:, ranges]
+            mask = row[:, :, None] & row[:, None, :]
+            fs = max(1, per // len(cols))
+            for f in range(0, len(floats), fs):
+                part = floats[f:f + fs]
+                # every key's block, +0.0 off S, in one C-contiguous chunk
+                chunk = np.zeros((len(part),) + mask.shape)
+                np.copyto(chunk, np.take(part, index, axis=1)[:, None], where=mask)
+                tops[f:f + fs, cols] = _gram_tops(chunk)
+    return tops
+
+
+def block_residuals(groupoid: FiniteGroupoid, subsets: Sequence[Sequence[int]],
+                    block: NormBlock) -> List[List[float]]:
+    """The norm-equation residual of every function of ``block``, one list
+    per unit subset.
+
+    Raises InternalInconsistencyError unless, for every subset, p f p
+    equals f on the arrows with source and range in the subset and
+    vanishes elsewhere, exactly.
     """
-    units = sorted(set(units))
-    if not units:
+    subsets = [sorted(set(units)) for units in subsets]
+    if not all(subsets):
         raise ValueError("unit subset must be non-empty")
-    reduced, kept = reduction_groupoid(groupoid, units)
-    nums = block.numerators
+    nums, lhs = block.numerators, []
+    for units in subsets:
+        reduced, kept = reduction_groupoid(groupoid, units)
+        if not len(nums):
+            continue
+        outside = np.ones(groupoid.num_arrows(), dtype=bool)
+        outside[kept] = False
+        if not np.array_equal(_compress(groupoid, nums, units),
+                              np.where(outside, 0, nums)):
+            raise InternalInconsistencyError(
+                f"p f p over units {units} is not f restricted to the reduction")
+        lhs.append(_reduced_norms(reduced, block.floats[:, kept]))
     if not len(nums):
-        return []
-    outside = np.ones(groupoid.num_arrows(), dtype=bool)
-    outside[kept] = False
-    if not np.array_equal(_compress(groupoid, nums, units), np.where(outside, 0, nums)):
-        raise InternalInconsistencyError(
-            f"p f p over units {units} is not f restricted to the reduction")
-    lhs = _reduced_norms(reduced, block.floats[:, kept])
-    # p f p is f masked to the kept arrows, and so are its floats
-    rhs = _reduced_norms(groupoid, np.where(outside, 0.0, block.floats))
-    return [abs(a - b) for a, b in zip(lhs, rhs)]
+        return [[] for _ in subsets]
+    keys, columns = _compression_keys(groupoid, subsets)
+    tops = _key_tops(groupoid, keys, block.floats)
+    # from 0.0, the top of every skipped zero block
+    return [np.abs(left - np.sqrt(np.maximum(0.0, tops[:, cols].max(axis=1)))).tolist()
+            for left, cols in zip(lhs, columns)]
 
 
 def norm_equation_residuals(groupoid: FiniteGroupoid, units: Sequence[int],
                             fs: Sequence[GroupoidFunction]) -> List[float]:
     """``verify_norm_equation(groupoid, units, f)`` for every f in ``fs``,
     from one reduction and one batched reduced norm per side."""
-    return block_residuals(groupoid, units, norm_block(fs))
+    return block_residuals(groupoid, [units], norm_block(fs))[0]
 
 
 def verify_norm_equation(groupoid: FiniteGroupoid, units: Sequence[int],
@@ -184,3 +263,30 @@ def verify_norm_equation(groupoid: FiniteGroupoid, units: Sequence[int],
     p f p is not exactly f restricted to the reduction.
     """
     return norm_equation_residuals(groupoid, units, [f])[0]
+
+
+def check_sweep_work(group: FiniteGroup, family: SubgroupFamily) -> None:
+    """Raise SizeCapError, before the groupoid is built, unless one
+    normcheck trial (every unit, pair and all units) stays within
+    NORMCHECK_WORK_CAP, the sum of d^3 over the d x d blocks it eigensolves.
+
+    The ranges of the cosets of X_u are u's orbit O of k units, c = d_u / k
+    at each.  The p f p side takes u's block once per distinct X ∩ O: k
+    singletons, k(k-1)/2 pairs and, for k >= 3, O.  The reduction to X has
+    the block c |X ∩ O| at u.  The coset table, which gives the orbits, is
+    read only when the units' own blocks leave room under the cap.
+    """
+    d = (group.order // np.array([len(sub) for sub in family.members])).tolist()
+    n = len(d)
+    work = sum(x ** 3 for x in d) * (2 if n >= 3 else 1)
+    if work <= NORMCHECK_WORK_CAP:
+        label = np.minimum.reduceat(family.cosets.ranges, np.cumsum([0] + d[:-1]))
+        work = 0
+        for d_u, k in zip(d, np.bincount(label, minlength=n)[label].tolist()):
+            work += (k + k * (k - 1) // 2 + (k >= 3)) * d_u ** 3
+            work += (d_u // k) ** 3 * (1 + 8 * (k - 1) + n - k) + (d_u ** 3 if n >= 3 else 0)
+    if work > NORMCHECK_WORK_CAP:
+        raise SizeCapError(
+            f"the coset groupoid of {group.name} has {sum(d)} arrows and blocks of "
+            f"dimension up to {max(d)}: a normcheck trial eigensolves blocks of "
+            f"sum d^3 >= {work:.2g}, over the cap {NORMCHECK_WORK_CAP:.2g}")

@@ -10,14 +10,17 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import singideal
+from singideal import cli, groups, norms
 from singideal.cli import (EXIT_OK, EXIT_PARSE, EXIT_TOLERANCE, RunConfig,
-                           SpecError, _build_inputs, main)
+                           SpecError, _build_inputs, _unit_subsets, main)
+from singideal.groupoid import build_coset_groupoid, reduction_groupoid
 from singideal.ideals import IdealReport
-from singideal.groups import make_group
+from singideal.groups import (SizeCapError, SubgroupFamily, make_group,
+                              minimal_subgroups, symmetric_group)
 
 
 def run(capsys, argv):
@@ -168,9 +171,9 @@ def test_normcheck_exit_codes(capsys, monkeypatch):
     data = json.loads(out)
     assert data["within_tol"] is True and data["max_residual"] < 1e-8
     # exit code 3 when the residual exceeds the tolerance
-    from singideal import norms
     monkeypatch.setattr(norms, "block_residuals",
-                        lambda g, u, block: [0.5] * len(block.floats))
+                        lambda g, subsets, block: [[0.5] * len(block.floats)
+                                                   for _ in subsets])
     code, out = run(capsys, ["normcheck", "--group", '{"kind":"symmetric","n":3}',
                              "--family", '{"conjugacy_class_of":[0,2]}',
                              "--trials", "2"])
@@ -410,6 +413,107 @@ def test_cli_fuzz_exit_codes(command, group_spec, family_spec, depth):
         assert code == EXIT_PARSE
 
 
+def sweep_work(groupoid):
+    """Sum of d^3 over the blocks one normcheck trial eigensolves, counted
+    on the groupoid: one block at v per distinct X ∩ reach(v) on the p f p
+    side, reach(v) the ranges of the arrows with source v, and every block
+    of every reduction."""
+    subsets = _unit_subsets(len(groupoid.units))
+    dims = [len(arrows) for arrows in groupoid.arrows_by_source]
+    reach = [{a.range for a in groupoid.arrows if a.source == v} for v in range(len(dims))]
+    keys = {(v, frozenset(units) & reach[v]) for units in subsets
+            for v in range(len(dims)) if set(units) & reach[v]}
+    work = sum(dims[v] ** 3 for v, _ in keys)
+    for units in subsets:
+        reduced, _ = reduction_groupoid(groupoid, units)
+        work += sum(len(arrows) ** 3 for arrows in reduced.arrows_by_source)
+    return work
+
+
+def test_sweep_work_counts_the_blocks_normcheck_eigensolves(monkeypatch, catalog,
+                                                            catalog_cases):
+    cases = [(g, minimal_subgroups(g)) for g in catalog if g.order > 1]
+    s5 = symmetric_group(5)
+    cases += list(catalog_cases) + [(s5, minimal_subgroups(s5))]
+    cap = norms.NORMCHECK_WORK_CAP
+    for group, family in cases:
+        work = sweep_work(build_coset_groupoid(group, family))
+        monkeypatch.setattr(norms, "NORMCHECK_WORK_CAP", work)
+        norms.check_sweep_work(group, family)
+        monkeypatch.setattr(norms, "NORMCHECK_WORK_CAP", work - 1)
+        with pytest.raises(SizeCapError, match=f"^the coset groupoid of {group.name} "):
+            norms.check_sweep_work(group, family)
+    # S5 minimal: the largest case in the suite, about 1 s a trial
+    assert 5e8 < work < cap
+
+
+@pytest.mark.parametrize("group, family, reads_table", [
+    ({"kind": "dihedral", "n": 100}, {"minimal": True}, True),
+    ({"kind": "cyclic", "n": 5040}, {"subgroups": [[0]]}, False),
+])
+def test_normcheck_work_past_the_cap_exits_1_before_the_build(capsys, monkeypatch,
+                                                              group, family, reads_table):
+    # D100 minimal and C5040 {[0]} each need about 1.3e11: minutes of
+    # eigensolves; C5040's one 5040-block already passes the cap, so it is
+    # refused before its coset table is read
+    built, family_obj = _build_inputs(RunConfig("normcheck", group_spec=group,
+                                                family_spec=family))
+    with monkeypatch.context() as patch:
+        if not reads_table:
+            def no_table(*args):
+                raise AssertionError("the coset table is read")
+            family_obj = SubgroupFamily(built, family_obj.members)
+            patch.setattr(groups, "_coset_table", no_table)
+        tracemalloc.start()
+        with pytest.raises(SizeCapError, match="over the cap"):
+            norms.check_sweep_work(built, family_obj)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+    def no_build(*args):
+        raise AssertionError("the groupoid is built past the cap")
+    monkeypatch.setattr(cli, "build_coset_groupoid", no_build)
+    code = main(["normcheck", "--group", json.dumps(group), "--family", json.dumps(family),
+                 "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_PARSE and captured.out == ""
+    assert captured.err.startswith(f"error: the coset groupoid of {built.name} has ")
+    assert captured.err.count("\n") == 1
+
+
+@settings(max_examples=60)
+@given(group_spec=_valid_group_specs, family_spec=_valid_family_specs,
+       cap=st.one_of(st.integers(0, 3000), st.integers(0, 10 ** 6)))
+def test_normcheck_work_cap_fuzz(group_spec, family_spec, cap):
+    # the CLI fuzz specs under caps that bite: exit 1 with one line exactly
+    # when the trial's work, counted on the groupoid, passes the cap
+    assume(_order_or_zero(group_spec) <= 40)
+    try:
+        group, family = _build_inputs(RunConfig("normcheck", group_spec=group_spec,
+                                                family_spec=family_spec))
+    except (SpecError, ValueError):
+        assume(False)
+    work = sweep_work(build_coset_groupoid(group, family))
+    event("refused" if work > cap else "admitted")
+    argv = ["normcheck", "--group", json.dumps(group_spec),
+            "--family", json.dumps(family_spec), "--trials", "1"]
+    out, err = io.StringIO(), io.StringIO()
+    real_cap = norms.NORMCHECK_WORK_CAP
+    norms.NORMCHECK_WORK_CAP = cap
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        norms.NORMCHECK_WORK_CAP = real_cap
+    if work > cap:
+        assert code == EXIT_PARSE and out.getvalue() == ""
+        assert err.getvalue().startswith("error: the coset groupoid of ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert code == EXIT_OK and json.loads(out.getvalue())["within_tol"]
+
+
 # a spread of the tier-1 catalog, S5, D50 and C2^6 minimal, C360
 # {[0,180]}, and two explicit families: S4 {[0,1]}, closed under
 # conjugation with a warning, and the S3 transpositions, already closed
@@ -445,28 +549,31 @@ DIGEST_CASES = [
     ("S3", {"kind": "symmetric", "n": 3}, {"subgroups": [[0, 1], [0, 2], [0, 5]]}),
 ]
 
-# the norm-sweep normcheck cases: their residuals pin the float bits of
-# the reduced norms on both sides of every norm equation
+# the norm-sweep normcheck cases, at 20 trials, and S5 minimal, whose
+# orbits of 10 and 15 units have 60-dimensional blocks that span several
+# chunks, at 2: their residuals pin the float bits of the reduced norms on
+# both sides of every norm equation
 NORMCHECK_DIGEST_CASES = [
-    ("S4", {"kind": "symmetric", "n": 4}, {"minimal": True}),
-    ("D6", {"kind": "dihedral", "n": 6}, {"minimal": True}),
-    ("C70", {"kind": "cyclic", "n": 70}, {"subgroups": [[0]]}),
+    ("S4", {"kind": "symmetric", "n": 4}, {"minimal": True}, 20),
+    ("D6", {"kind": "dihedral", "n": 6}, {"minimal": True}, 20),
+    ("C70", {"kind": "cyclic", "n": 70}, {"subgroups": [[0]]}, 20),
+    ("S5", {"kind": "symmetric", "n": 5}, {"minimal": True}, 2),
 ]
 
 
 def report_digests():
     """SHA-256 of the stdout of analyze, witness and hls --depth 3 on every
-    DIGEST_CASES entry, of normcheck --trials 20 --seed 0 on every
+    DIGEST_CASES entry, of normcheck --seed 0 with its trial count on every
     NORMCHECK_DIGEST_CASES entry, and of ai-atlas --max-order 16."""
     runs = {"ai-atlas 16": ["ai-atlas", "--max-order", "16"]}
     for name, group, family in DIGEST_CASES:
         spec = ["--group", json.dumps(group), "--family", json.dumps(family)]
         for command, extra in (("analyze", []), ("witness", []), ("hls", ["--depth", "3"])):
             runs[f"{command} {name} {json.dumps(family)}"] = [command, *spec, *extra]
-    for name, group, family in NORMCHECK_DIGEST_CASES:
+    for name, group, family, trials in NORMCHECK_DIGEST_CASES:
         runs[f"normcheck {name} {json.dumps(family)}"] = [
             "normcheck", "--group", json.dumps(group), "--family", json.dumps(family),
-            "--trials", "20", "--seed", "0"]
+            "--trials", str(trials), "--seed", "0"]
     digests = {}
     for key, argv in runs.items():
         out = io.StringIO()
@@ -479,7 +586,8 @@ def report_digests():
 # recorded before the exact layer took over every rational-to-integer
 # conversion (D50 and C2^6 before the kernel certificate moved into it,
 # normcheck before the regular representation stopped padding its floats,
-# the explicit S4 and S3 families before the coset table moved into groups);
+# the explicit S4 and S3 families before the coset table moved into groups,
+# normcheck S5 before the p f p side shared its blocks across subsets);
 # a change that moves a byte of these reports fails here
 PINNED_DIGESTS = {
     'ai-atlas 16':
@@ -622,6 +730,8 @@ PINNED_DIGESTS = {
         "3807590a7b2ba435868fa67e8e1a6c8a284697449d1b3e00791b90aea5427870",
     'normcheck C70 {"subgroups": [[0]]}':
         "12b45609bf6a804c2a73624ab1dda9430c12ea3c9607f52fbf52dd8806a4c75a",
+    'normcheck S5 {"minimal": true}':
+        "b89307ccf9f39707ad655ee6e419654d61c901a0ec943c0edf0d9d1cb84a3624",
 }
 
 

@@ -260,7 +260,8 @@ def test_kernel_basis_matches_the_fraction_rref(rows):
 
 def test_integer_kernel_is_one_array():
     """_integer_kernel's rows are integer_kernel_basis, in an int64 array
-    exactly when every entry fits, beside the rank mod p."""
+    exactly when every entry fits, beside the rank mod p, which only a
+    matrix with at least as many rows as columns takes."""
     big = 2 ** 32 + 15
     cases = [
         ([[1, 1]], np.int64),
@@ -269,12 +270,13 @@ def test_integer_kernel_is_one_array():
         ([[big, 0, big, 1], [0, 1, 0, 1]], np.int64),
         ([[0, 0, 0]], np.int64),
         ([[1, 0], [0, 1]], np.int64),
+        ([[1, 2], [2, 4], [0, 0]], np.int64),
     ]
     for m, dtype in cases:
         basis, rank_p = _integer_kernel(m)
         assert basis.dtype == dtype, m
         assert basis.shape == (kernel_dim(m), len(m[0]))
         assert [tuple(v) for v in basis.tolist()] == integer_kernel_basis(m)
-        assert rank_p == rank(m)
+        assert rank_p == (rank(m) if len(m) >= len(m[0]) else None)
     assert integer_kernel_basis([[big, 0, big, 1], [0, 1, 0, 1]]) == [
         (1, 0, -1, 0), (1, big, 0, -big)]

@@ -248,9 +248,10 @@ def test_kernel_certificate_independence_can_fail(monkeypatch, c12_kernel):
     group, family, matrix, basis, rank_p = c12_kernel
     assert len(basis) == 6
     ranks = count_calls(monkeypatch, exact, "_rank_mod_prime")
-    # the canonical basis is triangular: no elimination proves independence
+    # the canonical basis is triangular: no elimination proves independence;
+    # the coset matrix is wide, so its one rank is the certificate's own
     _certify_kernel(matrix, basis, rank_p)
-    assert ranks == []
+    assert rank_p is None and [args[0] for args in ranks] == [matrix]
     # one vector repeated: still in the kernel, but dependent
     patch_kernel(monkeypatch, lambda b: np.vstack([b[:1], b[:-1]]))
     with pytest.raises(InternalInconsistencyError, match="linearly dependent"):
@@ -261,7 +262,7 @@ def test_kernel_certificate_independence_can_fail(monkeypatch, c12_kernel):
     patch_kernel(monkeypatch, lambda b: recombined)
     ranks.clear()
     assert class_I_check(group, family).algebraic_kernel_dim == 6
-    # one mod-p rank of the coset matrix, in _reduce, and one of the basis
+    # one mod-p rank of the coset matrix, in the certificate, and one of the basis
     assert len([args for args in ranks if args[0] is recombined]) == 1
     assert len(ranks) == 2
 
@@ -282,23 +283,25 @@ def test_kernel_certificate_exact_past_float_range(c12_kernel):
 
 @pytest.mark.parametrize("shortcut", [False, True], ids=["C12-{0,6}", "S4-minimal"])
 def test_kernel_certificate_reads_the_elimination_rank(monkeypatch, shortcut):
-    """The certificate takes its mod-p rank from exact._reduce: one too
-    high must raise, one too low must be decided by exact.rank, and pass.
+    """The certificate reads the coset matrix's rank mod p: one too high
+    must raise, one too low must be decided by exact.rank, and pass.
     S4 minimal has a trivial kernel, settled by the full-column-rank
-    shortcut; C12 {0, 6} has a 6-dimensional one."""
+    shortcut, whose rank exact._reduce takes; C12 {0, 6} has a
+    6-dimensional one, and a wide matrix, whose rank the certificate
+    takes itself."""
     group = symmetric_group(4) if shortcut else cyclic(12)
     family = (minimal_subgroups(group) if shortcut
               else make_family(group, [(0, 6)]))
     matrix = _coset_matrix(group, family)
     dim = class_I_check(group, family).algebraic_kernel_dim
     assert (dim == 0) == shortcut
-    real = exact._reduce
+    assert (matrix.shape[0] >= matrix.shape[1]) == shortcut
+    real = exact._rank_mod_prime
 
     def shift_rank(by):
-        def shifted(m):
-            pivot_cols, rows, cols, rank_p = real(m)
-            return pivot_cols, rows, cols, rank_p + by
-        monkeypatch.setattr(exact, "_reduce", shifted)
+        def shifted(rows):
+            return real(rows) + (by if np.array_equal(rows, matrix) else 0)
+        monkeypatch.setattr(exact, "_rank_mod_prime", shifted)
 
     shift_rank(1)
     with pytest.raises(InternalInconsistencyError, match="disagrees with the matrix rank"):
@@ -469,10 +472,9 @@ def test_class_I_check_eliminates_once(monkeypatch, catalog_cases):
         assert calls["kernel_basis"] == [], (group.name, family.members)
 
 
-def test_class_I_check_takes_one_mod_p_rank(monkeypatch, catalog_cases):
-    """One rank mod p per coset matrix, counted through every singideal
-    module that binds _kernels.rank_mod_p: the shortcut and the kernel
-    certificate read the same rank."""
+def count_mod_p_ranks(monkeypatch):
+    """The shapes of the matrices ranked mod p from now on, counted through
+    every singideal module that binds _kernels.rank_mod_p."""
     calls = []
     real = _kernels.rank_mod_p
 
@@ -483,6 +485,13 @@ def test_class_I_check_takes_one_mod_p_rank(monkeypatch, catalog_cases):
         if ((name == "singideal" or name.startswith("singideal."))
                 and getattr(module, "rank_mod_p", None) is real):
             monkeypatch.setattr(module, "rank_mod_p", counting)
+    return calls
+
+
+def test_class_I_check_takes_one_mod_p_rank(monkeypatch, catalog_cases):
+    """One rank mod p per coset matrix: the shortcut and the kernel
+    certificate read the same rank."""
+    calls = count_mod_p_ranks(monkeypatch)
     c2 = cyclic(2)
     large = [(g, minimal_subgroups(g)) for g in
              (symmetric_group(5), dihedral(50), direct_product([c2] * 6))]
@@ -492,6 +501,30 @@ def test_class_I_check_takes_one_mod_p_rank(monkeypatch, catalog_cases):
         calls.clear()
         class_I_check(group, family)
         assert len(calls) == 1, (group.name, family.members, calls)
+
+
+def test_wide_matrices_take_no_mod_p_rank(monkeypatch, catalog_cases):
+    """A matrix with fewer rows than columns never has full column rank, so
+    the witness and the span helpers take no rank mod p of it, while the
+    kernel certificate of class_I_check still takes exactly one."""
+    calls = count_mod_p_ranks(monkeypatch)
+    wide = 0
+    for group, family in catalog_cases:
+        matrix = _coset_matrix(group, family)
+        if matrix.shape[0] >= matrix.shape[1]:
+            continue
+        calls.clear()
+        integer_witness(group, family)
+        rows = matrix.tolist()
+        exact.rank(rows)
+        if 2 * len(rows) < len(rows[0]):
+            # rows + [vec] and the rows of both spans are wide as well
+            wide += 1
+            assert in_span(rows, rows[0]) and same_subspace(rows, rows[::-1])
+        assert calls == [], (group.name, family.members)
+        class_I_check(group, family)
+        assert calls == [matrix.shape], (group.name, family.members)
+    assert wide >= 10
 
 
 def test_class_I_check_builds_no_fraction(monkeypatch):

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -15,12 +16,13 @@ from singideal.groupoid import (FiniteGroupoid, GroupoidFunction,
                                 build_coset_groupoid, convolve, delta,
                                 involution, reduction_groupoid,
                                 restrict_function, unit_indicator)
-from singideal.groups import (conjugation_closure, cyclic, make_family,
-                              minimal_subgroups, subgroup_generated,
-                              symmetric_group)
+from singideal.groups import (conjugation_closure, cyclic, dihedral,
+                              make_family, minimal_subgroups,
+                              subgroup_generated, symmetric_group)
 from singideal.ideals import InternalInconsistencyError, quasi_regular_matrix
-from singideal.norms import (NORM_BATCH, compress_to_units, function_floats,
-                             norm_block, norm_equation_residuals, reduced_norm,
+from singideal.norms import (NORM_BATCH, block_residuals, compress_to_units,
+                             function_floats, norm_block,
+                             norm_equation_residuals, reduced_norm,
                              regular_rep_matrix, spectral_norm,
                              verify_norm_equation)
 from singideal.sampling import random_groupoid_function
@@ -283,6 +285,84 @@ def test_norm_equation_residuals_match_per_function(catalog, monkeypatch):
         gpd = build_coset_groupoid(group, minimal_subgroups(group))
         fs = [random_groupoid_function(rng, gpd) for _ in range(5)]
         assert_batch_matches(gpd, _unit_subsets(len(gpd.units))[:12], fs)
+
+
+def full_groupoid_residuals(gpd, subsets, block):
+    """The reference: each subset's p f p side as the reduced norm of the
+    floats masked to its reduction, over every unit of the groupoid."""
+    out = []
+    for units in subsets:
+        reduced, kept = reduction_groupoid(gpd, units)
+        outside = np.ones(gpd.num_arrows(), dtype=bool)
+        outside[kept] = False
+        lhs = norms._reduced_norms(reduced, block.floats[:, kept]).tolist()
+        rhs = norms._reduced_norms(gpd, np.where(outside, 0.0, block.floats)).tolist()
+        out.append([abs(a - b) for a, b in zip(lhs, rhs)])
+    return out
+
+
+def brute_force_keys(gpd, subsets):
+    """Every (v, X ∩ reach(v)) with a non-empty intersection, reach(v) the
+    ranges of the arrows with source v."""
+    reach = [{a.range for a in gpd.arrows if a.source == v}
+             for v in range(len(gpd.units))]
+    return {(v, frozenset(units) & reach[v]) for units in subsets
+            for v in range(len(gpd.units)) if set(units) & reach[v]}
+
+
+def assert_full_groupoid_rhs(cases, rng, count):
+    for group, family in cases:
+        gpd = build_coset_groupoid(group, family)
+        block = norm_block([random_groupoid_function(rng, gpd) for _ in range(count)])
+        subsets = _unit_subsets(len(gpd.units))
+        assert block_residuals(gpd, subsets, block) == full_groupoid_residuals(
+            gpd, subsets, block), (group.name, family.members)
+
+
+def test_block_residuals_match_the_full_groupoid_rhs(catalog, monkeypatch):
+    # the norm-sweep cases at full chunk size
+    s4 = symmetric_group(4)
+    rng = random.Random(16)
+    d6, c70 = dihedral(6), cyclic(70)
+    assert_full_groupoid_rhs([(s4, minimal_subgroups(s4)), (d6, minimal_subgroups(d6)),
+                              (c70, make_family(c70, [(0,)]))], rng, 20)
+    # chunks of 64 entries: one 12 x 12 block per chunk, several keys of
+    # one function, or several functions of all keys of a unit
+    monkeypatch.setattr(norms, "NORM_BATCH", 64)
+    chunks = []
+    real = norms._gram_tops
+
+    def recording(a):
+        if sys._getframe(1).f_code.co_name == "_key_tops":
+            chunks.append(a.shape)
+        return real(a)
+    monkeypatch.setattr(norms, "_gram_tops", recording)
+    cases = [(g, minimal_subgroups(g)) for g in catalog if g.order > 1]
+    cases += [(s4, conjugation_closure(s4, [(0, 1)])),
+              (dihedral(12), minimal_subgroups(dihedral(12)))]
+    assert_full_groupoid_rhs(cases, rng, 5)
+    assert all(math.prod(shape) <= 64 or shape[:2] == (1, 1) for shape in chunks)
+    assert any(1 < shape[0] < 5 for shape in chunks)
+    assert any(shape[0] == 1 and shape[1] > 1 for shape in chunks)
+
+
+def test_compression_side_eigensolves_each_key_once(monkeypatch):
+    """S4 minimal: 197 distinct blocks on the p f p side per function,
+    where every subset at every unit made 92 x 13 = 1196."""
+    s4 = symmetric_group(4)
+    gpd = build_coset_groupoid(s4, minimal_subgroups(s4))
+    subsets = _unit_subsets(len(gpd.units))
+    keys, columns = norms._compression_keys(gpd, subsets)
+    assert len(keys) == len(brute_force_keys(gpd, subsets)) == 197
+    matrices = []
+    real = norms._gram_tops
+    monkeypatch.setattr(norms, "_gram_tops",
+                        lambda a: matrices.append(a.size // a.shape[-1] ** 2) or real(a))
+    rng = random.Random(3)
+    fs = [random_groupoid_function(rng, gpd) for _ in range(3)]
+    block_residuals(gpd, subsets, norm_block(fs))
+    # the reductions' own blocks: one per unit of each subset
+    assert sum(matrices) == len(fs) * (197 + sum(map(len, subsets)))
 
 
 def test_normcheck_builds_one_reduction_per_subset(capsys, monkeypatch):
