@@ -56,10 +56,12 @@ from .ideals import InternalInconsistencyError
 # normcheck trial functions in blocks of at most this many values
 NORM_BATCH = 1 << 14
 
-# sum of d^3 over the d x d blocks one normcheck trial eigensolves: S5
-# minimal needs 5.6e8, about a second a trial on a 2-CPU x86 machine; D100
-# minimal and C5040 {[0]} need 1.3e11 and 2.6e11
-NORMCHECK_WORK_CAP = 2 * 10 ** 9
+# sum of d^3 over the d x d blocks one normcheck trial eigensolves.  One
+# trial on a 2-CPU x86 machine: S5 minimal 5.6e8 in 1 s, D50 minimal 2.1e9
+# in 2.6 s, C2^7 minimal 4.3e9 in 11-15 s (its 8129 reductions, not the
+# eigensolves, take most of it), D70 minimal 1.5e10 in 12 s, C2000 {[0]}
+# 1.6e10 in 1.6 s.  D100 minimal and C5040 {[0]} need 1.3e11 and 2.6e11.
+NORMCHECK_WORK_CAP = 2 * 10 ** 10
 
 
 def _row_floats(nums: np.ndarray, den: int) -> np.ndarray:
@@ -157,14 +159,20 @@ def compress_to_units(groupoid: FiniteGroupoid, f: GroupoidFunction,
     return function_from_row(groupoid, _compress(groupoid, nums, units)[0], den)
 
 
+def _orbit_labels(sources, ranges, num_units: int) -> np.ndarray:
+    """Each unit's orbit, labelled by its least unit: the ranges of the
+    arrows (or cosets) with a unit as source are its orbit."""
+    label = np.arange(num_units)
+    np.minimum.at(label, sources, ranges)
+    return label
+
+
 def _compression_keys(groupoid: FiniteGroupoid, subsets: Sequence[Sequence[int]]):
     """(keys, columns): the distinct keys (v, X ∩ reach(v)) with a non-empty
     intersection over every sorted subset X and unit v, and for each
     subset the indices of its keys."""
-    # reach(v) is v's orbit, labelled by its least unit
-    label = np.arange(len(groupoid.units))
-    np.minimum.at(label, groupoid._sources, groupoid._ranges)
-    label = label.tolist()
+    # reach(v) is v's orbit
+    label = _orbit_labels(groupoid._sources, groupoid._ranges, len(groupoid.units)).tolist()
     orbits = {}
     for v, lab in enumerate(label):
         orbits.setdefault(lab, []).append(v)
@@ -265,28 +273,27 @@ def verify_norm_equation(groupoid: FiniteGroupoid, units: Sequence[int],
     return norm_equation_residuals(groupoid, units, [f])[0]
 
 
-def check_sweep_work(group: FiniteGroup, family: SubgroupFamily) -> None:
-    """Raise SizeCapError, before the groupoid is built, unless one
-    normcheck trial (every unit, pair and all units) stays within
-    NORMCHECK_WORK_CAP, the sum of d^3 over the d x d blocks it eigensolves.
+def check_sweep_work(group: FiniteGroup, family: SubgroupFamily) -> int:
+    """The work of one normcheck trial (every unit, pair and all units),
+    the sum of d^3 over the d x d blocks it eigensolves, counted on the
+    coset table before the groupoid is built; raises SizeCapError past
+    NORMCHECK_WORK_CAP.
 
     The ranges of the cosets of X_u are u's orbit O of k units, c = d_u / k
     at each.  The p f p side takes u's block once per distinct X ∩ O: k
     singletons, k(k-1)/2 pairs and, for k >= 3, O.  The reduction to X has
-    the block c |X ∩ O| at u.  The coset table, which gives the orbits, is
-    read only when the units' own blocks leave room under the cap.
+    the block c |X ∩ O| at u.
     """
     d = (group.order // np.array([len(sub) for sub in family.members])).tolist()
     n = len(d)
-    work = sum(x ** 3 for x in d) * (2 if n >= 3 else 1)
-    if work <= NORMCHECK_WORK_CAP:
-        label = np.minimum.reduceat(family.cosets.ranges, np.cumsum([0] + d[:-1]))
-        work = 0
-        for d_u, k in zip(d, np.bincount(label, minlength=n)[label].tolist()):
-            work += (k + k * (k - 1) // 2 + (k >= 3)) * d_u ** 3
-            work += (d_u // k) ** 3 * (1 + 8 * (k - 1) + n - k) + (d_u ** 3 if n >= 3 else 0)
+    label = _orbit_labels(np.repeat(np.arange(n), d), family.cosets.ranges, n)
+    work = 0
+    for d_u, k in zip(d, np.bincount(label, minlength=n)[label].tolist()):
+        work += (k + k * (k - 1) // 2 + (k >= 3)) * d_u ** 3
+        work += (d_u // k) ** 3 * (1 + 8 * (k - 1) + n - k) + (d_u ** 3 if n >= 3 else 0)
     if work > NORMCHECK_WORK_CAP:
         raise SizeCapError(
             f"the coset groupoid of {group.name} has {sum(d)} arrows and blocks of "
             f"dimension up to {max(d)}: a normcheck trial eigensolves blocks of "
-            f"sum d^3 >= {work:.2g}, over the cap {NORMCHECK_WORK_CAP:.2g}")
+            f"sum d^3 = {work:.2g}, over the cap {NORMCHECK_WORK_CAP:.2g}")
+    return work

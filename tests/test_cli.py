@@ -14,13 +14,13 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import singideal
-from singideal import cli, groups, norms
+from singideal import cli, norms
 from singideal.cli import (EXIT_OK, EXIT_PARSE, EXIT_TOLERANCE, RunConfig,
                            SpecError, _build_inputs, _unit_subsets, main)
 from singideal.groupoid import build_coset_groupoid, reduction_groupoid
 from singideal.ideals import IdealReport
-from singideal.groups import (SizeCapError, SubgroupFamily, make_group,
-                              minimal_subgroups, symmetric_group)
+from singideal.groups import (SizeCapError, make_group, minimal_subgroups,
+                              symmetric_group)
 
 
 def run(capsys, argv):
@@ -430,45 +430,57 @@ def sweep_work(groupoid):
     return work
 
 
+# every group and family spec of the benchmark workloads besides the
+# catalog's single-class families (small-sweep): large-analyze, and
+# normcheck and reduced_norm in norm-sweep
+BENCHMARK_SPECS = [
+    ({"kind": "symmetric", "n": 5}, {"minimal": True}),
+    ({"kind": "dihedral", "n": 50}, {"minimal": True}),
+    ({"kind": "product", "factors": [{"kind": "cyclic", "n": 2}] * 6}, {"minimal": True}),
+    ({"kind": "cyclic", "n": 360}, {"subgroups": [[0, 180]]}),
+    ({"kind": "symmetric", "n": 4}, {"minimal": True}),
+    ({"kind": "dihedral", "n": 6}, {"minimal": True}),
+    ({"kind": "cyclic", "n": 40}, {"subgroups": [[0]]}),
+    ({"kind": "cyclic", "n": 65}, {"subgroups": [[0]]}),
+    ({"kind": "cyclic", "n": 70}, {"subgroups": [[0]]}),
+]
+
+
 def test_sweep_work_counts_the_blocks_normcheck_eigensolves(monkeypatch, catalog,
                                                             catalog_cases):
     cases = [(g, minimal_subgroups(g)) for g in catalog if g.order > 1]
     s5 = symmetric_group(5)
     cases += list(catalog_cases) + [(s5, minimal_subgroups(s5))]
-    cap = norms.NORMCHECK_WORK_CAP
+    benchmark = [_build_inputs(RunConfig("normcheck", group_spec=group, family_spec=family))
+                 for group, family in BENCHMARK_SPECS]
+    # the cap admits every case; the largest is D50 minimal, 50 reflections
+    # in 2 orbits of 25 with d = 50
+    works = [norms.check_sweep_work(group, family) for group, family in cases + benchmark]
+    assert 2e9 < max(works) <= norms.NORMCHECK_WORK_CAP
     for group, family in cases:
         work = sweep_work(build_coset_groupoid(group, family))
         monkeypatch.setattr(norms, "NORMCHECK_WORK_CAP", work)
-        norms.check_sweep_work(group, family)
+        assert norms.check_sweep_work(group, family) == work
         monkeypatch.setattr(norms, "NORMCHECK_WORK_CAP", work - 1)
         with pytest.raises(SizeCapError, match=f"^the coset groupoid of {group.name} "):
             norms.check_sweep_work(group, family)
-    # S5 minimal: the largest case in the suite, about 1 s a trial
-    assert 5e8 < work < cap
 
 
-@pytest.mark.parametrize("group, family, reads_table", [
-    ({"kind": "dihedral", "n": 100}, {"minimal": True}, True),
-    ({"kind": "cyclic", "n": 5040}, {"subgroups": [[0]]}, False),
+@pytest.mark.parametrize("group, family", [
+    ({"kind": "dihedral", "n": 100}, {"minimal": True}),
+    ({"kind": "cyclic", "n": 5040}, {"subgroups": [[0]]}),
 ])
 def test_normcheck_work_past_the_cap_exits_1_before_the_build(capsys, monkeypatch,
-                                                              group, family, reads_table):
-    # D100 minimal and C5040 {[0]} each need about 1.3e11: minutes of
-    # eigensolves; C5040's one 5040-block already passes the cap, so it is
-    # refused before its coset table is read
+                                                              group, family):
+    # D100 minimal and C5040 {[0]} need 1.3e11 and 2.6e11: minutes of
+    # eigensolves; both are refused from the coset table alone
     built, family_obj = _build_inputs(RunConfig("normcheck", group_spec=group,
                                                 family_spec=family))
-    with monkeypatch.context() as patch:
-        if not reads_table:
-            def no_table(*args):
-                raise AssertionError("the coset table is read")
-            family_obj = SubgroupFamily(built, family_obj.members)
-            patch.setattr(groups, "_coset_table", no_table)
-        tracemalloc.start()
-        with pytest.raises(SizeCapError, match="over the cap"):
-            norms.check_sweep_work(built, family_obj)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+    tracemalloc.start()
+    with pytest.raises(SizeCapError, match="over the cap"):
+        norms.check_sweep_work(built, family_obj)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     assert peak < 4 * 2 ** 20
 
     def no_build(*args):
