@@ -127,7 +127,7 @@ def integer_product(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     in float64 when max|rows| times the largest absolute row sum of
     ``matrix`` is below 2^53, so that every partial sum is an exact
     integer, in int64 below 2^63 and in Python ints otherwise."""
-    bound = _max_abs(rows) * int(np.abs(matrix, dtype=np.int64).sum(axis=1).max())
+    bound = _max_abs(rows) * int(np.abs(matrix, dtype=np.int64).sum(axis=1).max(initial=0))
     if bound < EXACT_FLOAT_INT:
         return (matrix.astype(np.float64) @ rows.T.astype(np.float64)).astype(np.int64)
     dtype = np.int64 if bound < INT64_LIMIT else object

@@ -15,12 +15,16 @@ therefore exactly the coset rows, so both kernels are the kernel of one
 0/1 int8 array scattered from the coset numbering ``groups.coset_index``,
 and are computed by one elimination in integers; Fractions appear only
 in the public ``exact.kernel_basis`` views.  Two checks that can fail
-back this up: ``_check_entry_sets`` confirms the identity above from the
-Cayley table and the family's coset table, and ``exact._certify_kernel``
-proves that the integer basis is a basis of ker M, from the mod-p rank
-the elimination already took (the argument is in the ``exact`` module
-docstring).  A failure of either check is an internal consistency
-failure, never a mathematical outcome.
+back this up.  ``_check_entry_sets`` confirms the identity above from the
+Cayley table and the family's coset table.  It gathers row i = 0 only,
+the sets X c_j^-1, and checks that each is a left coset of its range;
+row i is the left translate by c_i of row 0, so by associativity it is
+a coset of the same range.  A transversal check, c_i in the coset
+numbered i, makes column j = 0 the k cosets of X, so every family coset
+occurs.  ``exact._certify_kernel`` proves that the integer basis is a
+basis of ker M, from the mod-p rank the elimination already took (the
+argument is in the ``exact`` module docstring).  A failure of either
+check is an internal consistency failure, never a mathematical outcome.
 """
 
 from __future__ import annotations
@@ -149,6 +153,8 @@ def check_witness(group: FiniteGroup, family: SubgroupFamily,
 
 def quasi_regular_matrix(group: FiniteGroup, sub: Sequence[int], g: int) -> RationalMatrix:
     """Permutation matrix of g on the left cosets of the subgroup."""
+    if not 0 <= g < group.order:
+        raise ValueError(f"element {g} out of range for order {group.order}")
     (ids,), reps = SubgroupFamily(group, (tuple(sorted(sub)),)).cosets[:2]
     k = len(reps)
     rows = np.zeros((k, k), dtype=np.int8)
@@ -165,52 +171,53 @@ def _check_entry_sets(group: FiniteGroup, family: SubgroupFamily) -> None:
     conjugate must be a family member of the size of X, and every family
     coset must occur as some entry set.  Representatives and conjugates (the
     groupoid's ranges) are read from ``groups.coset_table``; the entry sets
-    are gathered here, so a wrong range fails: X c_j^-1 (i = 0) is a left
-    coset of the true conjugate only.  Members of one order are checked
-    together, GATHER_BLOCK entries at a time; no row of length |G| is built.
+    are gathered here, so a wrong range fails: X c_j^-1 is a left coset of
+    the true conjugate only.
+
+    Only row i = 0, the sets X c_j^-1, is gathered: |G| entries per member,
+    members of one order together, GATHER_BLOCK entries at a time.  Left
+    translation maps a left coset a Y to the left coset (c_i a) Y, so by
+    associativity row i, c_i (X c_j^-1), is a coset of the conjugate that
+    row 0 is a coset of.  Every group the library builds is associative:
+    Light's test runs up to order ``groups._ASSOC_CHECK_CAP`` and on every
+    ``cayley_group``, the generated tables above the cap are associative by
+    construction, and ``subgroup_as_group`` takes a sub-table of an
+    associative table.  Coverage is a transversal check: c_i lies in the
+    coset numbered start + i, so c_0 lies in X, column j = 0 is c_i X, and
+    the k cosets of X all occur there.
     """
     table, inverse, n, members = group.table, group.inverse, group.order, family.members
     index, reps, ranges, _ = coset_table(group, family)
-    seen = np.zeros(len(reps), dtype=bool)
     sizes = np.array([len(sub) for sub in members])
-    starts = np.cumsum(n // sizes) - n // sizes
+    counts = n // sizes
+    starts = np.cumsum(counts) - counts
+    step = max(1, GATHER_BLOCK // n)
     for size in sorted(set(sizes.tolist())):
         us = np.flatnonzero(sizes == size)
         subs = np.array([members[u] for u in us]).reshape(len(us), size)
-        k = n // size
-        arrows = starts[us, None] + np.arange(k)
-        c, owner = reps[arrows], ranges[arrows]            # c_0 < c_1 < ...
+        arrows = starts[us, None] + np.arange(n // size)
+        inv_c, owner = inverse[reps[arrows]], ranges[arrows]
         for bad, what in ((owner < 0, "not a family member"),
                           (sizes[owner] != size, "read as a member of another size")):
             if bad.any():
                 sub = members[us[np.flatnonzero(bad.any(axis=1))[0]]]
                 raise InternalInconsistencyError(
                     f"a conjugate of {list(sub)} in {group.name} is {what}")
-        left = table[c[:, :, None], subs[:, None, :]]      # c_i X
-        inv_c = inverse[c]
-        # blocks of whole members, or of one member's rows, each gathering
-        # at most GATHER_BLOCK entries
-        per_member = k * k * size
-        members_step = max(1, GATHER_BLOCK // per_member)
-        rows_step = (k if per_member <= GATHER_BLOCK
-                     else max(1, GATHER_BLOCK // (k * size)))
-        for p in range(0, len(us), members_step):
-            block = slice(p, p + members_step)
-            for i in range(0, k, rows_step):
-                # entries[., i, j, :] = c_i X c_j^-1, for the c_j of the same member
-                entries = table[left[block, i:i + rows_step, None, :],
-                                inv_c[block, None, :, None]]
-                ids = index[owner[block, None, :, None], entries]
-                bad = (ids != ids[..., :1]).any(axis=(1, 2, 3))
-                if bad.any():
-                    sub = members[us[p + int(np.flatnonzero(bad)[0])]]
-                    raise InternalInconsistencyError(
-                        f"an entry set of the representation on {group.name}/{list(sub)} "
-                        f"is not a left coset of its conjugate")
-                seen[ids[..., 0].ravel()] = True
-    if not seen.all():
+        for p in range(0, len(us), step):
+            block = slice(p, p + step)
+            # entries[., j, :] = X c_j^-1, numbered as cosets of the range of c_j X
+            entries = table[subs[block, None, :], inv_c[block, :, None]]
+            ids = index[owner[block, :, None], entries]
+            bad = (ids != ids[..., :1]).any(axis=(1, 2))
+            if bad.any():
+                sub = members[us[p + int(np.flatnonzero(bad)[0])]]
+                raise InternalInconsistencyError(
+                    f"an entry set of the representation on {group.name}/{list(sub)} "
+                    f"is not a left coset of its conjugate")
+    missing = index[np.repeat(np.arange(len(members)), counts), reps] != np.arange(len(reps))
+    if missing.any():
         raise InternalInconsistencyError(
-            f"{int((~seen).sum())} family cosets of {group.name} are not entry "
+            f"{int(missing.sum())} family cosets of {group.name} are not entry "
             f"sets of the stacked representation")
 
 

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singideal.exact import (RationalMatrix, _echelon, _integer_kernel,
-                             in_span, integer_kernel_basis, integer_rows, integerize,
+from singideal.exact import (RationalMatrix, _certify_kernel, _echelon,
+                             _integer_kernel, in_span, integer_kernel_basis,
+                             integer_product, integer_rows, integerize,
                              kernel_basis, kernel_dim, rank, same_subspace,
                              spans_full)
 from singideal.groups import make_group, minimal_subgroups, parse_family
@@ -280,3 +281,10 @@ def test_integer_kernel_is_one_array():
         assert rank_p == (rank(m) if len(m) >= len(m[0]) else None)
     assert integer_kernel_basis([[big, 0, big, 1], [0, 1, 0, 1]]) == [
         (1, 0, -1, 0), (1, big, 0, -big)]
+    # no rows: the whole space is the kernel, and the certificate's exact
+    # product has no row sum to bound
+    empty = np.zeros((0, 3), dtype=np.int64)
+    basis, rank_p = _integer_kernel(empty)
+    assert basis.tolist() == np.eye(3, dtype=np.int64).tolist() and rank_p is None
+    _certify_kernel(empty, basis, rank_p)
+    assert integer_product(empty, basis).shape == (0, 3)

@@ -120,6 +120,13 @@ def test_quasi_regular_matrix():
     assert m.row_lists() == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
 
 
+def test_quasi_regular_matrix_refuses_an_element_out_of_range():
+    c3 = cyclic(3)
+    for g in (-1, 3):
+        with pytest.raises(ValueError, match=f"^element {g} out of range for order 3$"):
+            quasi_regular_matrix(c3, (0,), g)
+
+
 def test_full_kernel_examples():
     g2 = cyclic(2)
     assert len(full_ideal_kernel(g2, make_family(g2, [(0, 1)]))) == 1
@@ -313,8 +320,8 @@ def test_kernel_certificate_reads_the_elimination_rank(monkeypatch, shortcut):
 
 
 def test_entry_set_check_memory_on_c5040():
-    # C5040 with {[0]} has 5040 cosets and 5040^2 entry sets, gathered in
-    # blocks of groups.GATHER_BLOCK entries
+    # C5040 with {[0]} has 5040 cosets; the check gathers row 0 only, the
+    # 5040 entry sets X c_j^-1 of one element each, |G| table entries
     g = cyclic(5040)
     family = make_family(g, [(0,)])
     coset_index(g, family)
@@ -366,16 +373,17 @@ def test_entry_set_check_rejects_a_member_that_is_no_subgroup():
                 entry(group, SubgroupFamily(group, (member,)))
 
 
-def mutate_ranges(monkeypatch, mutation):
+def mutate_ranges(monkeypatch, mutation, field="ranges"):
     """Patch `groups._coset_table` so that every table it builds has its
-    ranges changed by ``mutation(ranges, table, sizes)`` in place."""
+    ``field`` array (the ranges, or the representatives ``reps``) changed
+    by ``mutation(array, table, sizes)`` in place."""
     real = groups._coset_table
 
     def mutated(group, members):
         table = real(group, members)
-        ranges = table.ranges.copy()
-        mutation(ranges, table, np.array([len(sub) for sub in members]))
-        return table._replace(ranges=ranges)
+        array = getattr(table, field).copy()
+        mutation(array, table, np.array([len(sub) for sub in members]))
+        return table._replace(**{field: array})
     monkeypatch.setattr(groups, "_coset_table", mutated)
 
 
@@ -429,6 +437,95 @@ def test_the_checks_catch_a_wrong_range_in_the_coset_table(monkeypatch, group):
         class_I_check(group, minimal_subgroups(group))
     with pytest.raises(ValueError, match="not a family member"):
         build_coset_groupoid(group, minimal_subgroups(group))
+
+
+def two_cosets_share_a_representative(reps, table, sizes):
+    # the later of two cosets of one member with one range takes the
+    # representative of the earlier, so it has none; each X c_j^-1 is still
+    # a left coset of its range, and only the transversal check is left
+    sources = np.repeat(np.arange(len(sizes)), table.index.shape[1] // sizes)
+    for b in range(len(reps)):
+        for a in range(b):
+            if sources[a] == sources[b] and table.ranges[a] == table.ranges[b]:
+                reps[b] = reps[a]
+                return
+    raise AssertionError("no two cosets of one member share a range")
+
+
+@pytest.mark.parametrize("group", [g for g, _ in MUTATION_CASES],
+                         ids=[name for _, name in MUTATION_CASES])
+def test_the_checks_catch_a_shared_representative_in_the_coset_table(monkeypatch, group):
+    mutate_ranges(monkeypatch, two_cosets_share_a_representative, field="reps")
+    message = f"^1 family cosets of {group.name} are not entry sets"
+    with pytest.raises(InternalInconsistencyError, match=message):
+        class_I_check(group, minimal_subgroups(group))
+    with pytest.raises(InternalInconsistencyError, match=message):
+        full_ideal_kernel(group, minimal_subgroups(group))
+
+
+def full_gather_entry_set_check(group, family):
+    """The entry-set check on every row: all k^2 entry sets c_i X c_j^-1 of
+    each member, k |G| table entries, and a coverage pass over the cosets.
+    Kept as the reference for ``_check_entry_sets``, which gathers row 0."""
+    table, inverse, n, members = group.table, group.inverse, group.order, family.members
+    index, reps, ranges, _ = groups.coset_table(group, family)
+    seen = np.zeros(len(reps), dtype=bool)
+    sizes = np.array([len(sub) for sub in members])
+    starts = np.cumsum(n // sizes) - n // sizes
+    for size in sorted(set(sizes.tolist())):
+        us = np.flatnonzero(sizes == size)
+        subs = np.array([members[u] for u in us]).reshape(len(us), size)
+        k = n // size
+        arrows = starts[us, None] + np.arange(k)
+        c, owner = reps[arrows], ranges[arrows]
+        for bad, what in ((owner < 0, "not a family member"),
+                          (sizes[owner] != size, "read as a member of another size")):
+            if bad.any():
+                sub = members[us[np.flatnonzero(bad.any(axis=1))[0]]]
+                raise InternalInconsistencyError(
+                    f"a conjugate of {list(sub)} in {group.name} is {what}")
+        left = table[c[:, :, None], subs[:, None, :]]      # c_i X
+        inv_c = inverse[c]
+        for p in range(len(us)):
+            # entries[i, j, :] = c_i X c_j^-1
+            entries = table[left[p, :, None, :], inv_c[p, None, :, None]]
+            ids = index[owner[p, None, :, None], entries]
+            if (ids != ids[..., :1]).any():
+                raise InternalInconsistencyError(
+                    f"an entry set of the representation on {group.name}/"
+                    f"{list(members[us[p]])} is not a left coset of its conjugate")
+            seen[ids[..., 0].ravel()] = True
+    if not seen.all():
+        raise InternalInconsistencyError(
+            f"{int((~seen).sum())} family cosets of {group.name} are not entry "
+            f"sets of the stacked representation")
+
+
+def entry_set_failure(check, group, family):
+    """The message ``check`` raises on the family, or None if it passes."""
+    try:
+        check(group, family)
+    except InternalInconsistencyError as exc:
+        return str(exc)
+    return None
+
+
+def test_entry_set_check_agrees_with_the_full_gather(monkeypatch, catalog_cases):
+    c360 = cyclic(360)
+    cases = list(catalog_cases) + [
+        (g, minimal_subgroups(g))
+        for g in (symmetric_group(5), dihedral(50), direct_product([cyclic(2)] * 6))]
+    cases.append((c360, make_family(c360, [(0, 180)])))
+    for group, family in cases:
+        assert entry_set_failure(_check_entry_sets, group, family) is None
+        assert entry_set_failure(full_gather_entry_set_check, group, family) is None
+    for mutation in (swap_two_ranges, range_of_another_size, no_range):
+        mutate_ranges(monkeypatch, mutation)
+        for group, _ in MUTATION_CASES:
+            family = minimal_subgroups(group)
+            expected = entry_set_failure(full_gather_entry_set_check, group, family)
+            assert expected is not None, (mutation.__name__, group.name)
+            assert entry_set_failure(_check_entry_sets, group, family) == expected
 
 
 def test_one_coset_table_per_family(monkeypatch, catalog_cases):
