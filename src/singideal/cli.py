@@ -175,7 +175,7 @@ def cmd_normcheck(config: RunConfig) -> int:
     keys = [",".join(map(str, subset)) for subset in subsets]
     per_subset = dict.fromkeys(keys, 0.0)
     # trials are drawn in seed order, a block of at most NORM_BATCH values
-    # at a time, converted once; each subset's reduction is built once per block
+    # at a time, converted once; each orbit part's reduction is built once per block
     size = max(1, norms.NORM_BATCH // groupoid.num_arrows())
     try:
         for start in range(0, config.trials, size):

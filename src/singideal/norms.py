@@ -20,23 +20,30 @@ another matmul kernel, whose results differ in the last bits.
 
 The norm equation is evaluated on a ``NormBlock``: a batch of functions
 converted once to integer rows over one denominator (``exact.integer_rows``)
-and once to floats, for a list of unit subsets at once.  For each subset
-the reduction groupoid is built once; p f p for the whole block is two
-``convolve_rows`` calls with the unit-indicator row, checked exactly to be
-the block's rows masked to the reduction's arrows, and the left side reads
-the block's floats gathered onto the reduction.  On the right, entry
-(g, h) of the block of p f p at a unit v survives iff r(g) and r(h) lie
-in X, and both lie in reach(v), the ranges of the arrows out of v; so the
-block is one matrix for every X with the same X ∩ reach(v), and zero when
-that is empty.  Each distinct key (v, X ∩ reach(v)) takes one eigensolve,
-and a subset's right side is the root of the largest top among its keys.
-The bits are those of the reduced norm of the masked floats over the
-whole groupoid: each key's matrix is that block entry for entry, +0.0
-where masked, in a C-contiguous chunk; matmul and eigvalsh act matrix by
-matrix; max and sqrt are exact; and a skipped zero block's top, 0.0, is
-where the maximum starts.  Floats are always float(Fraction), correctly
-rounded: numerator rows are divided in float64 only when the numerators
-and the denominator are below 2^53, and as Python ints otherwise.
+and once to floats, for a list of unit subsets at once.  No arrow joins
+two orbits, so a subset X is the disjoint union of its parts S = X ∩ O,
+one per orbit O it meets, and all the work is done once per distinct part.
+The reduction over X is the disjoint union of the reductions over its
+parts, each unit's block the same matrix in the same row order, and
+p_X f p_X is the sum of the p_S f p_S.  For each part the reduction
+groupoid is built once; p f p for the whole block is two ``convolve_rows``
+calls with the unit-indicator row, checked exactly to be the block's rows
+masked to the reduction's arrows, and the part's left side reads the
+block's floats gathered onto the reduction.  On the right, entry (g, h) of
+the block of p f p at a unit v survives iff r(g) and r(h) lie in X, and
+both lie in reach(v), the ranges of the arrows out of v, which is v's
+orbit; so the block is one matrix for every X with the same part
+X ∩ reach(v), and zero when that is empty.  Each key (v, S), S a part and
+v in its orbit, takes one eigensolve.  A subset's left side is the largest
+over its parts, and its right side the root of the largest top among its
+parts' keys.  The bits are those of one reduction over X and of the
+reduced norm of the masked floats over the whole groupoid: each block is
+that matrix entry for entry, +0.0 where masked, in a C-contiguous chunk;
+matmul and eigvalsh act matrix by matrix; sqrt is monotone and max exact;
+and a skipped zero block's top, 0.0, is where the maximum starts.  Floats
+are always float(Fraction), correctly rounded: numerator rows are divided
+in float64 only when the numerators and the denominator are below 2^53,
+and as Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -57,10 +64,10 @@ from .ideals import InternalInconsistencyError
 NORM_BATCH = 1 << 14
 
 # sum of d^3 over the d x d blocks one normcheck trial eigensolves.  One
-# trial on a 2-CPU x86 machine: S5 minimal 5.6e8 in 1 s, D50 minimal 2.1e9
-# in 2.6 s, C2^7 minimal 4.3e9 in 11-15 s (its 8129 reductions, not the
-# eigensolves, take most of it), D70 minimal 1.5e10 in 12 s, C2000 {[0]}
-# 1.6e10 in 1.6 s.  D100 minimal and C5040 {[0]} need 1.3e11 and 2.6e11.
+# trial on a 2-CPU x86 machine: C2^7 minimal 6.7e7 in 0.5 s, S5 minimal
+# 5.6e8 in 0.75 s, D50 minimal 2.0e9 in 2.4 s, D70 minimal 1.5e10 in
+# 12-13 s, C2000 {[0]} 1.6e10 in 1.8 s.  D100 minimal and C5040 {[0]} need
+# 1.3e11 and 2.6e11.
 NORMCHECK_WORK_CAP = 2 * 10 ** 10
 
 
@@ -167,23 +174,24 @@ def _orbit_labels(sources, ranges, num_units: int) -> np.ndarray:
     return label
 
 
-def _compression_keys(groupoid: FiniteGroupoid, subsets: Sequence[Sequence[int]]):
-    """(keys, columns): the distinct keys (v, X ∩ reach(v)) with a non-empty
-    intersection over every sorted subset X and unit v, and for each
-    subset the indices of its keys."""
+def _orbit_parts(groupoid: FiniteGroupoid, subsets: Sequence[Sequence[int]]):
+    """(parts, members, keys): the distinct parts X ∩ O of the sorted
+    subsets X over the orbits O, in order of first appearance; for each
+    subset the indices of its parts; and for each part S its keys (v, S),
+    v in S's orbit.  Raises ValueError on a unit out of range."""
+    n = len(groupoid.units)
     # reach(v) is v's orbit
-    label = _orbit_labels(groupoid._sources, groupoid._ranges, len(groupoid.units)).tolist()
-    orbits = {}
-    for v, lab in enumerate(label):
-        orbits.setdefault(lab, []).append(v)
-    keys, columns = {}, []
+    label = _orbit_labels(groupoid._sources, groupoid._ranges, n).tolist()
+    parts, members = {}, []
     for units in subsets:
-        parts = {}
+        split = {}
         for u in units:
-            parts.setdefault(label[u], []).append(u)
-        columns.append([keys.setdefault((v, tuple(part)), len(keys))
-                        for lab, part in parts.items() for v in orbits[lab]])
-    return list(keys), columns
+            if not 0 <= u < n:
+                raise ValueError(f"unit {u} out of range")
+            split.setdefault(label[u], []).append(u)
+        members.append([parts.setdefault(tuple(part), len(parts)) for part in split.values()])
+    return list(parts), members, [[(v, part) for v in range(n) if label[v] == label[part[0]]]
+                                  for part in parts]
 
 
 def _key_tops(groupoid: FiniteGroupoid, keys, floats: np.ndarray) -> np.ndarray:
@@ -232,31 +240,30 @@ def block_residuals(groupoid: FiniteGroupoid, subsets: Sequence[Sequence[int]],
     subsets = [sorted(set(units)) for units in subsets]
     if not all(subsets):
         raise ValueError("unit subset must be non-empty")
+    parts, members, keys = _orbit_parts(groupoid, subsets)
     nums, lhs = block.numerators, []
-    for units in subsets:
-        reduced, kept = reduction_groupoid(groupoid, units)
-        if not len(nums):
-            continue
-        outside = np.ones(groupoid.num_arrows(), dtype=bool)
-        outside[kept] = False
-        if not np.array_equal(_compress(groupoid, nums, units),
-                              np.where(outside, 0, nums)):
-            raise InternalInconsistencyError(
-                f"p f p over units {units} is not f restricted to the reduction")
-        lhs.append(_reduced_norms(reduced, block.floats[:, kept]))
     if not len(nums):
         return [[] for _ in subsets]
-    keys, columns = _compression_keys(groupoid, subsets)
-    tops = _key_tops(groupoid, keys, block.floats)
-    # from 0.0, the top of every skipped zero block
-    return [np.abs(left - np.sqrt(np.maximum(0.0, tops[:, cols].max(axis=1)))).tolist()
-            for left, cols in zip(lhs, columns)]
+    for part in parts:
+        reduced, kept = reduction_groupoid(groupoid, part)
+        masked = np.where(np.isin(np.arange(groupoid.num_arrows()), kept), nums, 0)
+        if not np.array_equal(_compress(groupoid, nums, part), masked):
+            raise InternalInconsistencyError(
+                f"p f p over units {list(part)} is not f restricted to the reduction")
+        lhs.append(_reduced_norms(reduced, block.floats[:, kept]))
+    lhs = np.stack(lhs, axis=1)
+    tops = _key_tops(groupoid, [key for ks in keys for key in ks], block.floats)
+    # each part's largest top over its keys, from 0.0, the top of every
+    # skipped zero block
+    starts = np.cumsum([0] + [len(ks) for ks in keys[:-1]])
+    rhs = np.sqrt(np.maximum(0.0, np.maximum.reduceat(tops, starts, axis=1)))
+    return [np.abs(lhs[:, m].max(axis=1) - rhs[:, m].max(axis=1)).tolist() for m in members]
 
 
 def norm_equation_residuals(groupoid: FiniteGroupoid, units: Sequence[int],
                             fs: Sequence[GroupoidFunction]) -> List[float]:
     """``verify_norm_equation(groupoid, units, f)`` for every f in ``fs``,
-    from one reduction and one batched reduced norm per side."""
+    from one reduction and one batched reduced norm per orbit part."""
     return block_residuals(groupoid, [units], norm_block(fs))[0]
 
 
@@ -281,8 +288,9 @@ def check_sweep_work(group: FiniteGroup, family: SubgroupFamily) -> int:
 
     The ranges of the cosets of X_u are u's orbit O of k units, c = d_u / k
     at each.  The p f p side takes u's block once per distinct X ∩ O: k
-    singletons, k(k-1)/2 pairs and, for k >= 3, O.  The reduction to X has
-    the block c |X ∩ O| at u.
+    singletons, k(k-1)/2 pairs and, for k >= 3, O.  The reduction to each
+    distinct part S = X ∩ O with u in S has the block c |S| at u: {u}, the
+    k - 1 pairs in O and, for k >= 3, O.
     """
     d = (group.order // np.array([len(sub) for sub in family.members])).tolist()
     n = len(d)
@@ -290,7 +298,7 @@ def check_sweep_work(group: FiniteGroup, family: SubgroupFamily) -> int:
     work = 0
     for d_u, k in zip(d, np.bincount(label, minlength=n)[label].tolist()):
         work += (k + k * (k - 1) // 2 + (k >= 3)) * d_u ** 3
-        work += (d_u // k) ** 3 * (1 + 8 * (k - 1) + n - k) + (d_u ** 3 if n >= 3 else 0)
+        work += (d_u // k) ** 3 * (1 + 8 * (k - 1)) + (d_u ** 3 if k >= 3 else 0)
     if work > NORMCHECK_WORK_CAP:
         raise SizeCapError(
             f"the coset groupoid of {group.name} has {sum(d)} arrows and blocks of "

@@ -417,15 +417,15 @@ def sweep_work(groupoid):
     """Sum of d^3 over the blocks one normcheck trial eigensolves, counted
     on the groupoid: one block at v per distinct X ∩ reach(v) on the p f p
     side, reach(v) the ranges of the arrows with source v, and every block
-    of every reduction."""
+    of the reduction to every distinct part X ∩ reach(u), u in X."""
     subsets = _unit_subsets(len(groupoid.units))
     dims = [len(arrows) for arrows in groupoid.arrows_by_source]
     reach = [{a.range for a in groupoid.arrows if a.source == v} for v in range(len(dims))]
     keys = {(v, frozenset(units) & reach[v]) for units in subsets
             for v in range(len(dims)) if set(units) & reach[v]}
     work = sum(dims[v] ** 3 for v, _ in keys)
-    for units in subsets:
-        reduced, _ = reduction_groupoid(groupoid, units)
+    for part in {frozenset(units) & reach[u] for units in subsets for u in units}:
+        reduced, _ = reduction_groupoid(groupoid, sorted(part))
         work += sum(len(arrows) ** 3 for arrows in reduced.arrows_by_source)
     return work
 
@@ -457,6 +457,12 @@ def test_sweep_work_counts_the_blocks_normcheck_eigensolves(monkeypatch, catalog
     # in 2 orbits of 25 with d = 50
     works = [norms.check_sweep_work(group, family) for group, family in cases + benchmark]
     assert 2e9 < max(works) <= norms.NORMCHECK_WORK_CAP
+    # C2^7 minimal: 127 one-unit orbits with d = 64 and one block of each
+    # side per unit, where a reduction per subset counted 4.3e9
+    c2_7 = _build_inputs(RunConfig("normcheck", group_spec={
+        "kind": "product", "factors": [{"kind": "cyclic", "n": 2}] * 7},
+        family_spec={"minimal": True}))
+    assert norms.check_sweep_work(*c2_7) == 127 * 2 * 64 ** 3
     for group, family in cases:
         work = sweep_work(build_coset_groupoid(group, family))
         monkeypatch.setattr(norms, "NORMCHECK_WORK_CAP", work)
@@ -561,15 +567,18 @@ DIGEST_CASES = [
     ("S3", {"kind": "symmetric", "n": 3}, {"subgroups": [[0, 1], [0, 2], [0, 5]]}),
 ]
 
-# the norm-sweep normcheck cases, at 20 trials, and S5 minimal, whose
-# orbits of 10 and 15 units have 60-dimensional blocks that span several
-# chunks, at 2: their residuals pin the float bits of the reduced norms on
-# both sides of every norm equation
+# the norm-sweep normcheck cases, at 20 trials, S5 minimal, whose orbits
+# of 10 and 15 units have 60-dimensional blocks that span several chunks,
+# at 2, and C2^7 minimal, 8129 subsets over 127 one-unit orbits, at 1:
+# their residuals pin the float bits of the reduced norms on both sides of
+# every norm equation
 NORMCHECK_DIGEST_CASES = [
     ("S4", {"kind": "symmetric", "n": 4}, {"minimal": True}, 20),
     ("D6", {"kind": "dihedral", "n": 6}, {"minimal": True}, 20),
     ("C70", {"kind": "cyclic", "n": 70}, {"subgroups": [[0]]}, 20),
     ("S5", {"kind": "symmetric", "n": 5}, {"minimal": True}, 2),
+    ("C2^7", {"kind": "product", "factors": [{"kind": "cyclic", "n": 2}] * 7},
+     {"minimal": True}, 1),
 ]
 
 
@@ -599,7 +608,8 @@ def report_digests():
 # conversion (D50 and C2^6 before the kernel certificate moved into it,
 # normcheck before the regular representation stopped padding its floats,
 # the explicit S4 and S3 families before the coset table moved into groups,
-# normcheck S5 before the p f p side shared its blocks across subsets);
+# normcheck S5 before the p f p side shared its blocks across subsets,
+# normcheck C2^7 before the reduction side went by orbit part);
 # a change that moves a byte of these reports fails here
 PINNED_DIGESTS = {
     'ai-atlas 16':
@@ -744,6 +754,8 @@ PINNED_DIGESTS = {
         "12b45609bf6a804c2a73624ab1dda9430c12ea3c9607f52fbf52dd8806a4c75a",
     'normcheck S5 {"minimal": true}':
         "b89307ccf9f39707ad655ee6e419654d61c901a0ec943c0edf0d9d1cb84a3624",
+    'normcheck C2^7 {"minimal": true}':
+        "1fd70e6fbf610c5322198e0aa5df770ab1f04ee57ac3ba0870998002f93839ae",
 }
 
 

@@ -346,14 +346,30 @@ def test_block_residuals_match_the_full_groupoid_rhs(catalog, monkeypatch):
     assert any(shape[0] == 1 and shape[1] > 1 for shape in chunks)
 
 
+def brute_force_parts(gpd, subsets):
+    """Every distinct part X ∩ reach(u), u in X: reach(u) is u's orbit."""
+    reach = [{a.range for a in gpd.arrows if a.source == v}
+             for v in range(len(gpd.units))]
+    return {tuple(sorted(set(units) & reach[u])) for units in subsets for u in units}
+
+
 def test_compression_side_eigensolves_each_key_once(monkeypatch):
     """S4 minimal: 197 distinct blocks on the p f p side per function,
-    where every subset at every unit made 92 x 13 = 1196."""
+    where every subset at every unit made 92 x 13 = 1196; and on the
+    reduction side one block per unit of each of the 40 distinct parts,
+    74, where a reduction per subset made 182."""
     s4 = symmetric_group(4)
     gpd = build_coset_groupoid(s4, minimal_subgroups(s4))
     subsets = _unit_subsets(len(gpd.units))
-    keys, columns = norms._compression_keys(gpd, subsets)
-    assert len(keys) == len(brute_force_keys(gpd, subsets)) == 197
+    parts, members, keys = norms._orbit_parts(gpd, subsets)
+    flat = [key for ks in keys for key in ks]
+    assert len(flat) == len(set(flat)) == 197
+    assert {(v, frozenset(part)) for v, part in flat} == brute_force_keys(gpd, subsets)
+    assert len(parts) == len(set(parts)) == 40 and set(parts) == brute_force_parts(gpd, subsets)
+    assert all(ks[0][1] == part for part, ks in zip(parts, keys))
+    # every subset is the disjoint union of its parts
+    assert [sorted(u for p in m for u in parts[p]) for m in members] == subsets
+    assert sum(map(len, parts)) == 74
     matrices = []
     real = norms._gram_tops
     monkeypatch.setattr(norms, "_gram_tops",
@@ -361,11 +377,11 @@ def test_compression_side_eigensolves_each_key_once(monkeypatch):
     rng = random.Random(3)
     fs = [random_groupoid_function(rng, gpd) for _ in range(3)]
     block_residuals(gpd, subsets, norm_block(fs))
-    # the reductions' own blocks: one per unit of each subset
-    assert sum(matrices) == len(fs) * (197 + sum(map(len, subsets)))
+    # the reductions' own blocks: one per unit of each part
+    assert sum(matrices) == len(fs) * (197 + 74)
 
 
-def test_normcheck_builds_one_reduction_per_subset(capsys, monkeypatch):
+def test_normcheck_builds_one_reduction_per_part(capsys, monkeypatch):
     built = []
 
     def counting(groupoid, units):
@@ -376,7 +392,36 @@ def test_normcheck_builds_one_reduction_per_subset(capsys, monkeypatch):
     assert main(["normcheck", "--group", '{"kind":"symmetric","n":4}',
                  "--family", '{"minimal":true}', "--trials", "3"]) == EXIT_OK
     capsys.readouterr()
-    assert len(built) == len(_unit_subsets(13))
+    s4 = symmetric_group(4)
+    gpd = build_coset_groupoid(s4, minimal_subgroups(s4))
+    parts = brute_force_parts(gpd, _unit_subsets(len(gpd.units)))
+    # 40 distinct parts of the 92 subsets, each built once
+    assert len(built) == len(set(built)) == 40 and set(built) == parts
+    # C2^7 minimal: 127 units, each its own orbit, in 8129 subsets
+    built.clear()
+    assert main(["normcheck", "--group", '{"kind":"product","factors":[{"kind":"cyclic","n":2}'
+                 + ',{"kind":"cyclic","n":2}' * 6 + ']}',
+                 "--family", '{"minimal":true}', "--trials", "1"]) == EXIT_OK
+    capsys.readouterr()
+    assert len(_unit_subsets(127)) == 8129
+    assert sorted(built) == [(u,) for u in range(127)]
+
+
+def test_norm_equation_rejects_units_out_of_range():
+    # units are checked before a subset is split by orbit: a unit past the
+    # last must not index the orbit labels, nor a negative one wrap round
+    gpd = s3_groupoid()
+    assert len(gpd.units) == 3
+    f = random_groupoid_function(random.Random(5), gpd)
+    for units, bad in (([3], 3), ([-1], -1), ([0, 5], 5), ([-1, 0], -1)):
+        for fs in ([f], []):
+            with pytest.raises(ValueError, match=f"^unit {bad} out of range$"):
+                norm_equation_residuals(gpd, units, fs)
+        with pytest.raises(ValueError, match=f"^unit {bad} out of range$"):
+            verify_norm_equation(gpd, units, f)
+    for fs in ([f], []):
+        with pytest.raises(ValueError, match="non-empty"):
+            norm_equation_residuals(gpd, [], fs)
 
 
 # S3 as a one-unit groupoid: the one left-regular block carries the norm
@@ -466,6 +511,32 @@ def test_exact_compression_check_catches_a_one_unit_error(capsys, monkeypatch):
     report = json.loads(capsys.readouterr().out)
     assert code == EXIT_TOLERANCE
     assert report["error"] == "internal-inconsistency" and "p f p" in report["detail"]
+
+
+def test_part_check_catches_an_error_in_one_orbit(capsys, monkeypatch):
+    # S4 minimal: p f p off by one only on the parts inside the orbit of
+    # the 3 double-transposition subgroups; each part's exact check names it
+    s4 = symmetric_group(4)
+    gpd = build_coset_groupoid(s4, minimal_subgroups(s4))
+    reach = [{a.range for a in gpd.arrows if a.source == v} for v in range(len(gpd.units))]
+    orbit = sorted(next(r for r in reach if len(r) == 3))
+    real = norms._compress
+
+    def off_by_one(groupoid, nums, units):
+        out = real(groupoid, nums, units)
+        if set(units) <= set(orbit):
+            out = out.copy()
+            out[:, groupoid.unit_arrows[units[0]]] += 1
+        return out
+
+    monkeypatch.setattr(norms, "_compress", off_by_one)
+    code = main(["normcheck", "--group", '{"kind":"symmetric","n":4}',
+                 "--family", '{"minimal":true}', "--trials", "2"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_TOLERANCE and report["error"] == "internal-inconsistency"
+    # the first such part is the singleton of the orbit's least unit
+    assert report["detail"] == (f"p f p over units [{orbit[0]}] is not f restricted "
+                                "to the reduction")
 
 
 def test_normcheck_report_is_independent_of_the_block_size(capsys, monkeypatch):
