@@ -4,8 +4,8 @@ extraction.  All reports are JSON with potentially-large integers (the
 witness coefficients) serialized as decimal strings.
 
 Exit codes: 0 success, 1 parse/usage error or size cap exceeded, 2
-internal kernel inconsistency (analyze), 3 norm tolerance exceeded or
-inexact compression p f p (normcheck).
+internal kernel inconsistency (every command but normcheck), 3 norm
+tolerance exceeded or inexact compression p f p (normcheck).
 """
 
 from __future__ import annotations
@@ -114,11 +114,7 @@ def _emit(report: dict, output: Optional[str]) -> None:
 
 def cmd_analyze(config: RunConfig) -> int:
     group, family = _build_inputs(config)
-    try:
-        report = class_I_check(group, family)
-    except InternalInconsistencyError as exc:
-        _emit({"error": "internal-inconsistency", "detail": str(exc)}, config.output)
-        return EXIT_INCONSISTENT
+    report = class_I_check(group, family)
     data = report.to_json_dict()
     # the q-map rows are the coset rows (the coset groupoid's arrows are the
     # distinct cosets in order), so the q kernel is the certified kernel
@@ -252,7 +248,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "ai-atlas": cmd_ai_atlas,
             "normcheck": cmd_normcheck,
         }[config.command]
-        return handler(config)
+        try:
+            return handler(config)
+        except InternalInconsistencyError as exc:
+            # a failed kernel check in any command; normcheck reports its own
+            _emit({"error": "internal-inconsistency", "detail": str(exc)}, config.output)
+            return EXIT_INCONSISTENT
     except (SpecError, FamilyNotInvariantError, SizeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

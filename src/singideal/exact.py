@@ -1,40 +1,56 @@
 """Exact rational linear algebra: rank, kernel bases, span tests, integerization.
 
-Everything here is exact and stays in integers: ``integer_rows`` is the
-one conversion of rational values (ints, Fractions, floats taken
-exactly) to integer rows over a common denominator, and the rows are
-eliminated fraction-free (cross-multiplication with gcd stripping,
-pivots at the first non-zero entry in column order) and back-substituted
-the same way into an integer RREF.  The RREF is canonical, so its kernel
-basis (``integer_kernel_basis``) is reproducible across platforms;
-``kernel_basis`` is its Fraction view.
+Everything here is exact.  ``integer_rows`` is the one conversion of
+rational values (ints, Fractions, floats taken exactly) to integer rows
+over a common denominator, and ``integer_product`` the one exact product
+of integer arrays, in float64 while every partial sum is an integer
+below 2^53.  Every kernel, and so every rank, comes from one engine,
+``_kernels.eliminate_mod_p``, and is certified before it is returned.
 
-Machine integers enter only through ``integer_product``, exact in
-float64 while every partial sum is an integer below 2^53, and the mod-p
-rank (``_kernels``), taken at most once per matrix: first, by
-``_reduce``, when the matrix has at least as many rows as columns, and
-otherwise, since it cannot then be full, only by the certificate.  The
-rank of an integer matrix mod p never exceeds its rational rank, so that
-one rank r_p serves two proofs.  r_p == cols proves a trivial kernel
-with no elimination.  And ``_certify_kernel`` proves that the d rows of
-an integer array B are a basis of the kernel: M B = 0 exactly; B is
-independent, by structure when its rows end in distinct columns (in that
-order they are triangular, as the canonical basis always is), else by
-its rank mod p, then exactly; and r_p == cols - d leaves no kernel
-vector out.  A shorter mod-p rank proves nothing and falls back to exact
-elimination: the shortcut to ``_echelon``, the certificate to ``rank``.
+``_integer_kernel`` first ranks a matrix with at least as many rows as
+columns through a forward pass on its transpose: the rank of an integer
+matrix mod p never exceeds its rational rank, so full column rank mod p
+proves a trivial kernel.  Otherwise it takes the reduced row echelon
+form (RREF) mod p, reads each non-zero entry at a free column back as a
+rational a/b with |a|, b <= sqrt(N/2) (rational reconstruction, von zur
+Gathen and Gerhard, *Modern Computer Algebra* 5.10), and builds one
+primitive integer vector per free column f: 1 at f, minus column f of
+the RREF at the pivots, cleared of denominators.  ``_certify_kernel``
+accepts the d vectors B only on a proof in three parts:
+
+1. M B = 0, exactly;
+2. each vector's last non-zero entry is at its own free column, in
+   increasing order, and it is zero at every other vector's free column;
+3. d = cols - r_p, r_p the rank mod p, the pivot count of the same pass.
+
+By 2, B is independent, so by 1 the rational rank r is at most cols - d
+= r_p <= r: B spans ker M.  A kernel vector zero at the free columns is
+zero, so the other r columns are independent, and by 2 each free column
+is a combination of those to its left: they are the rational pivot
+columns, and each vector of B is the unique kernel vector supported on
+the pivots and its free column, the canonical RREF basis vector.
+
+When the proof fails (an unlucky prime, or an entry past sqrt(N/2)),
+the next prime of one fixed sequence is taken.  Primes sharing the best
+pivot set, the rational one when any prime has it (no prime finds more
+pivots or an earlier one), are combined by the Chinese remainder
+theorem, N their product.  Unlucky primes divide one non-zero minor, so
+their product stays below the Hadamard bound H of any rank-many rows,
+and the RREF entries are ratios of minors at most H: once N passes
+2 H^2 the reading is exact, and a failure raises
+``InternalInconsistencyError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isfinite, lcm
-from typing import Iterable, List, Optional, Sequence
+from math import gcd, isfinite, isqrt, lcm, prod
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ._kernels import CERT_PRIME, rank_mod_p
+from ._kernels import CERT_PRIME, eliminate_mod_p
 
 # integers below these in magnitude convert to float64 exactly, and fit int64
 EXACT_FLOAT_INT = 2 ** 53
@@ -127,133 +143,137 @@ def integer_product(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     in float64 when max|rows| times the largest absolute row sum of
     ``matrix`` is below 2^53, so that every partial sum is an exact
     integer, in int64 below 2^63 and in Python ints otherwise."""
-    bound = _max_abs(rows) * int(np.abs(matrix, dtype=np.int64).sum(axis=1).max(initial=0))
+    wide = matrix.dtype == object or _max_abs(matrix) * matrix.shape[1] >= INT64_LIMIT
+    row_sums = np.abs(matrix, dtype=object if wide else np.int64).sum(axis=1)
+    bound = _max_abs(rows) * int(row_sums.max(initial=0))
     if bound < EXACT_FLOAT_INT:
         return (matrix.astype(np.float64) @ rows.T.astype(np.float64)).astype(np.int64)
     dtype = np.int64 if bound < INT64_LIMIT else object
     return matrix.astype(dtype) @ rows.T.astype(dtype)
 
 
-def _strip_row(row: List[int]) -> List[int]:
-    """row divided by its gcd, signed so its first non-zero entry is > 0."""
-    lead = next((x for x in row if x), 0)
-    # a leading entry of +-1 makes the gcd 1
-    g = 1 if lead in (1, -1) else gcd(*row)
-    if lead < 0:
-        g = -g
-    return row if g in (0, 1) else [x // g for x in row]
+def _primes():
+    """CERT_PRIME, then every prime below it, in descending order."""
+    return (n for n in range(CERT_PRIME, 2, -2)
+            if n == CERT_PRIME or all(n % d for d in range(3, isqrt(n) + 1, 2)))
 
 
-def _clear_column(row: List[int], pivot: List[int], c: int) -> List[int]:
-    """pivot[c] * row - row[c] * pivot, gcd-stripped: column c cleared."""
-    pv, v = pivot[c], row[c]
-    return _strip_row([pv * x - v * y for x, y in zip(row, pivot)])
+def _rational(u: int, n: int) -> tuple:
+    """(a, b), b > 0 and gcd(a, b) = 1, with a = b u (mod n) and |a|, b at
+    most sqrt(n/2), unique for odd n; InternalInconsistencyError when there
+    is none.  The half extended Euclidean algorithm on (n, u)."""
+    bound = isqrt(n // 2)
+    r0, r1, t0, t1 = n, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        raise InternalInconsistencyError("an RREF entry has no rational reading")
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _echelon(int_rows: Iterable[List[int]]):
-    """Fraction-free forward elimination.
-
-    Returns (pivot_cols, pivot_rows) with pivot columns strictly increasing
-    per row; pivot_rows are gcd-stripped integer rows with positive pivots.
-    """
-    pivots = {}  # col -> row
-    for row in int_rows:
-        for c in sorted(pivots):
-            if row[c]:
-                row = _clear_column(row, pivots[c], c)
-        lead = next((c for c, x in enumerate(row) if x), None)
-        if lead is not None:
-            pivots[lead] = row
-    cols_sorted = sorted(pivots)
-    return cols_sorted, [pivots[c] for c in cols_sorted]
+def _primitive(rows: np.ndarray) -> np.ndarray:
+    """The non-zero integer ``rows``, each divided by its gcd and signed so
+    that its leading entry is > 0: int64 when every entry then fits."""
+    lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+    rows = rows // (np.gcd.reduce(rows, axis=1) * np.sign(lead))[:, None]
+    if rows.dtype == object and _max_abs(rows) < INT64_LIMIT:
+        rows = rows.astype(np.int64)
+    return rows
 
 
-def _reduce(m):
-    """(pivot_cols, pivot_rows, cols, rank_p), rank_p the rank of m mod
-    CERT_PRIME, or None when m has fewer rows than columns and the rank
-    could settle nothing: m's exact elimination, or every column and no
-    rows when rank_p is full column rank."""
+def _reconstruct(pivots: np.ndarray, block: np.ndarray, modulus: int) -> np.ndarray:
+    """The kernel basis read off ``block``, the free columns of the RREF
+    of a matrix mod ``modulus`` whose pivot columns ``pivots`` masks: per
+    free column f, 1 at f and minus the rational reading of column f at
+    the pivots, times a common denominator, then made primitive.  Only
+    the non-zero entries are read, each distinct value once;
+    InternalInconsistencyError when one has no rational reading."""
+    free = np.flatnonzero(~pivots)
+    i, j = np.nonzero(block)
+    residues = block[i, j]
+    values = sorted(set(residues.tolist()))
+    pairs = [_rational(u, modulus) for u in values]
+    den = lcm(*(b for _, b in pairs))
+    scaled = [-a * (den // b) for a, b in pairs]
+    dtype = np.int64 if max([den, *map(abs, scaled)]) < INT64_LIMIT else object
+    basis = np.zeros((len(free), len(pivots)), dtype=dtype)
+    basis[np.arange(len(free)), free] = den
+    where = np.searchsorted(values, residues)
+    basis[j, np.flatnonzero(pivots)[i]] = np.array(scaled, dtype=dtype)[where]
+    return _primitive(basis)
+
+
+def _integer_kernel(m) -> np.ndarray:
+    """The canonical basis of the right kernel {x : Mx = 0} as the rows of
+    one integer array, int64 when every entry fits and Python ints
+    otherwise: one primitive vector (gcd 1, leading entry > 0) per free
+    column of the RREF, in ascending column order, certified by
+    ``_certify_kernel`` (module docstring)."""
     rows = integer_rows(m)[0]
     cols = rows.shape[1]
-    rank_p = _rank_mod_prime(rows) if len(rows) >= cols else None
-    if rank_p == cols:
-        return list(range(cols)), [], cols, rank_p
-    return (*_echelon(rows.tolist()), cols, rank_p)
+    if len(rows) >= cols and eliminate_mod_p(rows.T, CERT_PRIME)[0].sum() == cols:
+        return np.zeros((0, cols), dtype=np.int64)
+    best = None
+    for p in _primes():
+        pivots, rref = eliminate_mod_p(rows, p, reduced=True)
+        # the free columns only: a copy, so the working array can go
+        rref = rref[:, ~pivots]
+        # mod p the i-th pivot is never left of the rational i-th pivot and
+        # there are never more pivots, so the rational pivots sort first
+        key = (~pivots).tobytes()
+        if best is None or key < best:
+            best, residues, modulus = key, rref, p
+        elif key == best:
+            # the Chinese remainder theorem, in int64 while N p fits
+            dtype = np.int64 if modulus * p < INT64_LIMIT else object
+            residues = residues.astype(dtype)
+            lift = (rref.astype(dtype) - residues % p) * pow(modulus, -1, p) % p
+            residues, modulus = residues + modulus * lift, modulus * p
+        else:
+            continue
+        try:
+            basis = _reconstruct(pivots, residues, modulus)
+            _certify_kernel(rows, basis, int(pivots.sum()))
+            return basis
+        except InternalInconsistencyError:
+            # 2 H^2, H the product of the min(rows, cols) largest row norms
+            # (each taken as at least 1): the Hadamard bound of any minor
+            wide = rows.dtype == object or _max_abs(rows) ** 2 * cols >= INT64_LIMIT
+            squares = np.square(rows, dtype=object if wide else np.int64).sum(axis=1)
+            squares = sorted(max(s, 1) for s in squares.tolist())
+            if modulus > 2 * prod(squares[len(squares) - min(rows.shape):]):
+                raise
 
 
-def _rank_mod_prime(rows: np.ndarray) -> int:
-    """rank_mod_p of an integer array, Python ints reduced mod p first."""
-    if rows.dtype == object:
-        rows = np.mod(rows, CERT_PRIME).astype(np.int64)
-    return int(rank_mod_p(rows, CERT_PRIME))
+def _certify_kernel(matrix: np.ndarray, basis: np.ndarray, rank_p: int) -> None:
+    """Raise InternalInconsistencyError unless the rows of ``basis`` are,
+    up to scale, the canonical basis of ker ``matrix``, whose rank mod a
+    prime is ``rank_p``; the proof is in the module docstring."""
+    cols, d = matrix.shape[1], len(basis)
+    if rank_p != cols - d:
+        raise InternalInconsistencyError(f"kernel dimension {d} disagrees with the matrix rank")
+    nonzero = basis != 0
+    last = cols - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    # at the sorted last columns the vectors read as the identity only when
+    # those columns are distinct and in increasing order, each vector's own
+    # non-zero and the others' zero
+    if not np.array_equal(nonzero[:, np.sort(last)], np.eye(d, dtype=bool)):
+        raise InternalInconsistencyError("the kernel basis is not in reduced echelon form")
+    if integer_product(matrix, basis).any():
+        raise InternalInconsistencyError("a kernel basis vector fails M x = 0")
 
 
 def rank(m) -> int:
-    """Rank over the rationals via exact fraction-free elimination."""
-    return len(_reduce(m)[0])
-
-
-def _integer_kernel(m) -> tuple:
-    """(B, rank_p): the canonical basis of the right kernel {x : Mx = 0}
-    as the rows of one integer array, int64 when every entry fits and
-    Python ints otherwise, and m's rank mod CERT_PRIME.  There is one
-    primitive vector (gcd 1, leading entry > 0) per free column of the
-    RREF, in ascending column order.  Back-substitution clears each pivot
-    column from the rows above with the forward step, so the RREF stays
-    integral (Bareiss 1968)."""
-    pivot_cols, rows, cols, rank_p = _reduce(m)
-    free = sorted(set(range(cols)) - set(pivot_cols))
-    if not free:
-        return np.zeros((0, cols), dtype=np.int64), rank_p
-    for i in reversed(range(len(rows))):
-        for j in range(i):
-            if rows[j][pivot_cols[i]]:
-                rows[j] = _clear_column(rows[j], rows[i], pivot_cols[i])
-    # row i reads p_i x[c_i] + a_i x[free] = 0 when the other free entries
-    # are 0; x[free] = lcm(p_i) makes every x[c_i] an integer
-    den = lcm(*(r[c] for r, c in zip(rows, pivot_cols)))
-    scale = [den // r[c] for r, c in zip(rows, pivot_cols)]
-    a = integer_rows([[r[f] for f in free] for r in rows]
-                     or np.zeros((0, len(free)), dtype=np.int64))[0]
-    fits = max(den, _max_abs(a) * max(scale, default=0)) < INT64_LIMIT
-    dtype = np.int64 if fits else object
-    basis = np.zeros((len(free), cols), dtype=dtype)
-    basis[np.arange(len(free)), free] = den
-    basis[:, pivot_cols] = -(a.astype(dtype) * np.array(scale, dtype=dtype)[:, None]).T
-    # divide each vector by its gcd, signed by its leading entry
-    lead = basis[np.arange(len(free)), np.argmax(basis != 0, axis=1)]
-    g = np.gcd.reduce(basis, axis=1)
-    basis //= np.where(lead < 0, -g, g)[:, None]
-    if not fits and _max_abs(basis) < INT64_LIMIT:
-        basis = basis.astype(np.int64)
-    return basis, rank_p
-
-
-def _certify_kernel(matrix: np.ndarray, basis: np.ndarray,
-                    rank_p: Optional[int]) -> None:
-    """Raise InternalInconsistencyError unless the rows of ``basis`` are a
-    basis of ker ``matrix``, whose rank mod CERT_PRIME is ``rank_p`` (None:
-    not yet taken); the proof is in the module docstring."""
-    cols, d = matrix.shape[1], len(basis)
-    if d:
-        if integer_product(matrix, basis).any():
-            raise InternalInconsistencyError("a kernel basis vector fails M x = 0")
-        nonzero = basis != 0
-        last = np.sort(cols - 1 - np.argmax(nonzero[:, ::-1], axis=1))
-        triangular = nonzero.any(axis=1).all() and (last[1:] > last[:-1]).all()
-        if not triangular and _rank_mod_prime(basis) < d and rank(basis) < d:
-            raise InternalInconsistencyError("the kernel basis is linearly dependent")
-    if rank_p is None:
-        rank_p = _rank_mod_prime(matrix)
-    if rank_p > cols - d or (rank_p < cols - d and rank(matrix) != cols - d):
-        raise InternalInconsistencyError(
-            f"kernel dimension {d} disagrees with the matrix rank")
+    """Rank over the rationals: the columns less the certified kernel."""
+    basis = _integer_kernel(m)
+    return basis.shape[1] - len(basis)
 
 
 def integer_kernel_basis(m) -> List[tuple]:
     """The canonical kernel basis of ``_integer_kernel``: one primitive
     integer vector per free column, as a tuple of Python ints."""
-    return [tuple(vec) for vec in _integer_kernel(m)[0].tolist()]
+    return [tuple(vec) for vec in _integer_kernel(m).tolist()]
 
 
 def kernel_basis(m) -> List[tuple]:
@@ -277,8 +297,7 @@ def kernel_basis(m) -> List[tuple]:
 
 
 def kernel_dim(m) -> int:
-    pivot_cols, _, cols, _ = _reduce(m)
-    return cols - len(pivot_cols)
+    return len(_integer_kernel(m))
 
 
 def spans_full(vectors: Sequence[Sequence], dim: int) -> bool:
@@ -291,19 +310,15 @@ def spans_full(vectors: Sequence[Sequence], dim: int) -> bool:
 
 def integerize(vec: Sequence) -> tuple:
     """Primitive integer vector: positive multiple, gcd 1, leading entry > 0."""
-    ints = integer_rows([vec])[0][0].tolist()
-    if not any(ints):
+    ints = integer_rows([vec])[0]
+    if not ints.any():
         raise ValueError("cannot integerize the zero vector")
-    return tuple(_strip_row(ints))
+    return tuple(_primitive(ints)[0].tolist())
 
 
 def in_span(basis: Sequence[Sequence], vec: Sequence) -> bool:
     """Exact membership of vec in the rational span of the basis vectors."""
     basis = [list(b) for b in basis]
-    if not any(vec):
-        return True
-    if not basis:
-        return False
     return rank(basis) == rank(basis + [list(vec)])
 
 
@@ -311,8 +326,5 @@ def same_subspace(basis_a: Sequence[Sequence], basis_b: Sequence[Sequence]) -> b
     """Exact equality of the two rational spans."""
     a = [list(r) for r in basis_a]
     b = [list(r) for r in basis_b]
-    if not a or not b:
-        # the span of no vectors is {0}
-        return not any(any(r) for r in a + b)
     ra, rb = rank(a), rank(b)
     return ra == rb == rank(a + b)

@@ -13,16 +13,20 @@ indicator of c_i X c_j^-1, a left coset of the conjugate c_j X c_j^-1.
 For a conjugation-invariant family the deduplicated entry rows are
 therefore exactly the coset rows, so both kernels are the kernel of one
 0/1 int8 array scattered from the coset numbering ``groups.coset_index``,
-and are computed by one elimination in integers; Fractions appear only
-in the public ``exact.kernel_basis`` views.  Two checks that can fail
+and are computed by one engine, elimination mod a prime
+(``exact._integer_kernel``); Fractions appear only in the public
+``exact.kernel_basis`` views.  Two checks that can fail
 back this up.  ``_check_entry_sets`` confirms the identity above from the
 Cayley table and the family's coset table.  It gathers row i = 0 only,
 the sets X c_j^-1, and checks that each is a left coset of its range;
 row i is the left translate by c_i of row 0, so by associativity it is
 a coset of the same range.  A transversal check, c_i in the coset
 numbered i, makes column j = 0 the k cosets of X, so every family coset
-occurs.  ``exact._certify_kernel`` proves that the integer basis is a
-basis of ker M, from the mod-p rank the elimination already took (the
+occurs.  The kernel comes certified: full column rank mod p proves it
+trivial, and otherwise ``exact._certify_kernel`` proves that the integer
+basis read back from the RREF mod p is the canonical basis of ker M:
+M B = 0 exactly, each vector ends at its own free column and is zero at
+the others, and d = |G| - r_p, r_p the pivot count of the same pass (the
 argument is in the ``exact`` module docstring).  A failure of either
 check is an internal consistency failure, never a mathematical outcome.
 """
@@ -132,7 +136,7 @@ def algebraic_ideal_kernel(group: FiniteGroup, family: SubgroupFamily) -> List[t
 
 def integer_witness(group: FiniteGroup, family: SubgroupFamily) -> Optional[GroupAlgebraElement]:
     """Primitive integer element of the algebraic kernel, or None if trivial."""
-    basis = exact._integer_kernel(_coset_matrix(group, family))[0]
+    basis = exact._integer_kernel(_coset_matrix(group, family))
     return GroupAlgebraElement(group, tuple(basis[0].tolist())) if len(basis) else None
 
 
@@ -240,15 +244,14 @@ def weak_containment_regular(group: FiniteGroup, family: SubgroupFamily) -> bool
 
 
 def class_I_check(group: FiniteGroup, family: SubgroupFamily) -> IdealReport:
-    """Full report from one constraint matrix and one elimination.
+    """Full report from one constraint matrix and its certified kernel.
 
     Raises InternalInconsistencyError when the entry-set check or the
     kernel certificate fails, which for finite groups can only mean a bug.
     """
     matrix = _coset_matrix(group, family)
     _check_entry_sets(group, family)
-    basis, rank_p = exact._integer_kernel(matrix)
-    exact._certify_kernel(matrix, basis, rank_p)
+    basis = exact._integer_kernel(matrix)
     dim = len(basis)
     witness = GroupAlgebraElement(group, tuple(basis[0].tolist())) if dim else None
     # the certified kernel is both the algebraic and the full kernel, so

@@ -54,3 +54,19 @@ def catalog_cases(catalog):
         for fam in conjugacy_class_families(group):
             cases.append((group, fam))
     return cases
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """(shape, prime, reduced) of each mod-p elimination that ``exact``
+    runs from now on, in order."""
+    from singideal import exact
+
+    calls = []
+    real = exact.eliminate_mod_p
+
+    def counting(mat, p, reduced=False):
+        calls.append((mat.shape, p, reduced))
+        return real(mat, p, reduced)
+    monkeypatch.setattr(exact, "eliminate_mod_p", counting)
+    return calls

@@ -14,9 +14,10 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import singideal
-from singideal import cli, norms
-from singideal.cli import (EXIT_OK, EXIT_PARSE, EXIT_TOLERANCE, RunConfig,
-                           SpecError, _build_inputs, _unit_subsets, main)
+from singideal import cli, exact, norms
+from singideal.cli import (EXIT_INCONSISTENT, EXIT_OK, EXIT_PARSE,
+                           EXIT_TOLERANCE, RunConfig, SpecError, _build_inputs,
+                           _unit_subsets, main)
 from singideal.groupoid import build_coset_groupoid, reduction_groupoid
 from singideal.ideals import IdealReport
 from singideal.groups import (SizeCapError, make_group, minimal_subgroups,
@@ -137,6 +138,24 @@ def test_hls_command(capsys):
                              "--family", '{"subgroups":[[0],[0,2]]}'])
     data = json.loads(out)
     assert data["extremely_dangerous"] is False
+
+
+@pytest.mark.parametrize("command", ["witness", "hls", "analyze"])
+def test_a_failed_kernel_certificate_exits_2(capsys, monkeypatch, command):
+    """A reconstruction that returns a wrong vector fails the certificate
+    of the witness's basis: exit 2 and one JSON object, no traceback."""
+    real = exact._reconstruct
+
+    def off_by_one(*args):
+        basis = real(*args).copy()
+        basis[0, 0] += 1
+        return basis
+    monkeypatch.setattr(exact, "_reconstruct", off_by_one)
+    code, out = run(capsys, [command, "--group", '{"kind":"cyclic","n":4}',
+                             "--family", '{"subgroups":[[0,2]]}'])
+    assert code == EXIT_INCONSISTENT
+    assert json.loads(out) == {"error": "internal-inconsistency",
+                               "detail": "a kernel basis vector fails M x = 0"}
 
 
 def test_ai_atlas_small(capsys):

@@ -1,5 +1,6 @@
 """Exact rational linear algebra: ranks, kernels, spans, integerization."""
 
+import math
 import pickle
 from fractions import Fraction
 
@@ -8,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singideal.exact import (RationalMatrix, _certify_kernel, _echelon,
-                             _integer_kernel, in_span, integer_kernel_basis,
-                             integer_product, integer_rows, integerize,
-                             kernel_basis, kernel_dim, rank, same_subspace,
-                             spans_full)
+from singideal import exact
+from singideal._kernels import CERT_PRIME, eliminate_mod_p
+from singideal.exact import (InternalInconsistencyError, RationalMatrix,
+                             _certify_kernel, _integer_kernel, in_span,
+                             integer_kernel_basis, integer_product,
+                             integer_rows, integerize, kernel_basis,
+                             kernel_dim, rank, same_subspace, spans_full)
 from singideal.groups import make_group, minimal_subgroups, parse_family
 from singideal.ideals import coset_constraint_matrix
 
@@ -188,31 +191,47 @@ def test_integer_rows_dtype_and_denominator():
         integer_rows([[1, 2], [3]])
 
 
-def reference_rref(pivot_cols, pivot_rows):
-    """Canonical reduced row echelon form of the pivot rows, in Fractions."""
-    rows = [[Fraction(x) for x in r] for r in pivot_rows]
-    for i in reversed(range(len(rows))):
-        c = pivot_cols[i]
-        piv = rows[i][c]
-        rows[i] = [x / piv for x in rows[i]]
-        for j in range(i):
-            f = rows[j][c]
+def reference_rref(rows, cols):
+    """(pivot_cols, rref): the reduced row echelon form of the rational
+    ``rows`` by Gauss-Jordan elimination in Fractions, each RREF row a dict
+    {column: non-zero entry}.  Column by column, a pivot row is taken from
+    the rows not yet used and cleared from every row that holds its
+    column; rows that become zero are dropped."""
+    pending = [{c: Fraction(x) for c, x in enumerate(r) if x} for r in rows]
+    pending = [r for r in pending if r]
+    pivot_cols, rref = [], []
+    for c in range(cols):
+        k = next((k for k, r in enumerate(pending) if c in r), None)
+        if k is None:
+            continue
+        pivot = pending.pop(k)
+        lead = pivot[c]
+        pivot = {j: x / lead for j, x in pivot.items()}
+        for row in pending + rref:
+            f = row.get(c)
             if f:
-                rows[j] = [x - f * y for x, y in zip(rows[j], rows[i])]
-    return rows
+                for j, x in pivot.items():
+                    y = row.get(j, 0) - f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+        pending = [r for r in pending if r]
+        pivot_cols.append(c)
+        rref.append(pivot)
+    return pivot_cols, rref
 
 
 def reference_kernel_basis(rows, cols):
     """The canonical kernel basis read off the Fraction RREF: one vector
     per free column, 1 there and minus the RREF column at the pivots."""
-    pivot_cols, pivot_rows = _echelon(integer_rows(rows)[0].tolist())
-    rref = reference_rref(pivot_cols, pivot_rows)
+    pivot_cols, rref = reference_rref(rows, cols)
     basis = []
     for free in sorted(set(range(cols)) - set(pivot_cols)):
         vec = [Fraction(0)] * cols
         vec[free] = Fraction(1)
-        for i, c in enumerate(pivot_cols):
-            vec[c] = -rref[i][free]
+        for row, c in zip(rref, pivot_cols):
+            vec[c] = -row.get(free, Fraction(0))
         basis.append(tuple(vec))
     return basis
 
@@ -261,8 +280,7 @@ def test_kernel_basis_matches_the_fraction_rref(rows):
 
 def test_integer_kernel_is_one_array():
     """_integer_kernel's rows are integer_kernel_basis, in an int64 array
-    exactly when every entry fits, beside the rank mod p, which only a
-    matrix with at least as many rows as columns takes."""
+    exactly when every entry fits."""
     big = 2 ** 32 + 15
     cases = [
         ([[1, 1]], np.int64),
@@ -274,17 +292,99 @@ def test_integer_kernel_is_one_array():
         ([[1, 2], [2, 4], [0, 0]], np.int64),
     ]
     for m, dtype in cases:
-        basis, rank_p = _integer_kernel(m)
+        basis = _integer_kernel(m)
         assert basis.dtype == dtype, m
         assert basis.shape == (kernel_dim(m), len(m[0]))
         assert [tuple(v) for v in basis.tolist()] == integer_kernel_basis(m)
-        assert rank_p == (rank(m) if len(m) >= len(m[0]) else None)
     assert integer_kernel_basis([[big, 0, big, 1], [0, 1, 0, 1]]) == [
         (1, 0, -1, 0), (1, big, 0, -big)]
     # no rows: the whole space is the kernel, and the certificate's exact
     # product has no row sum to bound
     empty = np.zeros((0, 3), dtype=np.int64)
-    basis, rank_p = _integer_kernel(empty)
-    assert basis.tolist() == np.eye(3, dtype=np.int64).tolist() and rank_p is None
-    _certify_kernel(empty, basis, rank_p)
+    basis = _integer_kernel(empty)
+    assert basis.tolist() == np.eye(3, dtype=np.int64).tolist()
+    _certify_kernel(empty, basis, 0)
     assert integer_product(empty, basis).shape == (0, 3)
+
+
+def primes_used(eliminations):
+    """The primes of the Gauss-Jordan passes, in order: each a new prime
+    below the last, CERT_PRIME first."""
+    primes = [p for _, p, reduced in eliminations if reduced]
+    assert primes[0] == CERT_PRIME
+    assert all(a > b for a, b in zip(primes, primes[1:]))
+    return primes
+
+
+def test_an_unlucky_first_prime_still_gives_the_canonical_basis(eliminations):
+    m = [[CERT_PRIME, 1]]
+    # mod CERT_PRIME the first column vanishes, so the pivot moves right
+    assert eliminate_mod_p(np.array(m), CERT_PRIME, reduced=True)[0].tolist() == [False, True]
+    assert_canonical_basis(m, m, 2)
+    eliminations.clear()
+    assert integer_kernel_basis(m) == [(1, -CERT_PRIME)]
+    # the second prime finds column 0, but 1/CERT_PRIME needs two more
+    # primes before its denominator is below sqrt(N/2)
+    assert len(primes_used(eliminations)) == 4
+
+
+def test_reconstruction_past_one_prime(eliminations):
+    """RREF entries past sqrt(p/2) ~ 32767, as numerators and as
+    denominators, are read back over several primes combined."""
+    rng = np.random.default_rng(3)
+    # each matrix with the primes its reading takes: 1/2^70 needs
+    # N > 2^141, five primes; 40000 and 1/40000 need N > 2 * 40000^2, two
+    cases = [([[2 ** 70, 1]], 5),
+             ([[1, 0, 40000, 3], [0, 40000, 1, 1]], 2),
+             (rng.integers(-1000, 1001, size=(3, 5)).tolist(), 2)]
+    for m, primes in cases:
+        assert_canonical_basis(m, m, len(m[0]))
+        eliminations.clear()
+        integer_kernel_basis(m)
+        assert len(primes_used(eliminations)) == primes, m
+
+
+def test_failures_stop_past_the_hadamard_bound(monkeypatch, eliminations):
+    """A reading that never succeeds raises once the product N of the
+    primes passes 2 H^2, H the Hadamard bound of the rows, and not before.
+    For [[a, 1]], H^2 = a^2 + 1: 2 H^2 is just below CERT_PRIME for the
+    first a, between it and the product of two primes for the second, so
+    a stop off by a factor of 2 either way takes a different count."""
+    def unreadable(*args):
+        raise InternalInconsistencyError("an RREF entry has no rational reading")
+    monkeypatch.setattr(exact, "_reconstruct", unreadable)
+    for a, count in ((26755, 1), (40132, 2), (2 ** 70, 5)):
+        eliminations.clear()
+        with pytest.raises(InternalInconsistencyError, match="no rational reading"):
+            integer_kernel_basis([[a, 1]])
+        primes = primes_used(eliminations)
+        assert len(primes) == count
+        assert math.prod(primes[:-1]) <= 2 * (a * a + 1) < math.prod(primes)
+
+
+def test_reduced_elimination_is_the_fraction_rref_mod_p():
+    """eliminate_mod_p's reduced mode is the Fraction RREF read mod p, and
+    its forward mode has the same pivots, each the leading entry of its row
+    with zeros below; the input is left unchanged."""
+    rng = np.random.default_rng(5)
+    p = CERT_PRIME
+    for rows, cols in ((9, 6), (6, 9)):
+        for k in (6, 4, 2, 1, 0):
+            for _ in range(4):
+                m = (rng.integers(-4, 5, size=(rows, k))
+                     @ rng.integers(-4, 5, size=(k, cols)))
+                before = m.copy()
+                pivot_cols, rref = reference_rref(m.tolist(), cols)
+                pivots, reduced = eliminate_mod_p(m, p, reduced=True)
+                assert np.flatnonzero(pivots).tolist() == pivot_cols
+                assert reduced.tolist() == [
+                    [x.numerator * pow(x.denominator, -1, p) % p
+                     for x in (row.get(c, Fraction(0)) for c in range(cols))]
+                    for row in rref]
+                pivots, echelon = eliminate_mod_p(m, p)
+                assert np.flatnonzero(pivots).tolist() == pivot_cols
+                assert echelon.shape == (len(pivot_cols), cols)
+                for i, c in enumerate(pivot_cols):
+                    assert echelon[i, c] and not echelon[i + 1:, c].any()
+                    assert not echelon[i, :c].any()
+                assert np.array_equal(m, before)

@@ -2,7 +2,6 @@
 
 import random
 import re
-import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -12,7 +11,8 @@ import pytest
 from singideal import _kernels, exact, groups
 from singideal.atlas import abelian_groups_of_order
 from singideal.cli import EXIT_INCONSISTENT, main
-from singideal.exact import _certify_kernel, in_span, same_subspace, spans_full
+from singideal.exact import (_certify_kernel, in_span, integer_product,
+                             same_subspace, spans_full)
 from singideal.groupoid import (build_coset_groupoid, kernel_of_q_dimension,
                                 q_map)
 from singideal.groups import (SubgroupFamily, conjugation_closure,
@@ -192,14 +192,13 @@ def test_stacked_representation_rows_are_the_coset_rows(catalog_cases):
 
 
 def patch_kernel(monkeypatch, change):
-    """Hand class_I_check the basis change(B) in place of the basis B of
-    exact._integer_kernel, with the rank mod p that the elimination took."""
-    real = exact._integer_kernel
+    """Hand the certificate the basis change(B) in place of the basis B
+    read back from the RREF mod p."""
+    real = exact._reconstruct
 
-    def changed(m):
-        basis, rank_p = real(m)
-        return change(basis), rank_p
-    monkeypatch.setattr(exact, "_integer_kernel", changed)
+    def changed(*args):
+        return change(real(*args))
+    monkeypatch.setattr(exact, "_reconstruct", changed)
 
 
 @pytest.mark.parametrize("change", [
@@ -224,7 +223,7 @@ def test_kernel_certificate_beyond_int64():
     g2 = cyclic(2)
     matrix = _coset_matrix(g2, make_family(g2, [(0, 1)]))
     assert matrix.dtype == np.int8
-    rank_p = exact._integer_kernel(matrix)[1]
+    rank_p = int(_kernels.eliminate_mod_p(matrix, _kernels.CERT_PRIME)[0].sum())
     big = 2 ** 70
     _certify_kernel(matrix, np.array([(big, -big)], dtype=object), rank_p)
     with pytest.raises(InternalInconsistencyError):
@@ -237,7 +236,8 @@ def c12_kernel():
     g12 = cyclic(12)
     family = make_family(g12, [(0, 6)])
     matrix = _coset_matrix(g12, family)
-    return (g12, family, matrix, *exact._integer_kernel(matrix))
+    rank_p = int(_kernels.eliminate_mod_p(matrix, _kernels.CERT_PRIME)[0].sum())
+    return g12, family, matrix, exact._integer_kernel(matrix), rank_p
 
 
 def count_calls(monkeypatch, module, name):
@@ -252,26 +252,30 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_kernel_certificate_independence_can_fail(monkeypatch, c12_kernel):
+    """Every basis below is in the kernel and has the right size; the
+    structure check alone refuses it."""
     group, family, matrix, basis, rank_p = c12_kernel
-    assert len(basis) == 6
-    ranks = count_calls(monkeypatch, exact, "_rank_mod_prime")
-    # the canonical basis is triangular: no elimination proves independence;
-    # the coset matrix is wide, so its one rank is the certificate's own
+    assert len(basis) == 6 and rank_p == 6
     _certify_kernel(matrix, basis, rank_p)
-    assert rank_p is None and [args[0] for args in ranks] == [matrix]
-    # one vector repeated: still in the kernel, but dependent
-    patch_kernel(monkeypatch, lambda b: np.vstack([b[:1], b[:-1]]))
-    with pytest.raises(InternalInconsistencyError, match="linearly dependent"):
-        class_I_check(group, family)
-    # (v1 + v2, v2, ...) is independent, but its first two vectors end in
-    # the same column, so the mod-p rank decides, and passes
-    recombined = np.vstack([basis[:1] + basis[1:2], basis[1:]])
-    patch_kernel(monkeypatch, lambda b: recombined)
-    ranks.clear()
-    assert class_I_check(group, family).algebraic_kernel_dim == 6
-    # one mod-p rank of the coset matrix, in the certificate, and one of the basis
-    assert len([args for args in ranks if args[0] is recombined]) == 1
-    assert len(ranks) == 2
+    v1, v2 = basis[:1], basis[1:2]
+    wrong = {
+        # one vector repeated: dependent
+        "repeated": np.vstack([v1, basis[:-1]]),
+        # (v1 + v2, v2, ...) is independent, but its first two vectors end
+        # in the same column
+        "recombined": np.vstack([v1 + v2, basis[1:]]),
+        # (v1, v1 + v2, ...) ends in increasing columns, but its second
+        # vector is non-zero at the first vector's free column
+        "not reduced": np.vstack([v1, v1 + v2, basis[2:]]),
+        "reordered": basis[::-1],
+    }
+    for name, changed in wrong.items():
+        assert not integer_product(matrix, changed).any(), name
+        with pytest.raises(InternalInconsistencyError, match="not in reduced echelon form"):
+            _certify_kernel(matrix, changed, rank_p)
+        patch_kernel(monkeypatch, lambda b, changed=changed: changed)
+        with pytest.raises(InternalInconsistencyError, match="not in reduced echelon form"):
+            class_I_check(group, family)
 
 
 def test_kernel_certificate_exact_past_float_range(c12_kernel):
@@ -289,34 +293,31 @@ def test_kernel_certificate_exact_past_float_range(c12_kernel):
 
 
 @pytest.mark.parametrize("shortcut", [False, True], ids=["C12-{0,6}", "S4-minimal"])
-def test_kernel_certificate_reads_the_elimination_rank(monkeypatch, shortcut):
-    """The certificate reads the coset matrix's rank mod p: one too high
-    must raise, one too low must be decided by exact.rank, and pass.
-    S4 minimal has a trivial kernel, settled by the full-column-rank
-    shortcut, whose rank exact._reduce takes; C12 {0, 6} has a
-    6-dimensional one, and a wide matrix, whose rank the certificate
-    takes itself."""
+def test_kernel_certificate_reads_the_elimination_rank(monkeypatch, eliminations, shortcut):
+    """The certificate reads the rank mod p that the elimination found: its
+    pivot count, passed on unchanged, and one too high or one too low must
+    raise.  S4 minimal has a trivial kernel, settled by full column rank
+    in a forward pass of the transpose; C12 {0, 6} has a 6-dimensional
+    one, read off the RREF."""
     group = symmetric_group(4) if shortcut else cyclic(12)
     family = (minimal_subgroups(group) if shortcut
               else make_family(group, [(0, 6)]))
     matrix = _coset_matrix(group, family)
-    dim = class_I_check(group, family).algebraic_kernel_dim
-    assert (dim == 0) == shortcut
+    certified = count_calls(monkeypatch, exact, "_certify_kernel")
+    basis = exact._integer_kernel(matrix)
+    assert (len(basis) == 0) == shortcut
     assert (matrix.shape[0] >= matrix.shape[1]) == shortcut
-    real = exact._rank_mod_prime
-
-    def shift_rank(by):
-        def shifted(rows):
-            return real(rows) + (by if np.array_equal(rows, matrix) else 0)
-        monkeypatch.setattr(exact, "_rank_mod_prime", shifted)
-
-    shift_rank(1)
-    with pytest.raises(InternalInconsistencyError, match="disagrees with the matrix rank"):
-        class_I_check(group, family)
-    shift_rank(-1)
-    exact_ranks = count_calls(monkeypatch, exact, "rank")
-    assert class_I_check(group, family).algebraic_kernel_dim == dim
-    assert len(exact_ranks) == 1 and np.array_equal(exact_ranks[0][0], matrix)
+    rank_p = matrix.shape[1] - len(basis)
+    if shortcut:
+        assert eliminations == [(matrix.T.shape, _kernels.CERT_PRIME, False)]
+        assert certified == []
+    else:
+        assert eliminations == [(matrix.shape, _kernels.CERT_PRIME, True)]
+        assert len(certified) == 1 and certified[0][2] == rank_p
+    _certify_kernel(matrix, basis, rank_p)
+    for wrong in (rank_p + 1, rank_p - 1):
+        with pytest.raises(InternalInconsistencyError, match="disagrees with the matrix rank"):
+            _certify_kernel(matrix, basis, wrong)
 
 
 def test_entry_set_check_memory_on_c5040():
@@ -569,58 +570,51 @@ def test_class_I_check_eliminates_once(monkeypatch, catalog_cases):
         assert calls["kernel_basis"] == [], (group.name, family.members)
 
 
-def count_mod_p_ranks(monkeypatch):
-    """The shapes of the matrices ranked mod p from now on, counted through
-    every singideal module that binds _kernels.rank_mod_p."""
-    calls = []
-    real = _kernels.rank_mod_p
-
-    def counting(mat, p):
-        calls.append(mat.shape)
-        return real(mat, p)
-    for name, module in list(sys.modules.items()):
-        if ((name == "singideal" or name.startswith("singideal."))
-                and getattr(module, "rank_mod_p", None) is real):
-            monkeypatch.setattr(module, "rank_mod_p", counting)
-    return calls
-
-
-def test_class_I_check_takes_one_mod_p_rank(monkeypatch, catalog_cases):
-    """One rank mod p per coset matrix: the shortcut and the kernel
-    certificate read the same rank."""
-    calls = count_mod_p_ranks(monkeypatch)
+def test_class_I_check_eliminates_once_per_prime(eliminations, catalog_cases):
+    """One Gauss-Jordan pass per prime used, and one prime on every case
+    below.  A matrix with at least as many rows as columns takes a forward
+    pass of its transpose first, which settles a trivial kernel alone."""
     c2 = cyclic(2)
     large = [(g, minimal_subgroups(g)) for g in
              (symmetric_group(5), dihedral(50), direct_product([c2] * 6))]
     c360 = cyclic(360)
     cases = [*catalog_cases, *large, (c360, make_family(c360, [(0, 180)]))]
     for group, family in cases:
-        calls.clear()
-        class_I_check(group, family)
-        assert len(calls) == 1, (group.name, family.members, calls)
+        eliminations.clear()
+        dim = class_I_check(group, family).algebraic_kernel_dim
+        matrix = _coset_matrix(group, family)
+        passes = [(matrix.shape, _kernels.CERT_PRIME, True)] if dim else []
+        if matrix.shape[0] >= matrix.shape[1]:
+            passes.insert(0, (matrix.T.shape, _kernels.CERT_PRIME, False))
+        assert eliminations == passes, (group.name, family.members)
 
 
-def test_wide_matrices_take_no_mod_p_rank(monkeypatch, catalog_cases):
+def test_wide_matrices_take_no_mod_p_rank(eliminations, catalog_cases):
     """A matrix with fewer rows than columns never has full column rank, so
-    the witness and the span helpers take no rank mod p of it, while the
-    kernel certificate of class_I_check still takes exactly one."""
-    calls = count_mod_p_ranks(monkeypatch)
+    the witness, the span helpers and class_I_check take no forward
+    (rank-only) pass of it: each reads the rank off one Gauss-Jordan pass."""
     wide = 0
     for group, family in catalog_cases:
         matrix = _coset_matrix(group, family)
         if matrix.shape[0] >= matrix.shape[1]:
             continue
-        calls.clear()
-        integer_witness(group, family)
         rows = matrix.tolist()
-        exact.rank(rows)
+        # each call with the number of matrices it takes a kernel of
+        calls = [(lambda: integer_witness(group, family), 1),
+                 (lambda: exact.rank(rows), 1),
+                 (lambda: class_I_check(group, family), 1)]
         if 2 * len(rows) < len(rows[0]):
             # rows + [vec] and the rows of both spans are wide as well
             wide += 1
+            calls += [(lambda: in_span(rows, rows[0]), 2),
+                      (lambda: same_subspace(rows, rows[::-1]), 3)]
+        for call, kernels in calls:
+            eliminations.clear()
+            call()
+            assert [(p, reduced) for _, p, reduced in eliminations] == [
+                (_kernels.CERT_PRIME, True)] * kernels, (group.name, family.members)
+        if 2 * len(rows) < len(rows[0]):
             assert in_span(rows, rows[0]) and same_subspace(rows, rows[::-1])
-        assert calls == [], (group.name, family.members)
-        class_I_check(group, family)
-        assert calls == [matrix.shape], (group.name, family.members)
     assert wide >= 10
 
 

@@ -204,16 +204,18 @@ def test_norm_and_rank_kernels_match_references():
                   for u in range(len(gpd.units)))
         assert reduced_norm(gpd, f) == pytest.approx(ref, rel=1e-12)
         assert reduced_norm(gpd, f) == pytest.approx(expected, abs=1e-5)
-    # the mod-p rank certificate against the float rank, full and deficient,
-    # tall (eliminated as the transpose) and wide; the input is left unchanged
+    # the pivot count of the mod-p elimination, forward and reduced, against
+    # the float rank, full and deficient, tall and wide; the input is left
+    # unchanged
     for rows, cols in ((12, 8), (8, 12)):
         for k in (8, 5, 3, 1, 0):
             for _ in range(8):
                 m = (rng.integers(0, 5, size=(rows, k))
                      @ rng.integers(0, 5, size=(k, cols)))
                 before = m.copy()
-                assert (_kernels.rank_mod_p(m, _kernels.CERT_PRIME)
-                        == np.linalg.matrix_rank(m.astype(float)))
+                for reduced in (False, True):
+                    pivots, _ = _kernels.eliminate_mod_p(m, _kernels.CERT_PRIME, reduced)
+                    assert pivots.sum() == np.linalg.matrix_rank(m.astype(float))
                 assert np.array_equal(m, before)
 
 
