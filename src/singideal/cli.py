@@ -27,7 +27,7 @@ from .groupoid import build_coset_groupoid
 from .groups import (FamilyNotInvariantError, SizeCapError, make_group,
                      parse_family)
 from .ideals import (InternalInconsistencyError, class_I_check, integer_witness)
-from .sampling import random_groupoid_function
+from .sampling import DENOMINATOR, random_numerators
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -170,13 +170,14 @@ def cmd_normcheck(config: RunConfig) -> int:
     subsets = _unit_subsets(len(groupoid.units))
     keys = [",".join(map(str, subset)) for subset in subsets]
     per_subset = dict.fromkeys(keys, 0.0)
-    # trials are drawn in seed order, a block of at most NORM_BATCH values
-    # at a time, converted once; each orbit part's reduction is built once per block
+    # trials are drawn in seed order as integer rows over DENOMINATOR, a
+    # block of at most NORM_BATCH values at a time, converted to floats
+    # once; each orbit part's reduction is built once per block
     size = max(1, norms.NORM_BATCH // groupoid.num_arrows())
     try:
         for start in range(0, config.trials, size):
-            block = norms.norm_block([random_groupoid_function(rng, groupoid)
-                                      for _ in range(min(size, config.trials - start))])
+            nums = random_numerators(rng, min(size, config.trials - start), groupoid.num_arrows())
+            block = norms.norm_block(nums, DENOMINATOR)
             for key, residuals in zip(keys, norms.block_residuals(groupoid, subsets, block)):
                 per_subset[key] = max(per_subset[key], *residuals)
     except InternalInconsistencyError as exc:
@@ -188,8 +189,8 @@ def cmd_normcheck(config: RunConfig) -> int:
         "trials": config.trials,
         "seed": config.seed,
         "tol": config.tol,
-        "unit_subsets": [list(map(int, k.split(","))) for k in sorted(per_subset)],
-        "max_residual_per_subset": {k: per_subset[k] for k in sorted(per_subset)},
+        "unit_subsets": [subset for _, subset in sorted(zip(keys, subsets))],
+        "max_residual_per_subset": per_subset,
         "max_residual": worst,
         "within_tol": worst < config.tol,
     }

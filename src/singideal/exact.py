@@ -182,16 +182,17 @@ def _primitive(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _reconstruct(pivots: np.ndarray, block: np.ndarray, modulus: int) -> np.ndarray:
-    """The kernel basis read off ``block``, the free columns of the RREF
-    of a matrix mod ``modulus`` whose pivot columns ``pivots`` masks: per
-    free column f, 1 at f and minus the rational reading of column f at
-    the pivots, times a common denominator, then made primitive.  Only
-    the non-zero entries are read, each distinct value once;
-    InternalInconsistencyError when one has no rational reading."""
+def _reconstruct(pivots: np.ndarray, at: tuple, residues: np.ndarray,
+                 modulus: int) -> np.ndarray:
+    """The kernel basis read off the free columns of the RREF of a matrix
+    mod ``modulus`` whose pivot columns ``pivots`` masks, given by its
+    non-zero ``residues`` at the positions ``at`` (rows, free columns):
+    per free column f, 1 at f and minus the rational reading of column f
+    at the pivots, times a common denominator, then made primitive.  Each
+    distinct value is read once; InternalInconsistencyError when one has
+    no rational reading."""
     free = np.flatnonzero(~pivots)
-    i, j = np.nonzero(block)
-    residues = block[i, j]
+    i, j = at
     values = sorted(set(residues.tolist()))
     pairs = [_rational(u, modulus) for u in values]
     den = lcm(*(b for _, b in pairs))
@@ -223,17 +224,24 @@ def _integer_kernel(m) -> np.ndarray:
         # there are never more pivots, so the rational pivots sort first
         key = (~pivots).tobytes()
         if best is None or key < best:
-            best, residues, modulus = key, rref, p
+            best, block, modulus = key, rref, p
         elif key == best:
-            # the Chinese remainder theorem, in int64 while N p fits
+            # the Chinese remainder theorem on the dense block, in int64
+            # while N p fits
             dtype = np.int64 if modulus * p < INT64_LIMIT else object
-            residues = residues.astype(dtype)
-            lift = (rref.astype(dtype) - residues % p) * pow(modulus, -1, p) % p
-            residues, modulus = residues + modulus * lift, modulus * p
+            block = np.zeros(rref.shape, dtype=dtype)
+            block[at] = residues
+            block += (rref.astype(dtype) - block % p) * pow(modulus, -1, p) % p * modulus
+            modulus *= p
         else:
             continue
+        # only the non-zero residues are kept: no dense block outlives the
+        # pass, through the certificate or into the next prime
+        at = np.nonzero(block)
+        residues = block[at]
+        del block, rref
         try:
-            basis = _reconstruct(pivots, residues, modulus)
+            basis = _reconstruct(pivots, at, residues, modulus)
             _certify_kernel(rows, basis, int(pivots.sum()))
             return basis
         except InternalInconsistencyError:

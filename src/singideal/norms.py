@@ -9,20 +9,25 @@ must equal the reduced norm of the restriction of a to the reduction
 groupoid over X.
 
 Every operator norm is the square root of the top eigenvalue of a Gram
-matrix, from one symmetric eigensolve at every dimension.  Reduced norms
-are evaluated for a batch of functions at once: every index stack the
+matrix, from one symmetric eigensolve at every dimension.  Norms are
+evaluated for a batch of functions at once, and every float block goes
+through one gather routine, ``_block_tops``: d x d blocks, given by their
+column indices, are gathered into C-contiguous (functions, blocks, d, d)
+chunks of at most ``NORM_BATCH`` entries (or one block), split over
+blocks first and then over functions, each taking one Gram product and
+one batched eigensolve.  A reduced norm gathers every index stack the
 groupoid tabulated at construction (the left-regular blocks of all units
-of one dimension) is gathered for a chunk of functions into one
-C-contiguous (functions, units, d, d) array, capped at ``NORM_BATCH``
-entries, which takes one Gram product and one batched eigensolve.  The
-gather must be contiguous: a strided gather sends the Gram product down
-another matmul kernel, whose results differ in the last bits.
+of one dimension).  The gather must be contiguous: a strided gather sends
+the Gram product down another matmul kernel, whose results differ in the
+last bits.
 
 The norm equation is evaluated on a ``NormBlock``: a batch of functions
-converted once to integer rows over one denominator (``exact.integer_rows``)
-and once to floats, for a list of unit subsets at once.  No arrow joins
-two orbits, so a subset X is the disjoint union of its parts S = X ∩ O,
-one per orbit O it meets, and all the work is done once per distinct part.
+as integer rows over one denominator, converted once to floats, for a
+list of unit subsets at once.  ``normcheck`` draws its trials as such rows
+(``sampling.random_numerators``); functions in hand go through
+``exact.integer_rows`` first.  No arrow joins two orbits, so a subset X
+is the disjoint union of its parts S = X ∩ O, one per orbit O it meets,
+and all the work is done once per distinct part.
 The reduction over X is the disjoint union of the reductions over its
 parts, each unit's block the same matrix in the same row order, and
 p_X f p_X is the sum of the p_S f p_S.  For each part the reduction
@@ -38,7 +43,8 @@ v in its orbit, takes one eigensolve.  A subset's left side is the largest
 over its parts, and its right side the root of the largest top among its
 parts' keys.  The bits are those of one reduction over X and of the
 reduced norm of the masked floats over the whole groupoid: each block is
-that matrix entry for entry, +0.0 where masked, in a C-contiguous chunk;
+that matrix entry for entry, +0.0 where masked (its index is -1, which
+reads a +0.0 column appended to the floats), in a C-contiguous chunk;
 matmul and eigvalsh act matrix by matrix; sqrt is monotone and max exact;
 and a skipped zero block's top, 0.0, is where the maximum starts.  Floats
 are always float(Fraction), correctly rounded: numerator rows are divided
@@ -59,8 +65,9 @@ from .groupoid import (FiniteGroupoid, GroupoidFunction, convolve_rows,
 from .groups import FiniteGroup, SizeCapError, SubgroupFamily
 from .ideals import InternalInconsistencyError
 
-# entries gathered per batched eigensolve chunk; the CLI also draws its
-# normcheck trial functions in blocks of at most this many values
+# entries gathered per batched eigensolve chunk (a block larger than this
+# is a chunk of its own); the CLI also draws its normcheck trial functions
+# in blocks of at most this many values
 NORM_BATCH = 1 << 14
 
 # sum of d^3 over the d x d blocks one normcheck trial eigensolves.  One
@@ -85,19 +92,18 @@ class NormBlock(NamedTuple):
     """A batch of functions as integer rows over one denominator, and as floats."""
 
     numerators: np.ndarray
-    denominator: int
     floats: np.ndarray
 
 
-def norm_block(fs: Sequence[GroupoidFunction]) -> NormBlock:
-    """The functions ``fs`` converted once, for ``block_residuals``."""
-    nums, den = integer_rows([f.values for f in fs])
-    return NormBlock(nums, den, _row_floats(nums, den))
+def norm_block(nums: np.ndarray, den: int) -> NormBlock:
+    """The integer rows ``nums`` over ``den`` with their floats, for
+    ``block_residuals``."""
+    return NormBlock(nums, _row_floats(nums, den))
 
 
 def function_floats(f: GroupoidFunction) -> np.ndarray:
     """The rational values of f as floats, each equal to float(v)."""
-    return norm_block([f]).floats[0]
+    return _row_floats(*integer_rows([f.values]))[0]
 
 
 def regular_rep_matrix(groupoid: FiniteGroupoid, f: GroupoidFunction,
@@ -131,18 +137,28 @@ def spectral_norm(m) -> float:
     return math.sqrt(max(float(_gram_tops(a).max()), 0.0))
 
 
+def _block_tops(floats: np.ndarray, count: int, d: int, index) -> np.ndarray:
+    """(functions, count) top Gram eigenvalues of ``count`` d x d blocks of
+    the rows of ``floats``, ``index(s)`` the column indices of the blocks
+    in the slice s.  The blocks are gathered in C-contiguous chunks of at
+    most NORM_BATCH entries (or one block), split over blocks first, then
+    over functions; each chunk's indices are built only when it is."""
+    tops = np.empty((len(floats), count))
+    per = max(1, NORM_BATCH // (d * d))
+    for lo in range(0, count, per):
+        cols = index(slice(lo, lo + per))
+        fs = max(1, NORM_BATCH // cols.size)
+        for f in range(0, len(floats), fs):
+            # take, not floats[:, cols]: the gather must be C-contiguous
+            tops[f:f + fs, lo:lo + per] = _gram_tops(np.take(floats[f:f + fs], cols, axis=1))
+    return tops
+
+
 def _reduced_norms(groupoid: FiniteGroupoid, vals: np.ndarray) -> np.ndarray:
-    """Reduced norm of every row of the (functions x arrows) floats
-    ``vals``, stack by stack in chunks."""
-    tops = np.zeros(len(vals))
-    for stack in groupoid._rep_stacks:
-        per = max(1, NORM_BATCH // stack.size)
-        for start in range(0, len(vals), per):
-            # take, not vals[:, stack]: the gather must be C-contiguous
-            chunk = np.take(vals[start:start + per], stack, axis=1)
-            part = tops[start:start + per]
-            np.maximum(part, _gram_tops(chunk).max(axis=-1), out=part)
-    return np.sqrt(tops)
+    """Reduced norm of every row of the (functions x arrows) floats ``vals``."""
+    tops = np.concatenate([_block_tops(vals, len(stack), stack.shape[-1], stack.__getitem__)
+                           for stack in groupoid._rep_stacks], axis=1)
+    return np.sqrt(np.maximum(0.0, tops.max(axis=1)))
 
 
 def reduced_norm(groupoid: FiniteGroupoid, f: GroupoidFunction) -> float:
@@ -194,37 +210,31 @@ def _orbit_parts(groupoid: FiniteGroupoid, subsets: Sequence[Sequence[int]]):
                                   for part in parts]
 
 
+def _masked_index(groupoid: FiniteGroupoid, index: np.ndarray, parts) -> np.ndarray:
+    """The unit's index block ``index`` once per unit subset S in ``parts``,
+    -1 at the entries without source and range in S."""
+    # entry (g, h) is the arrow g h^-1, of range r(g) and source r(h);
+    # column 0 holds the ranges r(g) of the rows
+    inside = np.zeros((len(parts), len(groupoid.units)), dtype=bool)
+    for i, part in enumerate(parts):
+        inside[i, list(part)] = True
+    row = inside[:, groupoid._ranges[index[:, 0]]]
+    return np.where(row[:, :, None] & row[:, None, :], index, -1)
+
+
 def _key_tops(groupoid: FiniteGroupoid, keys, floats: np.ndarray) -> np.ndarray:
     """(functions, keys) top Gram eigenvalues: key (v, S) is the block of
-    the ``floats`` at v, zero at the arrows without source and range in S.
-    The keys of one unit are gathered in C-contiguous chunks of at most
-    NORM_BATCH entries (or one block), split over keys and then over
-    functions: the block is taken once per chunk of functions, and masked
-    once per key."""
+    the ``floats`` at v, zero at the arrows without source and range in S,
+    where its index is -1 and reads a +0.0 column appended to the floats."""
     tops = np.empty((len(floats), len(keys)))
+    padded = np.concatenate((floats, np.zeros((len(floats), 1))), axis=1)
     by_unit = {}
     for k, (v, _) in enumerate(keys):
         by_unit.setdefault(v, []).append(k)
     for v, ks in by_unit.items():
         index = groupoid._rep_blocks[v]
-        # entry (g, h) is the arrow g h^-1, of range r(g) and source r(h);
-        # column 0 holds the ranges r(g) of the rows
-        ranges = groupoid._ranges[index[:, 0]]
-        per = max(1, NORM_BATCH // index.size)
-        for start in range(0, len(ks), per):
-            cols = ks[start:start + per]
-            inside = np.zeros((len(cols), len(groupoid.units)), dtype=bool)
-            for i, k in enumerate(cols):
-                inside[i, list(keys[k][1])] = True
-            row = inside[:, ranges]
-            mask = row[:, :, None] & row[:, None, :]
-            fs = max(1, per // len(cols))
-            for f in range(0, len(floats), fs):
-                part = floats[f:f + fs]
-                # every key's block, +0.0 off S, in one C-contiguous chunk
-                chunk = np.zeros((len(part),) + mask.shape)
-                np.copyto(chunk, np.take(part, index, axis=1)[:, None], where=mask)
-                tops[f:f + fs, cols] = _gram_tops(chunk)
+        tops[:, ks] = _block_tops(padded, len(ks), len(index), lambda s: _masked_index(
+            groupoid, index, [keys[k][1] for k in ks[s]]))
     return tops
 
 
@@ -264,7 +274,8 @@ def norm_equation_residuals(groupoid: FiniteGroupoid, units: Sequence[int],
                             fs: Sequence[GroupoidFunction]) -> List[float]:
     """``verify_norm_equation(groupoid, units, f)`` for every f in ``fs``,
     from one reduction and one batched reduced norm per orbit part."""
-    return block_residuals(groupoid, [units], norm_block(fs))[0]
+    block = norm_block(*integer_rows([f.values for f in fs]))
+    return block_residuals(groupoid, [units], block)[0]
 
 
 def verify_norm_equation(groupoid: FiniteGroupoid, units: Sequence[int],

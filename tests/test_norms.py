@@ -3,7 +3,6 @@
 import json
 import math
 import random
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +11,7 @@ import pytest
 from singideal import _kernels, norms
 from singideal import groupoid as groupoid_module
 from singideal.cli import EXIT_OK, EXIT_TOLERANCE, _unit_subsets, main
+from singideal.exact import integer_rows
 from singideal.groupoid import (FiniteGroupoid, GroupoidFunction,
                                 build_coset_groupoid, convolve, delta,
                                 involution, reduction_groupoid,
@@ -25,7 +25,8 @@ from singideal.norms import (NORM_BATCH, block_residuals, compress_to_units,
                              norm_equation_residuals, reduced_norm,
                              regular_rep_matrix, spectral_norm,
                              verify_norm_equation)
-from singideal.sampling import random_groupoid_function
+from singideal.sampling import (DENOMINATOR, DENOMINATORS, random_coeffs,
+                                random_groupoid_function)
 
 TOL = 1e-8
 
@@ -33,6 +34,11 @@ TOL = 1e-8
 def transposition_family(s3):
     t = next(g for g in s3.elements() if s3.element_order(g) == 2)
     return conjugation_closure(s3, [subgroup_generated(s3, (t,))])
+
+
+def block_of(fs):
+    """The NormBlock of the functions ``fs``, from their integer rows."""
+    return norm_block(*integer_rows([f.values for f in fs]))
 
 
 def s3_groupoid():
@@ -315,7 +321,7 @@ def brute_force_keys(gpd, subsets):
 def assert_full_groupoid_rhs(cases, rng, count):
     for group, family in cases:
         gpd = build_coset_groupoid(group, family)
-        block = norm_block([random_groupoid_function(rng, gpd) for _ in range(count)])
+        block = block_of([random_groupoid_function(rng, gpd) for _ in range(count)])
         subsets = _unit_subsets(len(gpd.units))
         assert block_residuals(gpd, subsets, block) == full_groupoid_residuals(
             gpd, subsets, block), (group.name, family.members)
@@ -328,17 +334,13 @@ def test_block_residuals_match_the_full_groupoid_rhs(catalog, monkeypatch):
     d6, c70 = dihedral(6), cyclic(70)
     assert_full_groupoid_rhs([(s4, minimal_subgroups(s4)), (d6, minimal_subgroups(d6)),
                               (c70, make_family(c70, [(0,)]))], rng, 20)
-    # chunks of 64 entries: one 12 x 12 block per chunk, several keys of
-    # one function, or several functions of all keys of a unit
+    # chunks of 64 entries, on both sides: one 12 x 12 block per chunk,
+    # several blocks of one function, or several functions of all blocks
+    # of a unit
     monkeypatch.setattr(norms, "NORM_BATCH", 64)
     chunks = []
     real = norms._gram_tops
-
-    def recording(a):
-        if sys._getframe(1).f_code.co_name == "_key_tops":
-            chunks.append(a.shape)
-        return real(a)
-    monkeypatch.setattr(norms, "_gram_tops", recording)
+    monkeypatch.setattr(norms, "_gram_tops", lambda a: chunks.append(a.shape) or real(a))
     cases = [(g, minimal_subgroups(g)) for g in catalog if g.order > 1]
     cases += [(s4, conjugation_closure(s4, [(0, 1)])),
               (dihedral(12), minimal_subgroups(dihedral(12)))]
@@ -346,6 +348,26 @@ def test_block_residuals_match_the_full_groupoid_rhs(catalog, monkeypatch):
     assert all(math.prod(shape) <= 64 or shape[:2] == (1, 1) for shape in chunks)
     assert any(1 < shape[0] < 5 for shape in chunks)
     assert any(shape[0] == 1 and shape[1] > 1 for shape in chunks)
+
+
+def test_every_chunk_holds_at_most_norm_batch_entries_or_one_block(monkeypatch):
+    # S4 minimal has 4 units of dimension 8 and 9 of dimension 12: at 64
+    # entries a chunk holds one 8 x 8 block, or one 12 x 12 block past the cap
+    monkeypatch.setattr(norms, "NORM_BATCH", 64)
+    chunks = []
+    real = norms._gram_tops
+    monkeypatch.setattr(norms, "_gram_tops", lambda a: chunks.append(a.shape) or real(a))
+    s4 = symmetric_group(4)
+    gpd = build_coset_groupoid(s4, minimal_subgroups(s4))
+    rng = random.Random(4)
+    fs = [random_groupoid_function(rng, gpd) for _ in range(3)]
+    reduced_norm(gpd, fs[0])
+    assert sorted(set(chunks)) == [(1, 1, 8, 8), (1, 1, 12, 12)]
+    chunks.clear()
+    block_residuals(gpd, _unit_subsets(len(gpd.units)), block_of(fs))
+    assert all(math.prod(shape) <= 64 or shape[:2] == (1, 1) for shape in chunks)
+    assert any(math.prod(shape) > 64 for shape in chunks)
+    assert any(shape[0] * shape[1] > 1 for shape in chunks)
 
 
 def brute_force_parts(gpd, subsets):
@@ -378,7 +400,7 @@ def test_compression_side_eigensolves_each_key_once(monkeypatch):
                         lambda a: matrices.append(a.size // a.shape[-1] ** 2) or real(a))
     rng = random.Random(3)
     fs = [random_groupoid_function(rng, gpd) for _ in range(3)]
-    block_residuals(gpd, subsets, norm_block(fs))
+    block_residuals(gpd, subsets, block_of(fs))
     # the reductions' own blocks: one per unit of each part
     assert sum(matrices) == len(fs) * (197 + 74)
 
@@ -492,7 +514,7 @@ def test_exact_compression_check_catches_a_one_unit_error(capsys, monkeypatch):
     rng = random.Random(11)
     f = GroupoidFunction(gpd, tuple(Fraction(rng.randint(-9 * den, 9 * den), den)
                                     for _ in range(gpd.num_arrows())))
-    assert norm_block([f]).denominator == den
+    assert integer_rows([f.values])[1] == den
     units = [0, 1]
     real = norms._compress
 
@@ -548,12 +570,52 @@ def test_normcheck_report_is_independent_of_the_block_size(capsys, monkeypatch):
     whole = capsys.readouterr().out
     # S4's minimal groupoid has 140 arrows: blocks of 6 trials, 4 blocks
     drawn = []
+    real = norms.block_residuals
     monkeypatch.setattr(norms, "NORM_BATCH", 6 * 140)
-    monkeypatch.setattr(norms, "norm_block",
-                        lambda fs: drawn.append(len(fs)) or norm_block(fs))
+    monkeypatch.setattr(norms, "block_residuals", lambda gpd, subsets, block: drawn.append(
+        len(block.numerators)) or real(gpd, subsets, block))
     assert main(argv) == EXIT_OK
     assert drawn == [6, 6, 6, 2]
     assert capsys.readouterr().out == whole
+
+
+def test_normcheck_builds_no_fraction(capsys, monkeypatch):
+    # the trials are integer rows from the draw to the eigensolve
+    made = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for group, family in (('{"kind":"symmetric","n":4}', '{"minimal":true}'),
+                          ('{"kind":"cyclic","n":70}', '{"subgroups":[[0]]}')):
+        assert main(["normcheck", "--group", group, "--family", family,
+                     "--trials", "3"]) == EXIT_OK
+        capsys.readouterr()
+    assert made == []
+    # the counter does see the Fractions of the function view of the draw
+    random_coeffs(random.Random(0), 2)
+    assert made
+
+
+def test_draw_is_the_fraction_draw_over_one_denominator():
+    # each value n / d is drawn numerator first, as n (12 / d) over 12
+    assert DENOMINATOR == math.lcm(*DENOMINATORS)
+    for seed in range(6):
+        rng, ref = random.Random(seed), random.Random(seed)
+        n = 50 + 17 * seed
+        drawn = random_coeffs(rng, n)
+        assert drawn == tuple(Fraction(ref.randint(-9, 9), ref.choice((1, 2, 3, 4)))
+                              for _ in range(n))
+        assert rng.getstate() == ref.getstate()
+    gpd = s3_groupoid()
+    rng, ref = random.Random(7), random.Random(7)
+    f = random_groupoid_function(rng, gpd)
+    assert f.values == tuple(Fraction(ref.randint(-9, 9), ref.choice((1, 2, 3, 4)))
+                             for _ in range(gpd.num_arrows()))
+    assert rng.getstate() == ref.getstate()
 
 
 def test_float_conversion_is_float_of_the_fraction():
@@ -579,7 +641,7 @@ def test_float_conversion_is_float_of_the_fraction():
     values += [Fraction(0)] * (gpd.num_arrows() - len(values))
     fs = [GroupoidFunction(gpd, tuple(values)),
           random_groupoid_function(random.Random(3), gpd)]
-    block = norm_block(fs)
+    block = block_of(fs)
     for f, row in zip(fs, block.floats):
         assert row.tolist() == [float(v) for v in f.values]
         assert function_floats(f).tolist() == [float(v) for v in f.values]
