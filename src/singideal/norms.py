@@ -38,15 +38,21 @@ block's floats gathered onto the reduction.  On the right, entry (g, h) of
 the block of p f p at a unit v survives iff r(g) and r(h) lie in X, and
 both lie in reach(v), the ranges of the arrows out of v, which is v's
 orbit; so the block is one matrix for every X with the same part
-X ∩ reach(v), and zero when that is empty.  Each key (v, S), S a part and
-v in its orbit, takes one eigensolve.  A subset's left side is the largest
-over its parts, and its right side the root of the largest top among its
-parts' keys.  The bits are those of one reduction over X and of the
-reduced norm of the masked floats over the whole groupoid: each block is
-that matrix entry for entry, +0.0 where masked (its index is -1, which
-reads a +0.0 column appended to the floats), in a C-contiguous chunk;
-matmul and eigvalsh act matrix by matrix; sqrt is monotone and max exact;
-and a skipped zero block's top, 0.0, is where the maximum starts.  Floats
+X ∩ reach(v).  For an arrow t: v -> u, g -> g t maps the arrows out of u
+onto the arrows out of v, keeping ranges, and (g t)(h t)^-1 = g h^-1: the
+block at v is the block at u with rows and columns permuted, for every f
+and every part.  ``_check_translates`` checks that exactly on the integer
+index blocks, once per call and before any float is compared, so each part
+S takes one eigensolve, at its key: the least unit of S's orbit outside S,
+or S[0] when S is the whole orbit.  Outside S the key's block is a
+permuted, zero-padded copy of a reduction block, so the float residual
+still compares two different eigensolves.  A subset's left side is the
+largest over its parts, and its right side the largest over its parts'
+keys.  The bits are those of one reduction over X and, at each key, of
+``spectral_norm`` of ``regular_rep_matrix`` of p f p: each block is that
+matrix entry for entry, +0.0 where masked (its index is -1, which reads a
++0.0 column appended to the floats), in a C-contiguous chunk; matmul and
+eigvalsh act matrix by matrix; and sqrt is monotone and max exact.  Floats
 are always float(Fraction), correctly rounded: numerator rows are divided
 in float64 only when the numerators and the denominator are below 2^53,
 and as Python ints otherwise.
@@ -71,10 +77,11 @@ from .ideals import InternalInconsistencyError
 NORM_BATCH = 1 << 14
 
 # sum of d^3 over the d x d blocks one normcheck trial eigensolves.  One
-# trial on a 2-CPU x86 machine: C2^7 minimal 6.7e7 in 0.5 s, S5 minimal
-# 5.6e8 in 0.75 s, D50 minimal 2.0e9 in 2.4 s, D70 minimal 1.5e10 in
-# 12-13 s, C2000 {[0]} 1.6e10 in 1.8 s.  D100 minimal and C5040 {[0]} need
-# 1.3e11 and 2.6e11.
+# trial as a process on a 2-CPU x86 machine: C2^7 minimal 6.7e7 in
+# 0.5-1.0 s, S5 minimal 4.9e7 in 0.7 s, D50 minimal 8.8e7 in 1.2 s, D70
+# minimal 4.6e8 in 2.6 s, C2000 {[0]} 1.6e10 in 1.9 s, D100 minimal 2.65e9
+# in 3.4-4.1 s at 50 MiB.  D200 minimal and C5040 {[0]} need 8.2e10 and
+# 2.6e11.
 NORMCHECK_WORK_CAP = 2 * 10 ** 10
 
 
@@ -143,10 +150,14 @@ def _block_tops(floats: np.ndarray, count: int, d: int, index) -> np.ndarray:
     in the slice s.  The blocks are gathered in C-contiguous chunks of at
     most NORM_BATCH entries (or one block), split over blocks first, then
     over functions; each chunk's indices are built only when it is."""
-    tops = np.empty((len(floats), count))
     per = max(1, NORM_BATCH // (d * d))
+    first = index(slice(0, per))
+    if len(first) == count and len(floats) <= max(1, NORM_BATCH // first.size):
+        # one chunk holds every block and function
+        return _gram_tops(np.take(floats, first, axis=1))
+    tops = np.empty((len(floats), count))
     for lo in range(0, count, per):
-        cols = index(slice(lo, lo + per))
+        cols = index(slice(lo, lo + per)) if lo else first
         fs = max(1, NORM_BATCH // cols.size)
         for f in range(0, len(floats), fs):
             # take, not floats[:, cols]: the gather must be C-contiguous
@@ -193,8 +204,9 @@ def _orbit_labels(sources, ranges, num_units: int) -> np.ndarray:
 def _orbit_parts(groupoid: FiniteGroupoid, subsets: Sequence[Sequence[int]]):
     """(parts, members, keys): the distinct parts X ∩ O of the sorted
     subsets X over the orbits O, in order of first appearance; for each
-    subset the indices of its parts; and for each part S its keys (v, S),
-    v in S's orbit.  Raises ValueError on a unit out of range."""
+    subset the indices of its parts; and for each part S its key, the
+    least unit of S's orbit outside S, or S[0] when S is the whole orbit.
+    Raises ValueError on a unit out of range."""
     n = len(groupoid.units)
     # reach(v) is v's orbit
     label = _orbit_labels(groupoid._sources, groupoid._ranges, n).tolist()
@@ -206,8 +218,37 @@ def _orbit_parts(groupoid: FiniteGroupoid, subsets: Sequence[Sequence[int]]):
                 raise ValueError(f"unit {u} out of range")
             split.setdefault(label[u], []).append(u)
         members.append([parts.setdefault(tuple(part), len(parts)) for part in split.values()])
-    return list(parts), members, [[(v, part) for v in range(n) if label[v] == label[part[0]]]
-                                  for part in parts]
+    orbits = {}
+    for v in range(n):
+        orbits.setdefault(label[v], []).append(v)
+    return list(parts), members, [next((v for v in orbits[label[part[0]]] if v not in part),
+                                       part[0]) for part in parts]
+
+
+def _check_translates(groupoid: FiniteGroupoid) -> None:
+    """Check exactly that every unit's index block is its orbit's least
+    unit's block, translated.
+
+    For an arrow t: x -> u, g -> g t maps the arrows out of u onto the
+    arrows out of x, keeping ranges, and (g t)(h t)^-1 = g h^-1; so the
+    block at x, its rows and columns permuted by that map, is the block
+    at u entry for entry, and so are their masks to any unit subset.
+    Raises InternalInconsistencyError naming x and u otherwise.
+    """
+    n = len(groupoid.units)
+    label = _orbit_labels(groupoid._sources, groupoid._ranges, n)
+    for x in np.flatnonzero(label != np.arange(n)).tolist():
+        u = int(label[x])
+        out_of_x = np.asarray(groupoid.arrows_by_source[x])
+        t = out_of_x[np.argmax(groupoid._ranges[out_of_x] == u)]
+        # the positions of the g t among the (ascending) arrows out of x
+        perm = np.searchsorted(out_of_x, groupoid.product(
+            np.asarray(groupoid.arrows_by_source[u]), t))
+        block = groupoid._rep_blocks[x]
+        if not (np.array_equal(np.sort(perm), np.arange(len(block)))
+                and np.array_equal(block[perm][:, perm], groupoid._rep_blocks[u])):
+            raise InternalInconsistencyError(
+                f"the block at unit {x} is not the block at unit {u} translated")
 
 
 def _masked_index(groupoid: FiniteGroupoid, index: np.ndarray, parts) -> np.ndarray:
@@ -243,7 +284,9 @@ def block_residuals(groupoid: FiniteGroupoid, subsets: Sequence[Sequence[int]],
     """The norm-equation residual of every function of ``block``, one list
     per unit subset.
 
-    Raises InternalInconsistencyError unless, for every subset, p f p
+    Raises InternalInconsistencyError, before any float is compared,
+    unless every unit's index block is its orbit's least unit's block
+    translated (``_check_translates``) and, for every subset, p f p
     equals f on the arrows with source and range in the subset and
     vanishes elsewhere, exactly.
     """
@@ -251,22 +294,22 @@ def block_residuals(groupoid: FiniteGroupoid, subsets: Sequence[Sequence[int]],
     if not all(subsets):
         raise ValueError("unit subset must be non-empty")
     parts, members, keys = _orbit_parts(groupoid, subsets)
+    _check_translates(groupoid)
     nums, lhs = block.numerators, []
     if not len(nums):
         return [[] for _ in subsets]
     for part in parts:
         reduced, kept = reduction_groupoid(groupoid, part)
-        masked = np.where(np.isin(np.arange(groupoid.num_arrows()), kept), nums, 0)
+        masked = np.zeros_like(nums)
+        masked[:, kept] = nums[:, kept]
         if not np.array_equal(_compress(groupoid, nums, part), masked):
             raise InternalInconsistencyError(
                 f"p f p over units {list(part)} is not f restricted to the reduction")
         lhs.append(_reduced_norms(reduced, block.floats[:, kept]))
     lhs = np.stack(lhs, axis=1)
-    tops = _key_tops(groupoid, [key for ks in keys for key in ks], block.floats)
-    # each part's largest top over its keys, from 0.0, the top of every
-    # skipped zero block
-    starts = np.cumsum([0] + [len(ks) for ks in keys[:-1]])
-    rhs = np.sqrt(np.maximum(0.0, np.maximum.reduceat(tops, starts, axis=1)))
+    # the translates make every unit of a part's orbit one key: its block
+    # at each unit is the block at the key, permuted
+    rhs = np.sqrt(np.maximum(0.0, _key_tops(groupoid, list(zip(keys, parts)), block.floats)))
     return [np.abs(lhs[:, m].max(axis=1) - rhs[:, m].max(axis=1)).tolist() for m in members]
 
 
@@ -298,17 +341,19 @@ def check_sweep_work(group: FiniteGroup, family: SubgroupFamily) -> int:
     NORMCHECK_WORK_CAP.
 
     The ranges of the cosets of X_u are u's orbit O of k units, c = d_u / k
-    at each.  The p f p side takes u's block once per distinct X ∩ O: k
-    singletons, k(k-1)/2 pairs and, for k >= 3, O.  The reduction to each
-    distinct part S = X ∩ O with u in S has the block c |S| at u: {u}, the
-    k - 1 pairs in O and, for k >= 3, O.
+    at each.  The p f p side takes one block of O's dimension d_u per
+    distinct part X ∩ O, once per orbit: k singletons, k(k-1)/2 pairs and,
+    for k >= 3, O.  The reduction to each distinct part S = X ∩ O with u
+    in S has the block c |S| at u: {u}, the k - 1 pairs in O and, for
+    k >= 3, O.
     """
     d = (group.order // np.array([len(sub) for sub in family.members])).tolist()
     n = len(d)
     label = _orbit_labels(np.repeat(np.arange(n), d), family.cosets.ranges, n)
     work = 0
-    for d_u, k in zip(d, np.bincount(label, minlength=n)[label].tolist()):
-        work += (k + k * (k - 1) // 2 + (k >= 3)) * d_u ** 3
+    for u, (d_u, k) in enumerate(zip(d, np.bincount(label, minlength=n)[label].tolist())):
+        if label[u] == u:
+            work += (k + k * (k - 1) // 2 + (k >= 3)) * d_u ** 3
         work += (d_u // k) ** 3 * (1 + 8 * (k - 1)) + (d_u ** 3 if k >= 3 else 0)
     if work > NORMCHECK_WORK_CAP:
         raise SizeCapError(

@@ -434,16 +434,15 @@ def test_cli_fuzz_exit_codes(command, group_spec, family_spec, depth):
 
 def sweep_work(groupoid):
     """Sum of d^3 over the blocks one normcheck trial eigensolves, counted
-    on the groupoid: one block at v per distinct X ∩ reach(v) on the p f p
-    side, reach(v) the ranges of the arrows with source v, and every block
-    of the reduction to every distinct part X ∩ reach(u), u in X."""
+    on the groupoid: for every distinct part X ∩ reach(u), u in X, reach(u)
+    the ranges of the arrows with source u, one p f p block at one unit of
+    u's orbit, and every block of the reduction to the part."""
     subsets = _unit_subsets(len(groupoid.units))
     dims = [len(arrows) for arrows in groupoid.arrows_by_source]
     reach = [{a.range for a in groupoid.arrows if a.source == v} for v in range(len(dims))]
-    keys = {(v, frozenset(units) & reach[v]) for units in subsets
-            for v in range(len(dims)) if set(units) & reach[v]}
-    work = sum(dims[v] ** 3 for v, _ in keys)
+    work = 0
     for part in {frozenset(units) & reach[u] for units in subsets for u in units}:
+        work += dims[min(part)] ** 3
         reduced, _ = reduction_groupoid(groupoid, sorted(part))
         work += sum(len(arrows) ** 3 for arrows in reduced.arrows_by_source)
     return work
@@ -473,15 +472,24 @@ def test_sweep_work_counts_the_blocks_normcheck_eigensolves(monkeypatch, catalog
     benchmark = [_build_inputs(RunConfig("normcheck", group_spec=group, family_spec=family))
                  for group, family in BENCHMARK_SPECS]
     # the cap admits every case; the largest is D50 minimal, 50 reflections
-    # in 2 orbits of 25 with d = 50
+    # in 2 orbits of 25 with d = 50, at 8.8e7
     works = [norms.check_sweep_work(group, family) for group, family in cases + benchmark]
-    assert 2e9 < max(works) <= norms.NORMCHECK_WORK_CAP
+    assert 8e7 < max(works) <= norms.NORMCHECK_WORK_CAP
     # C2^7 minimal: 127 one-unit orbits with d = 64 and one block of each
     # side per unit, where a reduction per subset counted 4.3e9
     c2_7 = _build_inputs(RunConfig("normcheck", group_spec={
         "kind": "product", "factors": [{"kind": "cyclic", "n": 2}] * 7},
         family_spec={"minimal": True}))
     assert norms.check_sweep_work(*c2_7) == 127 * 2 * 64 ** 3
+    # D100 minimal, now admitted: 2 orbits of 50 reflections with d = 100
+    # take 50 + 1225 + 1 p f p blocks each, and each reflection's
+    # reductions {u}, 49 pairs and the orbit take c = 2 per unit; the
+    # rotation subgroups of order 2 and 5 (d = 100, 40) are one-unit orbits
+    d100 = _build_inputs(RunConfig("normcheck", group_spec={"kind": "dihedral", "n": 100},
+                                   family_spec={"minimal": True}))
+    assert norms.check_sweep_work(*d100) == (2 * (50 + 1225 + 1) * 100 ** 3
+                                             + 100 * (2 ** 3 * (1 + 8 * 49) + 100 ** 3)
+                                             + 2 * (100 ** 3 + 40 ** 3)) < 2.7e9
     for group, family in cases:
         work = sweep_work(build_coset_groupoid(group, family))
         monkeypatch.setattr(norms, "NORMCHECK_WORK_CAP", work)
@@ -492,12 +500,12 @@ def test_sweep_work_counts_the_blocks_normcheck_eigensolves(monkeypatch, catalog
 
 
 @pytest.mark.parametrize("group, family", [
-    ({"kind": "dihedral", "n": 100}, {"minimal": True}),
+    ({"kind": "dihedral", "n": 200}, {"minimal": True}),
     ({"kind": "cyclic", "n": 5040}, {"subgroups": [[0]]}),
 ])
 def test_normcheck_work_past_the_cap_exits_1_before_the_build(capsys, monkeypatch,
                                                               group, family):
-    # D100 minimal and C5040 {[0]} need 1.3e11 and 2.6e11: minutes of
+    # D200 minimal and C5040 {[0]} need 8.2e10 and 2.6e11: minutes of
     # eigensolves; both are refused from the coset table alone
     built, family_obj = _build_inputs(RunConfig("normcheck", group_spec=group,
                                                 family_spec=family))
@@ -628,7 +636,11 @@ def report_digests():
 # normcheck before the regular representation stopped padding its floats,
 # the explicit S4 and S3 families before the coset table moved into groups,
 # normcheck S5 before the p f p side shared its blocks across subsets,
-# normcheck C2^7 before the reduction side went by orbit part);
+# normcheck C2^7 before the reduction side went by orbit part, normcheck
+# S4, D6 and S5 when the p f p side took one key per part: a unit of the
+# part's orbit outside the part, whose block is the others' permuted, so
+# its eigenvalues differ from theirs in the last bits; C70 and C2^7 have
+# one-unit orbits and kept their keys and bytes);
 # a change that moves a byte of these reports fails here
 PINNED_DIGESTS = {
     'ai-atlas 16':
@@ -766,13 +778,13 @@ PINNED_DIGESTS = {
     'hls S3 {"subgroups": [[0, 1], [0, 2], [0, 5]]}':
         "6a7510802652a34fef909f4e52e01fba87a8c9b43b9658c214104e18ba83f7db",
     'normcheck S4 {"minimal": true}':
-        "f79e0da6e86b5eb775e2f3e4a47425879cba660f31a302274a3954a4a2f71c01",
+        "0ee74e4631fa5ad6c02ccd4e47bf08216a05fbc03a53633f06c76c6beeccb603",
     'normcheck D6 {"minimal": true}':
-        "3807590a7b2ba435868fa67e8e1a6c8a284697449d1b3e00791b90aea5427870",
+        "75fd108cbdfcb766d154831ce0fbc4a12e0335dba7d27f83e10c2f2901e525e5",
     'normcheck C70 {"subgroups": [[0]]}':
         "12b45609bf6a804c2a73624ab1dda9430c12ea3c9607f52fbf52dd8806a4c75a",
     'normcheck S5 {"minimal": true}':
-        "b89307ccf9f39707ad655ee6e419654d61c901a0ec943c0edf0d9d1cb84a3624",
+        "b2a2261b875ee10c0ce1d927cc24c6f5d31b49eb7bcc92a8b97a3729f92e6a16",
     'normcheck C2^7 {"minimal": true}':
         "1fd70e6fbf610c5322198e0aa5df770ab1f04ee57ac3ba0870998002f93839ae",
 }

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from singideal import _kernels, norms
+from singideal import _kernels, cli, norms
 from singideal import groupoid as groupoid_module
 from singideal.cli import EXIT_OK, EXIT_TOLERANCE, _unit_subsets, main
 from singideal.exact import integer_rows
@@ -248,19 +248,48 @@ def test_stacked_spectral_norm_is_the_max_of_its_slices():
         assert spectral_norm(stack) == max(spectral_norm(s) for s in slices)
 
 
+def reaches(gpd):
+    """reach(v), the ranges of the arrows with source v: v's orbit."""
+    return [frozenset(gpd._ranges[gpd._sources == v].tolist()) for v in range(len(gpd.units))]
+
+
+def key_rhs(gpd, units, norm_at):
+    """The p f p side over the subset ``units``, ``norm_at(v)`` the norms
+    of the block at v (one per function): the largest over the orbits O it
+    meets of the norms at O's least unit outside the subset, or at its
+    least unit when O lies inside it.  Asserts that every other unit of O
+    agrees with that key to 1e-12 relative, and that the blocks of the
+    orbits it misses have norm 0."""
+    rhs = 0.0
+    for orbit in sorted(set(reaches(gpd)), key=min):
+        at = {v: norm_at(v) for v in orbit}
+        part = orbit & set(units)
+        if not part:
+            assert all((norm == 0.0).all() for norm in at.values())
+            continue
+        top = at[min(orbit - part, default=min(part))]
+        for v, norm in at.items():
+            assert np.allclose(norm, top, rtol=1e-12, atol=0.0), (sorted(part), v)
+        rhs = np.maximum(rhs, top)
+    return rhs
+
+
 def per_unit_residual(gpd, units, f):
-    """The norm-equation residual from one spectral_norm per unit matrix."""
-    def norm(groupoid, h):
-        return max(spectral_norm(regular_rep_matrix(groupoid, h, u))
-                   for u in range(len(groupoid.units)))
+    """The norm-equation residual from one spectral_norm per unit matrix:
+    every unit of the reduction on the left, each orbit's key unit of p f p
+    on the right (``key_rhs``)."""
     reduced, kept = reduction_groupoid(gpd, units)
-    return abs(norm(reduced, restrict_function(reduced, kept, f))
-               - norm(gpd, compress_to_units(gpd, f, units)))
+    h = restrict_function(reduced, kept, f)
+    lhs = max(spectral_norm(regular_rep_matrix(reduced, h, u))
+              for u in range(len(reduced.units)))
+    pfp = compress_to_units(gpd, f, units)
+    rhs = key_rhs(gpd, units, lambda v: np.array([spectral_norm(regular_rep_matrix(gpd, pfp, v))]))
+    return abs(lhs - float(rhs[0]))
 
 
 def assert_batch_matches(gpd, subsets, fs):
     """Batched residuals equal one-function calls bit for bit, and (for
-    the first two functions) the per-unit-matrix residuals."""
+    the first two functions) the per-unit-matrix residuals at the key units."""
     for subset in subsets:
         batch = norm_equation_residuals(gpd, subset, fs)
         assert batch == [verify_norm_equation(gpd, subset, f) for f in fs]
@@ -296,26 +325,20 @@ def test_norm_equation_residuals_match_per_function(catalog, monkeypatch):
 
 
 def full_groupoid_residuals(gpd, subsets, block):
-    """The reference: each subset's p f p side as the reduced norm of the
-    floats masked to its reduction, over every unit of the groupoid."""
+    """The reference: each subset's p f p side from the floats masked to
+    its reduction, one spectral_norm per function at every unit of the
+    groupoid, read at the key units (``key_rhs``)."""
     out = []
     for units in subsets:
         reduced, kept = reduction_groupoid(gpd, units)
         outside = np.ones(gpd.num_arrows(), dtype=bool)
         outside[kept] = False
-        lhs = norms._reduced_norms(reduced, block.floats[:, kept]).tolist()
-        rhs = norms._reduced_norms(gpd, np.where(outside, 0.0, block.floats)).tolist()
-        out.append([abs(a - b) for a, b in zip(lhs, rhs)])
+        lhs = norms._reduced_norms(reduced, block.floats[:, kept])
+        masked = np.where(outside, 0.0, block.floats)
+        rhs = key_rhs(gpd, units, lambda v: np.array(
+            [spectral_norm(row[gpd._rep_blocks[v]]) for row in masked]))
+        out.append(np.abs(lhs - rhs).tolist())
     return out
-
-
-def brute_force_keys(gpd, subsets):
-    """Every (v, X ∩ reach(v)) with a non-empty intersection, reach(v) the
-    ranges of the arrows with source v."""
-    reach = [{a.range for a in gpd.arrows if a.source == v}
-             for v in range(len(gpd.units))]
-    return {(v, frozenset(units) & reach[v]) for units in subsets
-            for v in range(len(gpd.units)) if set(units) & reach[v]}
 
 
 def assert_full_groupoid_rhs(cases, rng, count):
@@ -340,7 +363,14 @@ def test_block_residuals_match_the_full_groupoid_rhs(catalog, monkeypatch):
     monkeypatch.setattr(norms, "NORM_BATCH", 64)
     chunks = []
     real = norms._gram_tops
-    monkeypatch.setattr(norms, "_gram_tops", lambda a: chunks.append(a.shape) or real(a))
+
+    def recording(a):
+        # the gathered chunks; the reference's single matrices are 2-d
+        if a.ndim == 4:
+            chunks.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(norms, "_gram_tops", recording)
     cases = [(g, minimal_subgroups(g)) for g in catalog if g.order > 1]
     cases += [(s4, conjugation_closure(s4, [(0, 1)])),
               (dihedral(12), minimal_subgroups(dihedral(12)))]
@@ -378,19 +408,25 @@ def brute_force_parts(gpd, subsets):
 
 
 def test_compression_side_eigensolves_each_key_once(monkeypatch):
-    """S4 minimal: 197 distinct blocks on the p f p side per function,
-    where every subset at every unit made 92 x 13 = 1196; and on the
-    reduction side one block per unit of each of the 40 distinct parts,
-    74, where a reduction per subset made 182."""
+    """S4 minimal: one block per distinct part on the p f p side, 40 per
+    function, where a key per unit of the part's orbit made 197 and every
+    subset at every unit 92 x 13 = 1196; and on the reduction side one
+    block per unit of each of the 40 parts, 74, where a reduction per
+    subset made 182."""
     s4 = symmetric_group(4)
     gpd = build_coset_groupoid(s4, minimal_subgroups(s4))
     subsets = _unit_subsets(len(gpd.units))
     parts, members, keys = norms._orbit_parts(gpd, subsets)
-    flat = [key for ks in keys for key in ks]
-    assert len(flat) == len(set(flat)) == 197
-    assert {(v, frozenset(part)) for v, part in flat} == brute_force_keys(gpd, subsets)
-    assert len(parts) == len(set(parts)) == 40 and set(parts) == brute_force_parts(gpd, subsets)
-    assert all(ks[0][1] == part for part, ks in zip(parts, keys))
+    assert len(keys) == len(parts) == len(set(parts)) == 40
+    assert set(parts) == brute_force_parts(gpd, subsets)
+    # each key lies in its part's orbit: its least unit outside the part,
+    # or the part's least unit when the part is the whole orbit
+    reach = reaches(gpd)
+    for part, key in zip(parts, keys):
+        orbit = reach[part[0]]
+        assert key in orbit and key == min(orbit - set(part), default=part[0])
+    # the 3 whole orbits of S4 minimal are the only parts keyed inside
+    assert sum(key in part for part, key in zip(parts, keys)) == len(set(reach)) == 3
     # every subset is the disjoint union of its parts
     assert [sorted(u for p in m for u in parts[p]) for m in members] == subsets
     assert sum(map(len, parts)) == 74
@@ -402,7 +438,51 @@ def test_compression_side_eigensolves_each_key_once(monkeypatch):
     fs = [random_groupoid_function(rng, gpd) for _ in range(3)]
     block_residuals(gpd, subsets, block_of(fs))
     # the reductions' own blocks: one per unit of each part
-    assert sum(matrices) == len(fs) * (197 + 74)
+    assert sum(matrices) == len(fs) * (40 + 74)
+
+
+def swap_block_entries(gpd, x):
+    """gpd with two entries of row 0 of unit x's index block swapped."""
+    block = gpd._rep_blocks[x].copy()
+    block[0, [0, 1]] = block[0, [1, 0]]
+    gpd._rep_blocks = gpd._rep_blocks[:x] + (block,) + gpd._rep_blocks[x + 1:]
+    return gpd
+
+
+def test_translation_check_catches_two_swapped_block_entries(capsys, monkeypatch):
+    # S4 minimal: the orbit of the 6 transposition subgroups; the check
+    # compares each unit's block with its orbit's least unit's
+    s4 = symmetric_group(4)
+    orbit = sorted(next(r for r in reaches(build_coset_groupoid(
+        s4, minimal_subgroups(s4))) if len(r) == 6))
+    tops = []
+    real = norms._gram_tops
+    monkeypatch.setattr(norms, "_gram_tops", lambda a: tops.append(a.shape) or real(a))
+    for x, named in ((orbit[-1], f"unit {orbit[-1]} is not the block at unit {orbit[0]}"),
+                     (orbit[0], f"the block at unit {orbit[1]} is not the block at "
+                                f"unit {orbit[0]} translated")):
+        gpd = swap_block_entries(build_coset_groupoid(s4, minimal_subgroups(s4)), x)
+        fs = [random_groupoid_function(random.Random(8), gpd)]
+        with pytest.raises(InternalInconsistencyError, match=named):
+            block_residuals(gpd, [[x]], block_of(fs))
+    # a product that sends the translates outside x's arrows is refused too,
+    # not read past x's block; orbit[1] = 1 is the first unit checked
+    gpd = build_coset_groupoid(s4, minimal_subgroups(s4))
+    gpd.product = lambda k, h: np.full(np.broadcast(k, h).shape, gpd.num_arrows() - 1)
+    with pytest.raises(InternalInconsistencyError, match=f"the block at unit {orbit[1]} "):
+        block_residuals(gpd, [[orbit[1]]], block_of(fs))
+    # raised before any float is compared
+    assert tops == []
+    real_build = cli.build_coset_groupoid
+    monkeypatch.setattr(cli, "build_coset_groupoid",
+                        lambda group, family: swap_block_entries(real_build(group, family),
+                                                                 orbit[-1]))
+    code = main(["normcheck", "--group", '{"kind":"symmetric","n":4}',
+                 "--family", '{"minimal":true}', "--trials", "2"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_TOLERANCE and report["error"] == "internal-inconsistency"
+    assert report["detail"] == (f"the block at unit {orbit[-1]} is not the block at "
+                                f"unit {orbit[0]} translated")
 
 
 def test_normcheck_builds_one_reduction_per_part(capsys, monkeypatch):
