@@ -150,14 +150,10 @@ def _block_tops(floats: np.ndarray, count: int, d: int, index) -> np.ndarray:
     in the slice s.  The blocks are gathered in C-contiguous chunks of at
     most NORM_BATCH entries (or one block), split over blocks first, then
     over functions; each chunk's indices are built only when it is."""
-    per = max(1, NORM_BATCH // (d * d))
-    first = index(slice(0, per))
-    if len(first) == count and len(floats) <= max(1, NORM_BATCH // first.size):
-        # one chunk holds every block and function
-        return _gram_tops(np.take(floats, first, axis=1))
     tops = np.empty((len(floats), count))
+    per = max(1, NORM_BATCH // (d * d))
     for lo in range(0, count, per):
-        cols = index(slice(lo, lo + per)) if lo else first
+        cols = index(slice(lo, lo + per))
         fs = max(1, NORM_BATCH // cols.size)
         for f in range(0, len(floats), fs):
             # take, not floats[:, cols]: the gather must be C-contiguous
@@ -201,15 +197,15 @@ def _orbit_labels(sources, ranges, num_units: int) -> np.ndarray:
     return label
 
 
-def _orbit_parts(groupoid: FiniteGroupoid, subsets: Sequence[Sequence[int]]):
-    """(parts, members, keys): the distinct parts X ∩ O of the sorted
-    subsets X over the orbits O, in order of first appearance; for each
-    subset the indices of its parts; and for each part S its key, the
-    least unit of S's orbit outside S, or S[0] when S is the whole orbit.
-    Raises ValueError on a unit out of range."""
-    n = len(groupoid.units)
-    # reach(v) is v's orbit
-    label = _orbit_labels(groupoid._sources, groupoid._ranges, n).tolist()
+def _orbit_parts(label: np.ndarray, subsets: Sequence[Sequence[int]]):
+    """(keys, members): for each distinct part S = X ∩ O of the sorted
+    subsets X over the orbits O (``label`` each unit's orbit), in order of
+    first appearance, the pair (v, S) of S and its key v, the least unit
+    of S's orbit outside S, or S[0] when S is the whole orbit; and for each
+    subset the indices of its parts.  Raises ValueError on a unit out of
+    range."""
+    n = len(label)
+    label = label.tolist()
     parts, members = {}, []
     for units in subsets:
         split = {}
@@ -221,31 +217,32 @@ def _orbit_parts(groupoid: FiniteGroupoid, subsets: Sequence[Sequence[int]]):
     orbits = {}
     for v in range(n):
         orbits.setdefault(label[v], []).append(v)
-    return list(parts), members, [next((v for v in orbits[label[part[0]]] if v not in part),
-                                       part[0]) for part in parts]
+    return [(next((v for v in orbits[label[part[0]]] if v not in part), part[0]), part)
+            for part in parts], members
 
 
-def _check_translates(groupoid: FiniteGroupoid) -> None:
+def _check_translates(groupoid: FiniteGroupoid, label: np.ndarray) -> None:
     """Check exactly that every unit's index block is its orbit's least
-    unit's block, translated.
+    unit's block, translated (``label`` each unit's orbit).
 
     For an arrow t: x -> u, g -> g t maps the arrows out of u onto the
     arrows out of x, keeping ranges, and (g t)(h t)^-1 = g h^-1; so the
     block at x, its rows and columns permuted by that map, is the block
-    at u entry for entry, and so are their masks to any unit subset.
-    Raises InternalInconsistencyError naming x and u otherwise.
+    at u entry for entry, and so are their masks to any unit subset.  The
+    check requires the products g t to be the arrows out of x, each once,
+    and the permuted block to equal the block at u.  Raises
+    InternalInconsistencyError naming x and u otherwise.
     """
-    n = len(groupoid.units)
-    label = _orbit_labels(groupoid._sources, groupoid._ranges, n)
-    for x in np.flatnonzero(label != np.arange(n)).tolist():
+    for x in np.flatnonzero(label != np.arange(len(label))).tolist():
         u = int(label[x])
         out_of_x = np.asarray(groupoid.arrows_by_source[x])
         t = out_of_x[np.argmax(groupoid._ranges[out_of_x] == u)]
+        translates = groupoid.product(np.asarray(groupoid.arrows_by_source[u]), t)
         # the positions of the g t among the (ascending) arrows out of x
-        perm = np.searchsorted(out_of_x, groupoid.product(
-            np.asarray(groupoid.arrows_by_source[u]), t))
+        perm = np.searchsorted(out_of_x, translates)
         block = groupoid._rep_blocks[x]
-        if not (np.array_equal(np.sort(perm), np.arange(len(block)))
+        if not (np.array_equal(np.sort(perm), np.arange(len(out_of_x)))
+                and np.array_equal(out_of_x[perm], translates)
                 and np.array_equal(block[perm][:, perm], groupoid._rep_blocks[u])):
             raise InternalInconsistencyError(
                 f"the block at unit {x} is not the block at unit {u} translated")
@@ -293,12 +290,14 @@ def block_residuals(groupoid: FiniteGroupoid, subsets: Sequence[Sequence[int]],
     subsets = [sorted(set(units)) for units in subsets]
     if not all(subsets):
         raise ValueError("unit subset must be non-empty")
-    parts, members, keys = _orbit_parts(groupoid, subsets)
-    _check_translates(groupoid)
+    # reach(v) is v's orbit
+    label = _orbit_labels(groupoid._sources, groupoid._ranges, len(groupoid.units))
+    keys, members = _orbit_parts(label, subsets)
+    _check_translates(groupoid, label)
     nums, lhs = block.numerators, []
     if not len(nums):
         return [[] for _ in subsets]
-    for part in parts:
+    for _, part in keys:
         reduced, kept = reduction_groupoid(groupoid, part)
         masked = np.zeros_like(nums)
         masked[:, kept] = nums[:, kept]
@@ -309,7 +308,7 @@ def block_residuals(groupoid: FiniteGroupoid, subsets: Sequence[Sequence[int]],
     lhs = np.stack(lhs, axis=1)
     # the translates make every unit of a part's orbit one key: its block
     # at each unit is the block at the key, permuted
-    rhs = np.sqrt(np.maximum(0.0, _key_tops(groupoid, list(zip(keys, parts)), block.floats)))
+    rhs = np.sqrt(np.maximum(0.0, _key_tops(groupoid, keys, block.floats)))
     return [np.abs(lhs[:, m].max(axis=1) - rhs[:, m].max(axis=1)).tolist() for m in members]
 
 

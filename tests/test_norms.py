@@ -416,7 +416,9 @@ def test_compression_side_eigensolves_each_key_once(monkeypatch):
     s4 = symmetric_group(4)
     gpd = build_coset_groupoid(s4, minimal_subgroups(s4))
     subsets = _unit_subsets(len(gpd.units))
-    parts, members, keys = norms._orbit_parts(gpd, subsets)
+    pairs, members = norms._orbit_parts(
+        norms._orbit_labels(gpd._sources, gpd._ranges, len(gpd.units)), subsets)
+    keys, parts = [key for key, _ in pairs], [part for _, part in pairs]
     assert len(keys) == len(parts) == len(set(parts)) == 40
     assert set(parts) == brute_force_parts(gpd, subsets)
     # each key lies in its part's orbit: its least unit outside the part,
@@ -469,6 +471,14 @@ def test_translation_check_catches_two_swapped_block_entries(capsys, monkeypatch
     # not read past x's block; orbit[1] = 1 is the first unit checked
     gpd = build_coset_groupoid(s4, minimal_subgroups(s4))
     gpd.product = lambda k, h: np.full(np.broadcast(k, h).shape, gpd.num_arrows() - 1)
+    with pytest.raises(InternalInconsistencyError, match=f"the block at unit {orbit[1]} "):
+        block_residuals(gpd, [[orbit[1]]], block_of(fs))
+    # so are distinct translates outside x's arrows that sort to the right
+    # positions, each just below the true product: the positions alone
+    # would pass, since they are the true permutation
+    gpd = build_coset_groupoid(s4, minimal_subgroups(s4))
+    real_product = gpd.product
+    gpd.product = lambda k, h: real_product(k, h) - 0.5
     with pytest.raises(InternalInconsistencyError, match=f"the block at unit {orbit[1]} "):
         block_residuals(gpd, [[orbit[1]]], block_of(fs))
     # raised before any float is compared
