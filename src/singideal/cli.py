@@ -4,8 +4,9 @@ extraction.  All reports are JSON with potentially-large integers (the
 witness coefficients) serialized as decimal strings.
 
 Exit codes: 0 success, 1 parse/usage error or size cap exceeded, 2
-internal kernel inconsistency (every command but normcheck), 3 norm
-tolerance exceeded or inexact compression p f p (normcheck).
+internal inconsistency (every command but normcheck), 3 norm tolerance
+exceeded or internal inconsistency, such as an inexact compression
+p f p (normcheck).
 """
 
 from __future__ import annotations
@@ -174,15 +175,11 @@ def cmd_normcheck(config: RunConfig) -> int:
     # block of at most NORM_BATCH values at a time, converted to floats
     # once; each orbit part's reduction is built once per block
     size = max(1, norms.NORM_BATCH // groupoid.num_arrows())
-    try:
-        for start in range(0, config.trials, size):
-            nums = random_numerators(rng, min(size, config.trials - start), groupoid.num_arrows())
-            block = norms.norm_block(nums, DENOMINATOR)
-            for key, residuals in zip(keys, norms.block_residuals(groupoid, subsets, block)):
-                per_subset[key] = max(per_subset[key], *residuals)
-    except InternalInconsistencyError as exc:
-        _emit({"error": "internal-inconsistency", "detail": str(exc)}, config.output)
-        return EXIT_TOLERANCE
+    for start in range(0, config.trials, size):
+        nums = random_numerators(rng, min(size, config.trials - start), groupoid.num_arrows())
+        block = norms.norm_block(nums, DENOMINATOR)
+        for key, residuals in zip(keys, norms.block_residuals(groupoid, subsets, block)):
+            per_subset[key] = max(per_subset[key], *residuals)
     worst = max(per_subset.values())
     report = {
         "group": {"name": group.name, "order": group.order},
@@ -252,9 +249,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             return handler(config)
         except InternalInconsistencyError as exc:
-            # a failed kernel check in any command; normcheck reports its own
+            # a failed consistency check in any command; normcheck's exit
+            # code reads it as a failed norm check
             _emit({"error": "internal-inconsistency", "detail": str(exc)}, config.output)
-            return EXIT_INCONSISTENT
+            return EXIT_TOLERANCE if config.command == "normcheck" else EXIT_INCONSISTENT
     except (SpecError, FamilyNotInvariantError, SizeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -3,8 +3,9 @@
 Everything here is exact.  ``integer_rows`` is the one conversion of
 rational values (ints, Fractions, floats taken exactly) to integer rows
 over a common denominator, and ``integer_product`` the one exact product
-of integer arrays, in float64 while every partial sum is an integer
-below 2^53.  Every kernel, and so every rank, comes from one engine,
+of integer arrays, an integer scatter over the pairs of non-zeros that
+share a column (``_matching``, the join the groupoid's convolution also
+uses).  Every kernel, and so every rank, comes from one engine,
 ``_kernels.eliminate_mod_p``, and is certified before it is returned.
 
 ``_integer_kernel`` first ranks a matrix with at least as many rows as
@@ -52,8 +53,7 @@ import numpy as np
 
 from ._kernels import CERT_PRIME, eliminate_mod_p
 
-# integers below these in magnitude convert to float64 exactly, and fit int64
-EXACT_FLOAT_INT = 2 ** 53
+# integers below this in magnitude fit int64
 INT64_LIMIT = 2 ** 63
 
 
@@ -138,18 +138,44 @@ def _max_abs(a: np.ndarray) -> int:
     return max(-int(a.min()), int(a.max())) if a.size else 0
 
 
+def _matching(left: np.ndarray, right: np.ndarray, num_units: int):
+    """(i, j) over every i and j with left[i] = right[j], for unit arrays
+    ``left`` and ``right``, ordered by i."""
+    order = np.argsort(right, kind="stable")
+    # the js at unit u are order[first[u]:first[u] + at_unit[u]]; each i
+    # meets the at_unit[left[i]] of them, as one run
+    at_unit = np.bincount(right, minlength=num_units)
+    first = np.cumsum(at_unit) - at_unit
+    runs = at_unit[left]
+    i = np.repeat(np.arange(len(left)), runs)
+    offset = np.arange(len(i)) - np.repeat(np.cumsum(runs) - runs, runs)
+    return i, order[np.repeat(first[left], runs) + offset]
+
+
 def integer_product(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``matrix @ rows.T`` exactly, for integer arrays, as an integer array:
-    in float64 when max|rows| times the largest absolute row sum of
-    ``matrix`` is below 2^53, so that every partial sum is an exact
-    integer, in int64 below 2^63 and in Python ints otherwise."""
-    wide = matrix.dtype == object or _max_abs(matrix) * matrix.shape[1] >= INT64_LIMIT
-    row_sums = np.abs(matrix, dtype=object if wide else np.int64).sum(axis=1)
-    bound = _max_abs(rows) * int(row_sums.max(initial=0))
-    if bound < EXACT_FLOAT_INT:
-        return (matrix.astype(np.float64) @ rows.T.astype(np.float64)).astype(np.int64)
+    """``matrix @ rows.T`` exactly, for integer arrays, as an integer array.
+
+    Every non-zero of ``matrix`` at (i, k) meets every non-zero of ``rows``
+    at (j, k), the pairs joined by ``_matching`` on k, and their product is
+    added onto cell (i, j) with ``np.add.at``.  Every partial sum of cell
+    (i, j) is at most max|rows| times the absolute row sum of row i, so
+    the scatter is in int64 when max|rows| times the largest absolute row
+    sum of ``matrix`` is below 2^63 and in Python ints otherwise.  The row
+    sums are scattered from the same non-zeros, so no copy of ``matrix``
+    is made.  On a coset matrix, whose every column holds one 1 per family
+    member, there are |F| nnz(rows) pairs."""
+    i, k = np.nonzero(matrix)
+    j, h = np.nonzero(rows)
+    values, factors = matrix[i, k], rows[j, h]
+    wide = values.dtype == object or _max_abs(values) * matrix.shape[1] >= INT64_LIMIT
+    row_sums = np.zeros(len(matrix), dtype=object if wide else np.int64)
+    np.add.at(row_sums, i, np.abs(values, dtype=row_sums.dtype))
+    bound = _max_abs(factors) * int(row_sums.max(initial=0))
     dtype = np.int64 if bound < INT64_LIMIT else object
-    return matrix.astype(dtype) @ rows.T.astype(dtype)
+    a, b = _matching(k, h, matrix.shape[1])
+    out = np.zeros((len(matrix), len(rows)), dtype=dtype)
+    np.add.at(out, (i[a], j[b]), values.astype(dtype)[a] * factors.astype(dtype)[b])
+    return out
 
 
 def _primes():

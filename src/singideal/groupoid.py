@@ -26,6 +26,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import exact
+from .exact import _matching
 from .groups import (FiniteGroup, SizeCapError, SubgroupFamily, coset_table,
                      distinct_cosets)
 from .ideals import _coset_matrix, _coset_sums
@@ -234,20 +235,6 @@ def function_from_row(groupoid: FiniteGroupoid, row, den: int) -> GroupoidFuncti
     zero = Fraction(0)
     return GroupoidFunction(groupoid, tuple([Fraction(n, den) if n else zero
                                              for n in row.tolist()]))
-
-
-def _matching(left: np.ndarray, right: np.ndarray, num_units: int):
-    """(i, j) over every i and j with left[i] = right[j], for unit arrays
-    ``left`` and ``right``, ordered by i."""
-    order = np.argsort(right, kind="stable")
-    # the js at unit u are order[first[u]:first[u] + at_unit[u]]; each i
-    # meets the at_unit[left[i]] of them, as one run
-    at_unit = np.bincount(right, minlength=num_units)
-    first = np.cumsum(at_unit) - at_unit
-    runs = at_unit[left]
-    i = np.repeat(np.arange(len(left)), runs)
-    offset = np.arange(len(i)) - np.repeat(np.cumsum(runs) - runs, runs)
-    return i, order[np.repeat(first[left], runs) + offset]
 
 
 def _composable_pairs(groupoid: FiniteGroupoid, ks: np.ndarray, hs: np.ndarray):

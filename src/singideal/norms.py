@@ -65,11 +65,14 @@ from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
-from .exact import EXACT_FLOAT_INT, _max_abs, integer_rows
+from .exact import _max_abs, integer_rows
 from .groupoid import (FiniteGroupoid, GroupoidFunction, convolve_rows,
                        function_from_row, reduction_groupoid)
 from .groups import FiniteGroup, SizeCapError, SubgroupFamily
 from .ideals import InternalInconsistencyError
+
+# integers below this in magnitude convert to float64 exactly
+EXACT_FLOAT_INT = 2 ** 53
 
 # entries gathered per batched eigensolve chunk (a block larger than this
 # is a chunk of its own); the CLI also draws its normcheck trial functions

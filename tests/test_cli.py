@@ -302,9 +302,11 @@ def test_hls_depth_past_the_cap_exits_1_without_allocating(capsys):
             "--family", '{"subgroups":[[0],[0,3],[0,2,4]]}']
     for depth in ("333", "99999999999999999999"):
         tracemalloc.start()
-        code = main(argv + ["--depth", depth])
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        try:
+            code = main(argv + ["--depth", depth])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         captured = capsys.readouterr()
         assert code == EXIT_PARSE and captured.out == ""
         assert captured.err.startswith(f"error: hls depth {depth} needs ")
@@ -318,9 +320,11 @@ def test_coset_counts_past_the_caps_exit_1_without_allocating(capsys, command):
     # matrix entries (512 MiB of int8) and 2.7e11 compose table entries
     group = json.dumps({"kind": "product", "factors": [{"kind": "cyclic", "n": 2}] * 10})
     tracemalloc.start()
-    code = main([command, "--group", group, "--family", '{"minimal": true}'])
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    try:
+        code = main([command, "--group", group, "--family", '{"minimal": true}'])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     captured = capsys.readouterr()
     assert code == EXIT_PARSE and captured.out == ""
     assert captured.err.startswith("error: the coset ")
@@ -510,10 +514,12 @@ def test_normcheck_work_past_the_cap_exits_1_before_the_build(capsys, monkeypatc
     built, family_obj = _build_inputs(RunConfig("normcheck", group_spec=group,
                                                 family_spec=family))
     tracemalloc.start()
-    with pytest.raises(SizeCapError, match="over the cap"):
-        norms.check_sweep_work(built, family_obj)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    try:
+        with pytest.raises(SizeCapError, match="over the cap"):
+            norms.check_sweep_work(built, family_obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 4 * 2 ** 20
 
     def no_build(*args):

@@ -2,11 +2,12 @@
 
 import math
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singideal import exact
@@ -16,8 +17,9 @@ from singideal.exact import (InternalInconsistencyError, RationalMatrix,
                              integer_kernel_basis, integer_product,
                              integer_rows, integerize, kernel_basis,
                              kernel_dim, rank, same_subspace, spans_full)
-from singideal.groups import make_group, minimal_subgroups, parse_family
-from singideal.ideals import coset_constraint_matrix
+from singideal.groups import (cyclic, direct_product, make_family, make_group,
+                              minimal_subgroups, parse_family)
+from singideal.ideals import _coset_matrix, coset_constraint_matrix
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
@@ -305,6 +307,69 @@ def test_integer_kernel_is_one_array():
     assert basis.tolist() == np.eye(3, dtype=np.int64).tolist()
     _certify_kernel(empty, basis, 0)
     assert integer_product(empty, basis).shape == (0, 3)
+
+
+# entries of each dtype: zeros often, small values, and values whose
+# products and row sums reach past 2^63 (past 2^64 for Python ints)
+PRODUCT_ENTRIES = {
+    np.int8: st.one_of(st.just(0), st.integers(-128, 127)),
+    np.int64: st.one_of(st.just(0), st.integers(-3, 3),
+                        st.sampled_from([2 ** 31, 2 ** 62, 2 ** 63 - 1, -2 ** 63]),
+                        st.integers(-2 ** 63, 2 ** 63 - 1)),
+    object: st.one_of(st.just(0), st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70)),
+}
+
+
+@st.composite
+def integer_arrays(draw, rows, cols):
+    dtype = draw(st.sampled_from(list(PRODUCT_ENTRIES)))
+    values = draw(st.lists(PRODUCT_ENTRIES[dtype], min_size=rows * cols,
+                           max_size=rows * cols))
+    return np.array(values, dtype=dtype).reshape(rows, cols)
+
+
+@st.composite
+def product_operands(draw):
+    a, n, d = (draw(st.integers(0, 5)) for _ in range(3))
+    return draw(integer_arrays(a, n)), draw(integer_arrays(d, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_operands())
+# max|rows| times the row sum: 2^63 - 2, then 2^63 with every entry of the
+# product below 2^63
+@example((np.array([[1, 1]]), np.array([[2 ** 62 - 1, 1]])))
+@example((np.array([[1, 1]]), np.array([[2 ** 62, 2 ** 62 - 1]])))
+@example((np.zeros((3, 4), dtype=np.int8), np.zeros((2, 4), dtype=np.int64)))
+@example((np.zeros((0, 4), dtype=np.int8), np.ones((2, 4), dtype=np.int64)))
+@example((np.ones((3, 0), dtype=np.int64), np.zeros((2, 0), dtype=object)))
+def test_integer_product_matches_python_ints(operands):
+    matrix, rows = operands
+    m, r = matrix.tolist(), rows.tolist()
+    expected = [[sum(x * y for x, y in zip(mrow, rrow)) for rrow in r] for mrow in m]
+    bound = (max((abs(x) for row in r for x in row), default=0)
+             * max((sum(map(abs, row)) for row in m), default=0))
+    out = integer_product(matrix, rows)
+    assert out.shape == (len(m), len(r))
+    assert out.tolist() == expected
+    assert out.dtype == (np.int64 if bound < 2 ** 63 else object)
+
+
+def test_integer_product_memory_on_c2_12():
+    # C2^12 {[0,1]}: a 2048 x 4096 coset matrix and a 2048-vector basis;
+    # the 2048 x 2048 int64 product alone is 32 MiB, and the scatter
+    # gathers only the 4096 pairs of non-zeros sharing a column
+    group = direct_product([cyclic(2)] * 12)
+    matrix = _coset_matrix(group, make_family(group, [(0, 1)]))
+    basis = _integer_kernel(matrix)
+    tracemalloc.start()
+    try:
+        out = integer_product(matrix, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (2048, 2048) and out.dtype == np.int64 and not out.any()
+    assert peak < 48 * 2 ** 20, f"integer_product peaked at {peak / 2 ** 20:.1f} MiB"
 
 
 def primes_used(eliminations):

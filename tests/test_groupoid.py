@@ -406,9 +406,11 @@ def test_d100_minimal_builds_without_a_dense_table():
     group = dihedral(100)
     family = minimal_subgroups(group)
     tracemalloc.start()
-    gpd = build_coset_groupoid(group, family)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    try:
+        gpd = build_coset_groupoid(group, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert gpd.num_arrows() == 10140
     assert peak < 64 * 2 ** 20
 
