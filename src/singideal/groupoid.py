@@ -13,8 +13,11 @@ The coset-sum map q is one exact product of the coefficients with the
 coset matrix, whose rows are numbered like the arrows.  Convolution
 stays exact: functions become integer numerator rows over one common
 denominator (``exact.integer_rows``), and one engine (``convolve_rows``)
-convolves whole blocks of such rows, in int64 when a bound taken before
-multiplying proves that no sum can overflow, in Python ints otherwise.
+convolves whole blocks of such rows: the composable pairs come from one
+``_matching`` join and their products are added onto the product arrows
+with one ``np.add.at`` scatter, as in ``exact.integer_product``, in int64
+when a bound taken before multiplying proves that no partial sum can
+overflow, in Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -237,27 +240,19 @@ def function_from_row(groupoid: FiniteGroupoid, row, den: int) -> GroupoidFuncti
                                              for n in row.tolist()]))
 
 
-def _composable_pairs(groupoid: FiniteGroupoid, ks: np.ndarray, hs: np.ndarray):
-    """(k, h, k h) over every k in ``ks`` and h in ``hs`` with s(k) = r(h),
-    ordered by the product arrow k h."""
-    i, j = _matching(groupoid._sources[ks], groupoid._ranges[hs], len(groupoid.units))
-    k, h = ks[i], hs[j]
-    g = groupoid.product(k, h)
-    order = np.argsort(g, kind="stable")
-    return k[order], h[order], g[order]
-
-
 def convolve_rows(groupoid: FiniteGroupoid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact convolution of integer rows: row i of the result is a[i] * b[i]
     (a single row on either side is used for every row of the other).
 
     Each term a(k) b(h) lands on k h, for k and h in the union supports
-    of ``a`` and ``b`` with s(k) = r(h).  The terms are gathered as columns,
-    multiplied, and summed per product arrow with one ``np.add.reduceat``,
+    of ``a`` and ``b`` with s(k) = r(h).  The pairs (k, h) come from one
+    ``_matching`` join, as in ``exact.integer_product``; their products are
+    gathered as columns and added onto the columns k h with one ``np.add.at``,
     for a slice of the ks at a time, so that no slice gathers more than
     ``CONVOLVE_CHUNK`` products.  They are multiplied in int64 when
-    max|a| max|b| (terms per product arrow) < 2^63, so that no sum can
-    overflow, and as Python ints otherwise.
+    max|a| max|b| (terms per product arrow) < 2^63, so that no partial sum
+    can overflow, whatever the order of addition, and as Python ints
+    otherwise.
     """
     ks = np.flatnonzero((a != 0).any(axis=0))
     hs = np.flatnonzero((b != 0).any(axis=0))
@@ -274,12 +269,11 @@ def convolve_rows(groupoid: FiniteGroupoid, a: np.ndarray, b: np.ndarray) -> np.
     per_k = int(np.bincount(groupoid._ranges[hs]).max()) if len(hs) else 1
     step = max(1, CONVOLVE_CHUNK // max(n * per_k, 1))
     for start in range(0, len(ks), step):
-        k, h, g = _composable_pairs(groupoid, ks[start:start + step], hs)
-        if len(g):
-            starts = np.flatnonzero(np.diff(g, prepend=-1))
-            products = (a[:, k].astype(dtype, copy=False)
-                        * b[:, h].astype(dtype, copy=False))
-            out[:, g[starts]] += np.add.reduceat(products, starts, axis=1)
+        k = ks[start:start + step]
+        i, j = _matching(groupoid._sources[k], groupoid._ranges[hs], len(groupoid.units))
+        k, h = k[i], hs[j]
+        np.add.at(out, (slice(None), groupoid.product(k, h)),
+                  a[:, k].astype(dtype, copy=False) * b[:, h].astype(dtype, copy=False))
     return out
 
 

@@ -167,6 +167,8 @@ def _associativity_failure(table: np.ndarray) -> Optional[int]:
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic order must be >= 1")
+    if n > DEFAULT_ORDER_CAP:
+        raise SizeCapError(f"order {n} exceeds cap {DEFAULT_ORDER_CAP}")
     idx = np.arange(n, dtype=np.int32)
     table = np.add.outer(idx, idx)
     np.remainder(table, n, out=table)
@@ -190,6 +192,8 @@ def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n; element f*n + k encodes flip^f rot^k."""
     if n < 1:
         raise ValueError("dihedral parameter must be >= 1")
+    if 2 * n > DEFAULT_ORDER_CAP:
+        raise SizeCapError(f"order {2 * n} exceeds cap {DEFAULT_ORDER_CAP}")
     k, f = np.divmod(np.arange(2 * n), n)[::-1]
     # flip^f1 rot^k1 flip^f2 rot^k2 = flip^(f1^f2) rot^(k1 -+ k2)
     rot = np.where(f[:, None] == 1, k[:, None] - k[None, :], k[:, None] + k[None, :]) % n
@@ -251,19 +255,13 @@ def make_group(spec: dict) -> FiniteGroup:
         raise ValueError("group spec must be a dict with a 'kind' key")
     kind = spec["kind"]
     if kind == "cyclic":
-        n = _spec_int(spec["n"], "n")
-        if n > DEFAULT_ORDER_CAP:
-            raise SizeCapError(f"order {n} exceeds cap {DEFAULT_ORDER_CAP}")
-        return cyclic(n)
+        return cyclic(_spec_int(spec["n"], "n"))
     if kind == "product":
         return direct_product([make_group(f) for f in spec["factors"]])
     if kind == "symmetric":
         return symmetric_group(_spec_int(spec["n"], "n"))
     if kind == "dihedral":
-        n = _spec_int(spec["n"], "n")
-        if 2 * n > DEFAULT_ORDER_CAP:
-            raise SizeCapError(f"order {2 * n} exceeds cap {DEFAULT_ORDER_CAP}")
-        return dihedral(n)
+        return dihedral(_spec_int(spec["n"], "n"))
     if kind == "quaternion8":
         return quaternion_group()
     if kind == "cayley":

@@ -55,7 +55,13 @@ matrix entry for entry, +0.0 where masked (its index is -1, which reads a
 eigvalsh act matrix by matrix; and sqrt is monotone and max exact.  Floats
 are always float(Fraction), correctly rounded: numerator rows are divided
 in float64 only when the numerators and the denominator are below 2^53,
-and as Python ints otherwise.
+and as Python ints otherwise.  The Gram product squares every entry, so
+a float norm takes a row or matrix only when its largest |entry| is 0 or
+in [2^-480, 2^480], where max^2 <= top <= (entries) max^2 keeps the top
+eigenvalue a normal float: ``spectral_norm`` checks its whole input and
+the Python-int division checks each row exactly, before dividing, and
+both raise ValueError outside it.  A row divided in float64 has its
+largest |entry| in [2^-53, 2^53] already.
 """
 
 from __future__ import annotations
@@ -74,6 +80,10 @@ from .ideals import InternalInconsistencyError
 # integers below this in magnitude convert to float64 exactly
 EXACT_FLOAT_INT = 2 ** 53
 
+# a float norm takes a largest |entry| of 0 or in [2^-480, 2^480], where
+# the Gram product's top eigenvalue stays a normal float
+FLOAT_RANGE_BITS = 480
+
 # entries gathered per batched eigensolve chunk (a block larger than this
 # is a chunk of its own); the CLI also draws its normcheck trial functions
 # in blocks of at most this many values
@@ -88,13 +98,25 @@ NORM_BATCH = 1 << 14
 NORMCHECK_WORK_CAP = 2 * 10 ** 10
 
 
+def _out_of_range(exponent: int) -> ValueError:
+    return ValueError(f"largest |entry| about 2^{exponent} is outside the float norm "
+                      f"range [2^-{FLOAT_RANGE_BITS}, 2^{FLOAT_RANGE_BITS}]")
+
+
 def _row_floats(nums: np.ndarray, den: int) -> np.ndarray:
     """nums / den as float64, each entry correctly rounded: one float64
-    division when both operands convert exactly, else Python int division."""
+    division when both operands convert exactly, else Python int division,
+    after checking exactly that every non-zero row's largest |entry| lies in
+    the float norm range (in the float64 branch it lies in [2^-53, 2^53])."""
     if (nums.dtype == np.int64 and den < EXACT_FLOAT_INT
             and _max_abs(nums) < EXACT_FLOAT_INT):
         return nums.astype(np.float64) / float(den)
-    return np.array([n / den for n in nums.ravel().tolist()],
+    rows = nums.tolist()
+    for row in rows:
+        top = max(map(abs, row), default=0)
+        if top and not (den <= top << FLOAT_RANGE_BITS and top <= den << FLOAT_RANGE_BITS):
+            raise _out_of_range(top.bit_length() - den.bit_length())
+    return np.array([[n / den for n in row] for row in rows],
                     dtype=np.float64).reshape(nums.shape)
 
 
@@ -144,6 +166,9 @@ def spectral_norm(m) -> float:
         return 0.0
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
+    top = np.abs(a).max()
+    if top and not 2.0 ** -FLOAT_RANGE_BITS <= top <= 2.0 ** FLOAT_RANGE_BITS:
+        raise _out_of_range(math.frexp(top)[1] - 1)
     return math.sqrt(max(float(_gram_tops(a).max()), 0.0))
 
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -616,9 +617,11 @@ NORMCHECK_DIGEST_CASES = [
 
 
 def report_digests():
-    """SHA-256 of the stdout of analyze, witness and hls --depth 3 on every
-    DIGEST_CASES entry, of normcheck --seed 0 with its trial count on every
-    NORMCHECK_DIGEST_CASES entry, and of ai-atlas --max-order 16."""
+    """(digests, warned): the SHA-256 of the stdout of analyze, witness and
+    hls --depth 3 on every DIGEST_CASES entry, of normcheck --seed 0 with
+    its trial count on every NORMCHECK_DIGEST_CASES entry, and of ai-atlas
+    --max-order 16; and the messages of the warnings each run raised, for
+    the runs that raised any."""
     runs = {"ai-atlas 16": ["ai-atlas", "--max-order", "16"]}
     for name, group, family in DIGEST_CASES:
         spec = ["--group", json.dumps(group), "--family", json.dumps(family)]
@@ -628,13 +631,16 @@ def report_digests():
         runs[f"normcheck {name} {json.dumps(family)}"] = [
             "normcheck", "--group", json.dumps(group), "--family", json.dumps(family),
             "--trials", str(trials), "--seed", "0"]
-    digests = {}
+    digests, warned = {}, {}
     for key, argv in runs.items():
         out = io.StringIO()
-        with contextlib.redirect_stdout(out):
+        with contextlib.redirect_stdout(out), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main(argv) == EXIT_OK, argv
         digests[key] = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    return digests
+        if caught:
+            warned[key] = [str(w.message) for w in caught]
+    return digests, warned
 
 
 # recorded before the exact layer took over every rational-to-integer
@@ -796,7 +802,15 @@ PINNED_DIGESTS = {
 }
 
 
+CLOSURE_WARNING = ("subgroup family was not conjugation invariant; "
+                   "closed it under conjugation")
+
+
 def test_reports_match_the_pinned_digests():
-    digests = report_digests()
+    digests, warned = report_digests()
+    # the one family in the cases that is not closed under conjugation
+    family = json.dumps({"subgroups": [[0, 1]]})
+    assert warned == {f"{command} S4 {family}": [CLOSURE_WARNING]
+                      for command in ("analyze", "witness", "hls")}
     assert len(digests) == 3 * len(DIGEST_CASES) + len(NORMCHECK_DIGEST_CASES) + 1
     assert digests == PINNED_DIGESTS

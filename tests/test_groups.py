@@ -381,6 +381,24 @@ def test_make_group_specs_and_caps():
         make_group({"kind": "nope"})
 
 
+def test_library_constructors_refuse_past_the_cap_before_allocating():
+    # without the check, cyclic(6000) builds a 137 MiB table and
+    # dihedral(40000) asks numpy for 47.7 GiB
+    for build, n, order in ((cyclic, 6000, 6000), (dihedral, 2521, 5042),
+                            (dihedral, 40000, 80000)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError,
+                               match=f"^order {order} exceeds cap {DEFAULT_ORDER_CAP}$"):
+                build(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, f"{build.__name__}({n}) peaked at {peak / 2 ** 20:.1f} MiB"
+    assert cyclic(DEFAULT_ORDER_CAP).order == DEFAULT_ORDER_CAP
+    assert dihedral(DEFAULT_ORDER_CAP // 2).order == DEFAULT_ORDER_CAP
+
+
 def test_subgroup_generated():
     g6 = cyclic(6)
     assert subgroup_generated(g6, {3}) == (0, 3)

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -54,6 +55,44 @@ def test_spectral_norm_basics():
     assert spectral_norm(np.zeros((3, 3))) == 0.0
     with pytest.raises(ValueError):
         spectral_norm(np.array([[np.nan]]))
+
+
+def c4_point_function(value):
+    """The function on C4 {[0]} with one non-zero value, at a non-unit arrow."""
+    c4 = cyclic(4)
+    gpd = build_coset_groupoid(c4, make_family(c4, [(0,)]))
+    values = [Fraction(0)] * gpd.num_arrows()
+    values[1] = value
+    return gpd, GroupoidFunction(gpd, tuple(values))
+
+
+def test_float_norms_refuse_entries_outside_the_gram_range():
+    # the Gram product squares every entry: these read nan, inf, 0.0, 0.0,
+    # or raised LinAlgError and OverflowError, before the range check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in ([[1e200, 1e200]], [[1e300]], [[1e-200]]):
+            with pytest.raises(ValueError, match="outside the float norm range"):
+                spectral_norm(m)
+        for value in (Fraction(1, 10 ** 200), Fraction(10 ** 160), Fraction(10 ** 400)):
+            gpd, f = c4_point_function(value)
+            with pytest.raises(ValueError, match="outside the float norm range"):
+                reduced_norm(gpd, f)
+        # the ends of the range still pass, and agree with LAPACK's 2-norm
+        for scale in (2.0 ** 480, 2.0 ** -480):
+            for m in (np.array([[scale, scale]]), np.array([[scale, 0.0], [scale, scale]])):
+                assert spectral_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-12)
+        for value in (Fraction(2 ** 480), Fraction(1, 2 ** 480), Fraction(-3, 2 ** 481)):
+            gpd, f = c4_point_function(value)
+            expected = max(np.linalg.norm(regular_rep_matrix(gpd, f, u), 2)
+                           for u in range(len(gpd.units)))
+            assert reduced_norm(gpd, f) == pytest.approx(expected, rel=1e-12)
+            assert reduced_norm(gpd, f) == pytest.approx(abs(float(value)), rel=1e-12)
+        # one row out of range fails the block, though the other is in it
+        with pytest.raises(ValueError, match="outside the float norm range"):
+            norms._row_floats(np.array([[1, 0], [0, 1]], dtype=object), 2 ** 481)
+        assert norms._row_floats(np.array([[2, 0], [0, 0]], dtype=object),
+                                 2 ** 481).tolist() == [[2.0 ** -480, 0.0], [0.0, 0.0]]
 
 
 def test_spectral_norm_survives_orthogonal_seed():
@@ -578,14 +617,14 @@ def test_norm_equation_fails_on_a_corrupted_reduction(capsys, monkeypatch):
 
 
 def test_norm_equation_fails_when_convolution_drops_a_term(capsys, monkeypatch):
-    real = groupoid_module._composable_pairs
+    real = groupoid_module._matching
 
-    def dropping(groupoid, ks, hs):
-        k, h, g = real(groupoid, ks, hs)
-        return k[1:], h[1:], g[1:]
+    def dropping(left, right, num_units):
+        i, j = real(left, right, num_units)
+        return i[1:], j[1:]
 
     gpd, f = s3_group_case()
-    monkeypatch.setattr(groupoid_module, "_composable_pairs", dropping)
+    monkeypatch.setattr(groupoid_module, "_matching", dropping)
     # the float residual of the corrupted p f p, and the exact check
     reduced, kept = reduction_groupoid(gpd, [0])
     assert abs(reduced_norm(reduced, restrict_function(reduced, kept, f))
