@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
-import random
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -28,7 +26,6 @@ from .groupoid import build_coset_groupoid
 from .groups import (FamilyNotInvariantError, SizeCapError, make_group,
                      parse_family)
 from .ideals import (InternalInconsistencyError, class_I_check, integer_witness)
-from .sampling import DENOMINATOR, random_numerators
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -153,41 +150,20 @@ def cmd_ai_atlas(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _unit_subsets(num_units: int):
-    """The configured subset list: singletons, pairs, and all units."""
-    subsets = [[u] for u in range(num_units)]
-    subsets.extend([list(c) for c in itertools.combinations(range(num_units), 2)])
-    full = list(range(num_units))
-    if full not in subsets:
-        subsets.append(full)
-    return subsets
-
-
 def cmd_normcheck(config: RunConfig) -> int:
     group, family = _build_inputs(config)
     norms.check_sweep_work(group, family)
     groupoid = build_coset_groupoid(group, family)
-    rng = random.Random(config.seed)
-    subsets = _unit_subsets(len(groupoid.units))
+    subsets, maxima = norms.norm_sweep(groupoid, config.trials, config.seed)
     keys = [",".join(map(str, subset)) for subset in subsets]
-    per_subset = dict.fromkeys(keys, 0.0)
-    # trials are drawn in seed order as integer rows over DENOMINATOR, a
-    # block of at most NORM_BATCH values at a time, converted to floats
-    # once; each orbit part's reduction is built once per block
-    size = max(1, norms.NORM_BATCH // groupoid.num_arrows())
-    for start in range(0, config.trials, size):
-        nums = random_numerators(rng, min(size, config.trials - start), groupoid.num_arrows())
-        block = norms.norm_block(nums, DENOMINATOR)
-        for key, residuals in zip(keys, norms.block_residuals(groupoid, subsets, block)):
-            per_subset[key] = max(per_subset[key], *residuals)
-    worst = max(per_subset.values())
+    worst = max(maxima)
     report = {
         "group": {"name": group.name, "order": group.order},
         "trials": config.trials,
         "seed": config.seed,
         "tol": config.tol,
         "unit_subsets": [subset for _, subset in sorted(zip(keys, subsets))],
-        "max_residual_per_subset": per_subset,
+        "max_residual_per_subset": dict(zip(keys, maxima)),
         "max_residual": worst,
         "within_tol": worst < config.tol,
     }

@@ -9,14 +9,16 @@ uses).  Every kernel, and so every rank, comes from one engine,
 ``_kernels.eliminate_mod_p``, and is certified before it is returned.
 
 ``_integer_kernel`` first ranks a matrix with at least as many rows as
-columns through a forward pass on its transpose: the rank of an integer
-matrix mod p never exceeds its rational rank, so full column rank mod p
-proves a trivial kernel.  Otherwise it takes the reduced row echelon
-form (RREF) mod p, reads each non-zero entry at a free column back as a
-rational a/b with |a|, b <= sqrt(N/2) (rational reconstruction, von zur
-Gathen and Gerhard, *Modern Computer Algebra* 5.10), and builds one
-primitive integer vector per free column f: 1 at f, minus column f of
-the RREF at the pivots, cleared of denominators.  ``_certify_kernel``
+columns through forward passes on the transposes of its first 2 cols
+rows, 4 cols rows, and so on up to all its rows: the rank mod p of any
+rows of an integer matrix never exceeds the rational rank of the whole,
+so full column rank mod p on a prefix proves a trivial kernel, and the
+first pass that finds it ends the search.  Otherwise it takes the
+reduced row echelon form (RREF) mod p, reads each non-zero entry at a
+free column back as a rational a/b with |a|, b <= sqrt(N/2) (rational
+reconstruction, von zur Gathen and Gerhard, *Modern Computer Algebra*
+5.10), and builds one primitive integer vector per free column f: 1 at
+f, minus column f of the RREF at the pivots, cleared of denominators.  ``_certify_kernel``
 accepts the d vectors B only on a proof in three parts:
 
 1. M B = 0, exactly;
@@ -239,8 +241,16 @@ def _integer_kernel(m) -> np.ndarray:
     ``_certify_kernel`` (module docstring)."""
     rows = integer_rows(m)[0]
     cols = rows.shape[1]
-    if len(rows) >= cols and eliminate_mod_p(rows.T, CERT_PRIME)[0].sum() == cols:
-        return np.zeros((0, cols), dtype=np.int64)
+    if len(rows) >= cols:
+        # full column rank mod p on the first 2 cols rows, then 4 cols, and
+        # so on up to all the rows, settles a trivial kernel
+        size = 2 * cols
+        while True:
+            if eliminate_mod_p(rows[:size].T, CERT_PRIME)[0].sum() == cols:
+                return np.zeros((0, cols), dtype=np.int64)
+            if size >= len(rows):
+                break
+            size *= 2
     best = None
     for p in _primes():
         pivots, rref = eliminate_mod_p(rows, p, reduced=True)

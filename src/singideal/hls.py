@@ -8,9 +8,11 @@ Every verdict is read off the family in closed form.  The tail point
 member X', which forces X' = X and gamma in X.  So the limit set of the
 constant tail (X, n) is X x {inf}, the essential fibre is the family, and
 the unit at infinity is extremely dangerous iff (0,) is not a member.
-The basic neighbourhoods and level groupoids are built only when read; a
-depth whose neighbourhoods would pass NEIGHBORHOOD_POINT_CAP is refused
-before anything is built.
+The basic neighbourhoods and level groupoids are built only when read.
+Reading the neighbourhoods at a depth where they would hold more than
+NEIGHBORHOOD_POINT_CAP points, or lifting a witness to more level points
+than that, raises SizeCapError before anything is built; a report that
+reads neither answers at any depth.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .ideals import check_witness
 INFINITY = "inf"
 
 # cap on the points stored in the basic neighbourhoods, which take about
-# 115 MiB at the cap (C6 with three members, CPython 3.11)
+# 115 MiB at the cap (C6 with three members, CPython 3.11), and on the
+# level points of a witness lift
 NEIGHBORHOOD_POINT_CAP = 10 ** 6
 
 
@@ -51,7 +54,19 @@ class TruncatedHLS:
     @functools.cached_property
     def basic_neighborhoods(self) -> dict:
         """(gamma, cutoff) -> frozenset of (gamma, inf) and the (gamma X, n)
-        with n from the cutoff to the depth, built on first read."""
+        with n from the cutoff to the depth, built on first read.
+
+        Raises SizeCapError, before building anything, when they would hold
+        more than NEIGHBORHOOD_POINT_CAP points.
+        """
+        # each of the order * depth neighbourhoods holds (gamma, inf) and,
+        # for each member X, the points (gamma X, n) from its cutoff to the
+        # depth
+        depth, members = self.depth, len(self.family.members)
+        points = self.group.order * depth * (2 + members * (depth + 1)) // 2
+        if points > NEIGHBORHOOD_POINT_CAP:
+            raise SizeCapError(f"hls depth {depth} needs {points} neighbourhood points, "
+                               f"over the cap {NEIGHBORHOOD_POINT_CAP}")
         payloads = [c.elements for c in distinct_cosets(self.group, self.family)]
         neighborhoods = {}
         for gamma, ids in enumerate(coset_index(self.group, self.family).T.tolist()):
@@ -76,21 +91,11 @@ class TruncatedHLS:
 
 
 def build_hls(group: FiniteGroup, family: SubgroupFamily, depth: int) -> TruncatedHLS:
-    """Truncate the level index at ``depth``, keeping the infinity fibre exact.
-
-    Raises SizeCapError, before building anything, when the neighbourhoods
-    would hold more than NEIGHBORHOOD_POINT_CAP points.
-    """
+    """Truncate the level index at ``depth``, keeping the infinity fibre exact."""
     if not family.members:
         raise ValueError("family must be non-empty")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    # each of the order * depth neighbourhoods holds (gamma, inf) and, for
-    # each member X, the points (gamma X, n) from its cutoff to the depth
-    points = group.order * depth * (2 + len(family.members) * (depth + 1)) // 2
-    if points > NEIGHBORHOOD_POINT_CAP:
-        raise SizeCapError(f"hls depth {depth} needs {points} neighbourhood points, "
-                           f"over the cap {NEIGHBORHOOD_POINT_CAP}")
     return TruncatedHLS(
         group=group,
         family=family,
@@ -144,6 +149,9 @@ def singular_function_from_witness(hls: TruncatedHLS, witness, cutoff: int) -> S
     Only a witness whose coset sums all vanish (``ideals.check_witness``)
     is lifted, so every level value is 0 while the infinity values are
     not: the finite rendering of a non-zero function whose zero set is dense.
+    Raises SizeCapError, before building the level values, when there
+    would be more than NEIGHBORHOOD_POINT_CAP of them: one per coset and
+    level, the sum of [G:X] over the members times the depth.
     """
     coeffs = tuple(getattr(witness, "coeffs", witness))
     if len(coeffs) != hls.group.order:
@@ -154,6 +162,10 @@ def singular_function_from_witness(hls: TruncatedHLS, witness, cutoff: int) -> S
         raise NotAWitnessError("witness must be non-zero")
     if not check_witness(hls.group, hls.family, coeffs):
         raise NotAWitnessError("element fails a coset-sum constraint")
+    points = sum(hls.group.order // len(sub) for sub in hls.family.members) * hls.depth
+    if points > NEIGHBORHOOD_POINT_CAP:
+        raise SizeCapError(f"hls depth {hls.depth} lifts the witness to {points} level "
+                           f"points, over the cap {NEIGHBORHOOD_POINT_CAP}")
     zero = Fraction(0)
     level_values = {(coset.elements, n): zero
                     for coset in distinct_cosets(hls.group, hls.family)

@@ -21,20 +21,22 @@ of one dimension).  The gather must be contiguous: a strided gather sends
 the Gram product down another matmul kernel, whose results differ in the
 last bits.
 
-The norm equation is evaluated on a ``NormBlock``: a batch of functions
-as integer rows over one denominator, converted once to floats, for a
-list of unit subsets at once.  ``normcheck`` draws its trials as such rows
-(``sampling.random_numerators``); functions in hand go through
-``exact.integer_rows`` first.  No arrow joins two orbits, so a subset X
-is the disjoint union of its parts S = X ∩ O, one per orbit O it meets,
-and all the work is done once per distinct part.
+The norm equation is evaluated by ``block_residuals`` on a batch of
+functions, given as integer rows over one denominator and converted once
+to floats, for a list of unit subsets at once.  ``norm_sweep`` is the
+whole ``normcheck`` sweep: it draws its trials as such rows
+(``sampling.random_numerators``) over the subsets of ``unit_subsets``;
+functions in hand go through ``exact.integer_rows`` first.  No arrow
+joins two orbits, so a subset X is the disjoint union of its parts
+S = X ∩ O, one per orbit O it meets, and all the work is done once per
+distinct part.
 The reduction over X is the disjoint union of the reductions over its
 parts, each unit's block the same matrix in the same row order, and
 p_X f p_X is the sum of the p_S f p_S.  For each part the reduction
-groupoid is built once; p f p for the whole block is two ``convolve_rows``
-calls with the unit-indicator row, checked exactly to be the block's rows
+groupoid is built once; p f p for the whole batch is two ``convolve_rows``
+calls with the unit-indicator row, checked exactly to be the batch's rows
 masked to the reduction's arrows, and the part's left side reads the
-block's floats gathered onto the reduction.  On the right, entry (g, h) of
+batch's floats gathered onto the reduction.  On the right, entry (g, h) of
 the block of p f p at a unit v survives iff r(g) and r(h) lie in X, and
 both lie in reach(v), the ranges of the arrows out of v, which is v's
 orbit; so the block is one matrix for every X with the same part
@@ -66,8 +68,10 @@ largest |entry| in [2^-53, 2^53] already.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import List, NamedTuple, Sequence
+import random
+from typing import List, Sequence
 
 import numpy as np
 
@@ -76,6 +80,7 @@ from .groupoid import (FiniteGroupoid, GroupoidFunction, convolve_rows,
                        function_from_row, reduction_groupoid)
 from .groups import FiniteGroup, SizeCapError, SubgroupFamily
 from .ideals import InternalInconsistencyError
+from .sampling import DENOMINATOR, random_numerators
 
 # integers below this in magnitude convert to float64 exactly
 EXACT_FLOAT_INT = 2 ** 53
@@ -85,8 +90,8 @@ EXACT_FLOAT_INT = 2 ** 53
 FLOAT_RANGE_BITS = 480
 
 # entries gathered per batched eigensolve chunk (a block larger than this
-# is a chunk of its own); the CLI also draws its normcheck trial functions
-# in blocks of at most this many values
+# is a chunk of its own); ``norm_sweep`` also draws its trial functions in
+# blocks of at most this many values
 NORM_BATCH = 1 << 14
 
 # sum of d^3 over the d x d blocks one normcheck trial eigensolves.  One
@@ -118,19 +123,6 @@ def _row_floats(nums: np.ndarray, den: int) -> np.ndarray:
             raise _out_of_range(top.bit_length() - den.bit_length())
     return np.array([[n / den for n in row] for row in rows],
                     dtype=np.float64).reshape(nums.shape)
-
-
-class NormBlock(NamedTuple):
-    """A batch of functions as integer rows over one denominator, and as floats."""
-
-    numerators: np.ndarray
-    floats: np.ndarray
-
-
-def norm_block(nums: np.ndarray, den: int) -> NormBlock:
-    """The integer rows ``nums`` over ``den`` with their floats, for
-    ``block_residuals``."""
-    return NormBlock(nums, _row_floats(nums, den))
 
 
 def function_floats(f: GroupoidFunction) -> np.ndarray:
@@ -305,9 +297,9 @@ def _key_tops(groupoid: FiniteGroupoid, keys, floats: np.ndarray) -> np.ndarray:
 
 
 def block_residuals(groupoid: FiniteGroupoid, subsets: Sequence[Sequence[int]],
-                    block: NormBlock) -> List[List[float]]:
-    """The norm-equation residual of every function of ``block``, one list
-    per unit subset.
+                    nums: np.ndarray, den: int) -> List[List[float]]:
+    """The norm-equation residual of every function whose integer row over
+    ``den`` is a row of ``nums``, one list per unit subset.
 
     Raises InternalInconsistencyError, before any float is compared,
     unless every unit's index block is its orbit's least unit's block
@@ -315,6 +307,7 @@ def block_residuals(groupoid: FiniteGroupoid, subsets: Sequence[Sequence[int]],
     equals f on the arrows with source and range in the subset and
     vanishes elsewhere, exactly.
     """
+    floats = _row_floats(nums, den)
     subsets = [sorted(set(units)) for units in subsets]
     if not all(subsets):
         raise ValueError("unit subset must be non-empty")
@@ -322,9 +315,9 @@ def block_residuals(groupoid: FiniteGroupoid, subsets: Sequence[Sequence[int]],
     label = _orbit_labels(groupoid._sources, groupoid._ranges, len(groupoid.units))
     keys, members = _orbit_parts(label, subsets)
     _check_translates(groupoid, label)
-    nums, lhs = block.numerators, []
     if not len(nums):
         return [[] for _ in subsets]
+    lhs = []
     for _, part in keys:
         reduced, kept = reduction_groupoid(groupoid, part)
         masked = np.zeros_like(nums)
@@ -332,11 +325,11 @@ def block_residuals(groupoid: FiniteGroupoid, subsets: Sequence[Sequence[int]],
         if not np.array_equal(_compress(groupoid, nums, part), masked):
             raise InternalInconsistencyError(
                 f"p f p over units {list(part)} is not f restricted to the reduction")
-        lhs.append(_reduced_norms(reduced, block.floats[:, kept]))
+        lhs.append(_reduced_norms(reduced, floats[:, kept]))
     lhs = np.stack(lhs, axis=1)
     # the translates make every unit of a part's orbit one key: its block
     # at each unit is the block at the key, permuted
-    rhs = np.sqrt(np.maximum(0.0, _key_tops(groupoid, keys, block.floats)))
+    rhs = np.sqrt(np.maximum(0.0, _key_tops(groupoid, keys, floats)))
     return [np.abs(lhs[:, m].max(axis=1) - rhs[:, m].max(axis=1)).tolist() for m in members]
 
 
@@ -344,8 +337,7 @@ def norm_equation_residuals(groupoid: FiniteGroupoid, units: Sequence[int],
                             fs: Sequence[GroupoidFunction]) -> List[float]:
     """``verify_norm_equation(groupoid, units, f)`` for every f in ``fs``,
     from one reduction and one batched reduced norm per orbit part."""
-    block = norm_block(*integer_rows([f.values for f in fs]))
-    return block_residuals(groupoid, [units], block)[0]
+    return block_residuals(groupoid, [units], *integer_rows([f.values for f in fs]))[0]
 
 
 def verify_norm_equation(groupoid: FiniteGroupoid, units: Sequence[int],
@@ -361,18 +353,50 @@ def verify_norm_equation(groupoid: FiniteGroupoid, units: Sequence[int],
     return norm_equation_residuals(groupoid, units, [f])[0]
 
 
+def unit_subsets(num_units: int):
+    """The configured subset list: singletons, pairs, and all units."""
+    subsets = [[u] for u in range(num_units)]
+    subsets.extend([list(c) for c in itertools.combinations(range(num_units), 2)])
+    full = list(range(num_units))
+    if full not in subsets:
+        subsets.append(full)
+    return subsets
+
+
+def norm_sweep(groupoid: FiniteGroupoid, trials: int, seed: int) -> tuple:
+    """(subsets, maxima): the ``unit_subsets`` of the groupoid's units and
+    each subset's largest norm-equation residual over ``trials`` functions.
+
+    The functions are drawn in seed order as integer rows over
+    ``sampling.DENOMINATOR`` (``sampling.random_numerators``), a block of
+    at most NORM_BATCH values at a time, and each block takes one
+    ``block_residuals`` call, so each orbit part's reduction is built once
+    per block.
+    """
+    rng = random.Random(seed)
+    subsets = unit_subsets(len(groupoid.units))
+    maxima = [0.0] * len(subsets)
+    size = max(1, NORM_BATCH // groupoid.num_arrows())
+    for start in range(0, trials, size):
+        nums = random_numerators(rng, min(size, trials - start), groupoid.num_arrows())
+        residuals = block_residuals(groupoid, subsets, nums, DENOMINATOR)
+        maxima = [max(top, *found) for top, found in zip(maxima, residuals)]
+    return subsets, maxima
+
+
 def check_sweep_work(group: FiniteGroup, family: SubgroupFamily) -> int:
-    """The work of one normcheck trial (every unit, pair and all units),
+    """The work of one ``norm_sweep`` trial (every ``unit_subsets`` subset),
     the sum of d^3 over the d x d blocks it eigensolves, counted on the
     coset table before the groupoid is built; raises SizeCapError past
     NORMCHECK_WORK_CAP.
 
     The ranges of the cosets of X_u are u's orbit O of k units, c = d_u / k
     at each.  The p f p side takes one block of O's dimension d_u per
-    distinct part X ∩ O, once per orbit: k singletons, k(k-1)/2 pairs and,
-    for k >= 3, O.  The reduction to each distinct part S = X ∩ O with u
-    in S has the block c |S| at u: {u}, the k - 1 pairs in O and, for
-    k >= 3, O.
+    distinct part X ∩ O, once per orbit: the singletons, pairs and all
+    units of ``unit_subsets`` meet O in k singletons, k(k-1)/2 pairs and,
+    for k >= 3, O (a pair across two orbits meets each in a singleton).
+    The reduction to each distinct part S = X ∩ O with u in S has the
+    block c |S| at u: {u}, the k - 1 pairs in O and, for k >= 3, O.
     """
     d = (group.order // np.array([len(sub) for sub in family.members])).tolist()
     n = len(d)

@@ -18,8 +18,9 @@ import singideal
 from singideal import cli, exact, norms
 from singideal.cli import (EXIT_INCONSISTENT, EXIT_OK, EXIT_PARSE,
                            EXIT_TOLERANCE, RunConfig, SpecError, _build_inputs,
-                           _unit_subsets, main)
+                           main)
 from singideal.groupoid import build_coset_groupoid, reduction_groupoid
+from singideal.hls import NEIGHBORHOOD_POINT_CAP
 from singideal.ideals import IdealReport
 from singideal.groups import (SizeCapError, make_group, minimal_subgroups,
                               symmetric_group)
@@ -191,9 +192,11 @@ def test_normcheck_exit_codes(capsys, monkeypatch):
     data = json.loads(out)
     assert data["within_tol"] is True and data["max_residual"] < 1e-8
     # exit code 3 when the residual exceeds the tolerance
-    monkeypatch.setattr(norms, "block_residuals",
-                        lambda g, subsets, block: [[0.5] * len(block.floats)
-                                                   for _ in subsets])
+    def failing(groupoid, trials, seed):
+        subsets = norms.unit_subsets(len(groupoid.units))
+        return subsets, [0.5] * len(subsets)
+
+    monkeypatch.setattr(norms, "norm_sweep", failing)
     code, out = run(capsys, ["normcheck", "--group", '{"kind":"symmetric","n":3}',
                              "--family", '{"conjugacy_class_of":[0,2]}',
                              "--trials", "2"])
@@ -298,7 +301,9 @@ def test_group_spec_past_the_recursion_limit_is_a_spec_error():
                                 family_spec={"minimal": True}))
 
 
-def test_hls_depth_past_the_cap_exits_1_without_allocating(capsys):
+def test_hls_deep_report_without_a_witness_exits_0(capsys):
+    # C6 with {0} among its members has no witness: the report reads no
+    # neighbourhood and lifts nothing, so a depth past the point cap answers
     argv = ["hls", "--group", '{"kind":"cyclic","n":6}',
             "--family", '{"subgroups":[[0],[0,3],[0,2,4]]}']
     for depth in ("333", "99999999999999999999"):
@@ -308,10 +313,35 @@ def test_hls_depth_past_the_cap_exits_1_without_allocating(capsys):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        report = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK and report["depth"] == int(depth)
+        assert report["witness_lifted"] is False
+        assert peak < 2 ** 20
+    # S4 minimal: depth 80 needs 1012800 neighbourhood points, 79 fewer
+    # than the cap; both reports agree but for the depth
+    argv = ["hls", "--group", '{"kind":"symmetric","n":4}', "--family", '{"minimal":true}']
+    reports = []
+    for depth in ("79", "80"):
+        assert main(argv + ["--depth", depth]) == EXIT_OK
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[1] == {**reports[0], "depth": 80}
+
+
+def test_hls_lift_past_the_cap_exits_1_without_allocating(capsys):
+    # C6 {0, 3} has a witness, lifted to 3 level points per level: 3 * 333334
+    # passes the cap
+    argv = ["hls", "--group", '{"kind":"cyclic","n":6}', "--family", '{"subgroups":[[0,3]]}']
+    for depth, points in (("333334", 1000002), ("99999999999999999999", 3 * 10 ** 20 - 3)):
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--depth", depth])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         captured = capsys.readouterr()
         assert code == EXIT_PARSE and captured.out == ""
-        assert captured.err.startswith(f"error: hls depth {depth} needs ")
-        assert captured.err.count("\n") == 1
+        assert captured.err == (f"error: hls depth {depth} lifts the witness to {points} "
+                                "level points, over the cap 1000000\n")
         assert peak < 2 ** 20
 
 
@@ -402,10 +432,9 @@ def _order_or_zero(group_spec):
         return 0
 
 
-# hls depths: small ones, and ones past the neighbourhood point cap for
-# every group (depth 1414 already is for C1), which must be refused before
-# anything is allocated
-_depths = st.one_of(st.integers(-3, 4), st.integers(1414, 10 ** 30))
+# hls depths: small ones, and ones past the point cap, where every witness
+# lift is refused before anything is allocated
+_depths = st.one_of(st.integers(-3, 4), st.integers(NEIGHBORHOOD_POINT_CAP + 1, 10 ** 30))
 
 
 @settings(max_examples=150)
@@ -433,8 +462,8 @@ def test_cli_fuzz_exit_codes(command, group_spec, family_spec, depth):
         assert out.getvalue() == ""
         assert len([line for line in err.getvalue().splitlines()
                     if line.startswith("error: ")]) == 1
-    if command == "hls" and depth >= 1414:
-        assert code == EXIT_PARSE
+    if command == "hls" and depth > NEIGHBORHOOD_POINT_CAP and code == EXIT_OK:
+        assert json.loads(out.getvalue())["witness_lifted"] is False
 
 
 def sweep_work(groupoid):
@@ -442,7 +471,7 @@ def sweep_work(groupoid):
     on the groupoid: for every distinct part X ∩ reach(u), u in X, reach(u)
     the ranges of the arrows with source u, one p f p block at one unit of
     u's orbit, and every block of the reduction to the part."""
-    subsets = _unit_subsets(len(groupoid.units))
+    subsets = norms.unit_subsets(len(groupoid.units))
     dims = [len(arrows) for arrows in groupoid.arrows_by_source]
     reach = [{a.range for a in groupoid.arrows if a.source == v} for v in range(len(dims))]
     work = 0
@@ -605,7 +634,8 @@ DIGEST_CASES = [
 # of 10 and 15 units have 60-dimensional blocks that span several chunks,
 # at 2, and C2^7 minimal, 8129 subsets over 127 one-unit orbits, at 1:
 # their residuals pin the float bits of the reduced norms on both sides of
-# every norm equation
+# every norm equation.  Each of those draws one block of trials; S5 at 9
+# draws two, of 8 and 1 (2044 arrows, NORM_BATCH = 2^14 values a block)
 NORMCHECK_DIGEST_CASES = [
     ("S4", {"kind": "symmetric", "n": 4}, {"minimal": True}, 20),
     ("D6", {"kind": "dihedral", "n": 6}, {"minimal": True}, 20),
@@ -613,6 +643,7 @@ NORMCHECK_DIGEST_CASES = [
     ("S5", {"kind": "symmetric", "n": 5}, {"minimal": True}, 2),
     ("C2^7", {"kind": "product", "factors": [{"kind": "cyclic", "n": 2}] * 7},
      {"minimal": True}, 1),
+    ("S5 in two blocks", {"kind": "symmetric", "n": 5}, {"minimal": True}, 9),
 ]
 
 
@@ -652,7 +683,8 @@ def report_digests():
 # S4, D6 and S5 when the p f p side took one key per part: a unit of the
 # part's orbit outside the part, whose block is the others' permuted, so
 # its eigenvalues differ from theirs in the last bits; C70 and C2^7 have
-# one-unit orbits and kept their keys and bytes);
+# one-unit orbits and kept their keys and bytes; normcheck S5 in two blocks
+# before the sweep moved from the CLI into norms.norm_sweep);
 # a change that moves a byte of these reports fails here
 PINNED_DIGESTS = {
     'ai-atlas 16':
@@ -799,6 +831,8 @@ PINNED_DIGESTS = {
         "b2a2261b875ee10c0ce1d927cc24c6f5d31b49eb7bcc92a8b97a3729f92e6a16",
     'normcheck C2^7 {"minimal": true}':
         "1fd70e6fbf610c5322198e0aa5df770ab1f04ee57ac3ba0870998002f93839ae",
+    'normcheck S5 in two blocks {"minimal": true}':
+        "f904be542be40837fd3461e57b10babdf6bda92f9eba3920cb18f81b890e9630",
 }
 
 

@@ -3,6 +3,7 @@ witness lifting."""
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -80,10 +81,18 @@ def test_neighborhood_point_count_and_cap(catalog_cases):
             assert points == group.order * depth * (2 + m * (depth + 1)) // 2
     g6 = cyclic(6)
     fam = make_family(g6, [(0,), (0, 3), (0, 2, 4)])
-    # 6 * 333 * (2 + 3 * 334) / 2 = 1000998 points: the first depth past the cap
+    # 6 * 333 * (2 + 3 * 334) / 2 = 1000998 points: the first depth past
+    # the cap, refused when the neighbourhoods are read, before they are built
     for depth in (333, 10 ** 20):
-        with pytest.raises(SizeCapError):
-            build_hls(g6, fam, depth)
+        h = build_hls(g6, fam, depth)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError, match=f"^hls depth {depth} needs "):
+                h.basic_neighborhoods
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
     assert NEIGHBORHOOD_POINT_CAP == 10 ** 6
 
 

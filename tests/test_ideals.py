@@ -1,5 +1,6 @@
 """Kernel computations, witnesses and the intersection-property verdicts."""
 
+import collections
 import random
 import re
 import tracemalloc
@@ -292,13 +293,29 @@ def test_kernel_certificate_exact_past_float_range(c12_kernel):
         _certify_kernel(matrix, perturbed, rank_p)
 
 
+def forward_passes(matrix):
+    """The forward passes that ``exact._integer_kernel`` takes of a coset
+    matrix before any Gauss-Jordan pass: for at least as many rows as
+    columns c, one of the transpose of each prefix of 2c, 4c, ... rows and
+    at last all of them, until the first whose rank (read here in floats)
+    is c; none for fewer rows than columns."""
+    rows, cols = matrix.shape
+    passes, size = [], 2 * cols
+    while rows >= cols:
+        passes.append(((cols, min(size, rows)), _kernels.CERT_PRIME, False))
+        if size >= rows or np.linalg.matrix_rank(matrix[:size].astype(float)) == cols:
+            break
+        size *= 2
+    return passes
+
+
 @pytest.mark.parametrize("shortcut", [False, True], ids=["C12-{0,6}", "S4-minimal"])
 def test_kernel_certificate_reads_the_elimination_rank(monkeypatch, eliminations, shortcut):
     """The certificate reads the rank mod p that the elimination found: its
     pivot count, passed on unchanged, and one too high or one too low must
     raise.  S4 minimal has a trivial kernel, settled by full column rank
-    in a forward pass of the transpose; C12 {0, 6} has a 6-dimensional
-    one, read off the RREF."""
+    in forward passes of the transposes of prefixes of its rows; C12
+    {0, 6} has a 6-dimensional one, read off the RREF."""
     group = symmetric_group(4) if shortcut else cyclic(12)
     family = (minimal_subgroups(group) if shortcut
               else make_family(group, [(0, 6)]))
@@ -309,7 +326,7 @@ def test_kernel_certificate_reads_the_elimination_rank(monkeypatch, eliminations
     assert (matrix.shape[0] >= matrix.shape[1]) == shortcut
     rank_p = matrix.shape[1] - len(basis)
     if shortcut:
-        assert eliminations == [(matrix.T.shape, _kernels.CERT_PRIME, False)]
+        assert eliminations == forward_passes(matrix)
         assert certified == []
     else:
         assert eliminations == [(matrix.shape, _kernels.CERT_PRIME, True)]
@@ -572,21 +589,30 @@ def test_class_I_check_eliminates_once(monkeypatch, catalog_cases):
 
 def test_class_I_check_eliminates_once_per_prime(eliminations, catalog_cases):
     """One Gauss-Jordan pass per prime used, and one prime on every case
-    below.  A matrix with at least as many rows as columns takes a forward
-    pass of its transpose first, which settles a trivial kernel alone."""
+    below.  A matrix with at least as many rows as columns first takes
+    forward passes of the transposes of growing prefixes of its rows
+    (``forward_passes``), which settle a trivial kernel alone."""
     c2 = cyclic(2)
     large = [(g, minimal_subgroups(g)) for g in
              (symmetric_group(5), dihedral(50), direct_product([c2] * 6))]
     c360 = cyclic(360)
     cases = [*catalog_cases, *large, (c360, make_family(c360, [(0, 180)]))]
+    counts = collections.Counter()
     for group, family in cases:
         eliminations.clear()
         dim = class_I_check(group, family).algebraic_kernel_dim
         matrix = _coset_matrix(group, family)
-        passes = [(matrix.shape, _kernels.CERT_PRIME, True)] if dim else []
-        if matrix.shape[0] >= matrix.shape[1]:
-            passes.insert(0, (matrix.T.shape, _kernels.CERT_PRIME, False))
+        passes = forward_passes(matrix)
+        if dim:
+            passes.append((matrix.shape, _kernels.CERT_PRIME, True))
         assert eliminations == passes, (group.name, family.members)
+        counts[len(passes) - bool(dim)] += 1
+    # S5 minimal reaches full rank at row 289 of 2044: prefixes of 240 and 480
+    s5 = _coset_matrix(*large[0])
+    assert forward_passes(s5) == [((120, 240), _kernels.CERT_PRIME, False),
+                                  ((120, 480), _kernels.CERT_PRIME, False)]
+    # wide matrices take no forward pass, 27 tall ones one and 3 two
+    assert sorted(counts.items()) == [(0, 71), (1, 27), (2, 3)]
 
 
 def test_wide_matrices_take_no_mod_p_rank(eliminations, catalog_cases):

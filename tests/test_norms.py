@@ -11,7 +11,7 @@ import pytest
 
 from singideal import _kernels, cli, norms
 from singideal import groupoid as groupoid_module
-from singideal.cli import EXIT_OK, EXIT_TOLERANCE, _unit_subsets, main
+from singideal.cli import EXIT_OK, EXIT_TOLERANCE, main
 from singideal.exact import integer_rows
 from singideal.groupoid import (FiniteGroupoid, GroupoidFunction,
                                 build_coset_groupoid, convolve, delta,
@@ -22,12 +22,11 @@ from singideal.groups import (conjugation_closure, cyclic, dihedral,
                               subgroup_generated, symmetric_group)
 from singideal.ideals import InternalInconsistencyError, quasi_regular_matrix
 from singideal.norms import (NORM_BATCH, block_residuals, compress_to_units,
-                             function_floats, norm_block,
-                             norm_equation_residuals, reduced_norm,
-                             regular_rep_matrix, spectral_norm,
-                             verify_norm_equation)
+                             function_floats, norm_equation_residuals,
+                             norm_sweep, reduced_norm, regular_rep_matrix,
+                             spectral_norm, unit_subsets, verify_norm_equation)
 from singideal.sampling import (DENOMINATOR, DENOMINATORS, random_coeffs,
-                                random_groupoid_function)
+                                random_groupoid_function, random_numerators)
 
 TOL = 1e-8
 
@@ -37,9 +36,9 @@ def transposition_family(s3):
     return conjugation_closure(s3, [subgroup_generated(s3, (t,))])
 
 
-def block_of(fs):
-    """The NormBlock of the functions ``fs``, from their integer rows."""
-    return norm_block(*integer_rows([f.values for f in fs]))
+def rows_of(fs):
+    """(nums, den): the functions ``fs`` as integer rows over one denominator."""
+    return integer_rows([f.values for f in fs])
 
 
 def s3_groupoid():
@@ -344,7 +343,7 @@ def test_norm_equation_residuals_match_per_function(catalog, monkeypatch):
     fs = [random_groupoid_function(rng, gpd) for _ in range(20)]
     # 20 functions span two chunks of the 9-unit, 12-dimensional stack
     assert max(s.size for s in gpd._rep_stacks) * 12 <= NORM_BATCH
-    assert_batch_matches(gpd, _unit_subsets(len(gpd.units)), fs)
+    assert_batch_matches(gpd, unit_subsets(len(gpd.units)), fs)
     # C65 and C70 with the trivial family: 3 functions per chunk
     rng = random.Random(5)
     for n in (65, 70):
@@ -360,20 +359,20 @@ def test_norm_equation_residuals_match_per_function(catalog, monkeypatch):
     for group in [g for g in catalog if g.order > 1] + [cyclic(70)]:
         gpd = build_coset_groupoid(group, minimal_subgroups(group))
         fs = [random_groupoid_function(rng, gpd) for _ in range(5)]
-        assert_batch_matches(gpd, _unit_subsets(len(gpd.units))[:12], fs)
+        assert_batch_matches(gpd, unit_subsets(len(gpd.units))[:12], fs)
 
 
-def full_groupoid_residuals(gpd, subsets, block):
+def full_groupoid_residuals(gpd, subsets, nums, den):
     """The reference: each subset's p f p side from the floats masked to
     its reduction, one spectral_norm per function at every unit of the
     groupoid, read at the key units (``key_rhs``)."""
-    out = []
+    floats, out = norms._row_floats(nums, den), []
     for units in subsets:
         reduced, kept = reduction_groupoid(gpd, units)
         outside = np.ones(gpd.num_arrows(), dtype=bool)
         outside[kept] = False
-        lhs = norms._reduced_norms(reduced, block.floats[:, kept])
-        masked = np.where(outside, 0.0, block.floats)
+        lhs = norms._reduced_norms(reduced, floats[:, kept])
+        masked = np.where(outside, 0.0, floats)
         rhs = key_rhs(gpd, units, lambda v: np.array(
             [spectral_norm(row[gpd._rep_blocks[v]]) for row in masked]))
         out.append(np.abs(lhs - rhs).tolist())
@@ -383,10 +382,10 @@ def full_groupoid_residuals(gpd, subsets, block):
 def assert_full_groupoid_rhs(cases, rng, count):
     for group, family in cases:
         gpd = build_coset_groupoid(group, family)
-        block = block_of([random_groupoid_function(rng, gpd) for _ in range(count)])
-        subsets = _unit_subsets(len(gpd.units))
-        assert block_residuals(gpd, subsets, block) == full_groupoid_residuals(
-            gpd, subsets, block), (group.name, family.members)
+        rows = rows_of([random_groupoid_function(rng, gpd) for _ in range(count)])
+        subsets = unit_subsets(len(gpd.units))
+        assert block_residuals(gpd, subsets, *rows) == full_groupoid_residuals(
+            gpd, subsets, *rows), (group.name, family.members)
 
 
 def test_block_residuals_match_the_full_groupoid_rhs(catalog, monkeypatch):
@@ -433,7 +432,7 @@ def test_every_chunk_holds_at_most_norm_batch_entries_or_one_block(monkeypatch):
     reduced_norm(gpd, fs[0])
     assert sorted(set(chunks)) == [(1, 1, 8, 8), (1, 1, 12, 12)]
     chunks.clear()
-    block_residuals(gpd, _unit_subsets(len(gpd.units)), block_of(fs))
+    block_residuals(gpd, unit_subsets(len(gpd.units)), *rows_of(fs))
     assert all(math.prod(shape) <= 64 or shape[:2] == (1, 1) for shape in chunks)
     assert any(math.prod(shape) > 64 for shape in chunks)
     assert any(shape[0] * shape[1] > 1 for shape in chunks)
@@ -454,7 +453,7 @@ def test_compression_side_eigensolves_each_key_once(monkeypatch):
     subset made 182."""
     s4 = symmetric_group(4)
     gpd = build_coset_groupoid(s4, minimal_subgroups(s4))
-    subsets = _unit_subsets(len(gpd.units))
+    subsets = unit_subsets(len(gpd.units))
     pairs, members = norms._orbit_parts(
         norms._orbit_labels(gpd._sources, gpd._ranges, len(gpd.units)), subsets)
     keys, parts = [key for key, _ in pairs], [part for _, part in pairs]
@@ -477,7 +476,7 @@ def test_compression_side_eigensolves_each_key_once(monkeypatch):
                         lambda a: matrices.append(a.size // a.shape[-1] ** 2) or real(a))
     rng = random.Random(3)
     fs = [random_groupoid_function(rng, gpd) for _ in range(3)]
-    block_residuals(gpd, subsets, block_of(fs))
+    block_residuals(gpd, subsets, *rows_of(fs))
     # the reductions' own blocks: one per unit of each part
     assert sum(matrices) == len(fs) * (40 + 74)
 
@@ -505,13 +504,13 @@ def test_translation_check_catches_two_swapped_block_entries(capsys, monkeypatch
         gpd = swap_block_entries(build_coset_groupoid(s4, minimal_subgroups(s4)), x)
         fs = [random_groupoid_function(random.Random(8), gpd)]
         with pytest.raises(InternalInconsistencyError, match=named):
-            block_residuals(gpd, [[x]], block_of(fs))
+            block_residuals(gpd, [[x]], *rows_of(fs))
     # a product that sends the translates outside x's arrows is refused too,
     # not read past x's block; orbit[1] = 1 is the first unit checked
     gpd = build_coset_groupoid(s4, minimal_subgroups(s4))
     gpd.product = lambda k, h: np.full(np.broadcast(k, h).shape, gpd.num_arrows() - 1)
     with pytest.raises(InternalInconsistencyError, match=f"the block at unit {orbit[1]} "):
-        block_residuals(gpd, [[orbit[1]]], block_of(fs))
+        block_residuals(gpd, [[orbit[1]]], *rows_of(fs))
     # so are distinct translates outside x's arrows that sort to the right
     # positions, each just below the true product: the positions alone
     # would pass, since they are the true permutation
@@ -519,7 +518,7 @@ def test_translation_check_catches_two_swapped_block_entries(capsys, monkeypatch
     real_product = gpd.product
     gpd.product = lambda k, h: real_product(k, h) - 0.5
     with pytest.raises(InternalInconsistencyError, match=f"the block at unit {orbit[1]} "):
-        block_residuals(gpd, [[orbit[1]]], block_of(fs))
+        block_residuals(gpd, [[orbit[1]]], *rows_of(fs))
     # raised before any float is compared
     assert tops == []
     real_build = cli.build_coset_groupoid
@@ -547,7 +546,7 @@ def test_normcheck_builds_one_reduction_per_part(capsys, monkeypatch):
     capsys.readouterr()
     s4 = symmetric_group(4)
     gpd = build_coset_groupoid(s4, minimal_subgroups(s4))
-    parts = brute_force_parts(gpd, _unit_subsets(len(gpd.units)))
+    parts = brute_force_parts(gpd, unit_subsets(len(gpd.units)))
     # 40 distinct parts of the 92 subsets, each built once
     assert len(built) == len(set(built)) == 40 and set(built) == parts
     # C2^7 minimal: 127 units, each its own orbit, in 8129 subsets
@@ -556,7 +555,7 @@ def test_normcheck_builds_one_reduction_per_part(capsys, monkeypatch):
                  + ',{"kind":"cyclic","n":2}' * 6 + ']}',
                  "--family", '{"minimal":true}', "--trials", "1"]) == EXIT_OK
     capsys.readouterr()
-    assert len(_unit_subsets(127)) == 8129
+    assert len(unit_subsets(127)) == 8129
     assert sorted(built) == [(u,) for u in range(127)]
 
 
@@ -701,11 +700,26 @@ def test_normcheck_report_is_independent_of_the_block_size(capsys, monkeypatch):
     drawn = []
     real = norms.block_residuals
     monkeypatch.setattr(norms, "NORM_BATCH", 6 * 140)
-    monkeypatch.setattr(norms, "block_residuals", lambda gpd, subsets, block: drawn.append(
-        len(block.numerators)) or real(gpd, subsets, block))
+    monkeypatch.setattr(norms, "block_residuals", lambda gpd, subsets, nums, den: drawn.append(
+        len(nums)) or real(gpd, subsets, nums, den))
     assert main(argv) == EXIT_OK
     assert drawn == [6, 6, 6, 2]
     assert capsys.readouterr().out == whole
+
+
+def test_norm_sweep_maxima_are_the_block_residual_maxima(monkeypatch):
+    # S4 minimal, 140 arrows, at 6 * 140 entries per block: 11 trials in
+    # blocks of 6 and 5, drawn in seed order
+    monkeypatch.setattr(norms, "NORM_BATCH", 6 * 140)
+    s4 = symmetric_group(4)
+    gpd = build_coset_groupoid(s4, minimal_subgroups(s4))
+    subsets, maxima = norm_sweep(gpd, 11, 3)
+    assert subsets == unit_subsets(len(gpd.units))
+    rng = random.Random(3)
+    blocks = [block_residuals(gpd, subsets, random_numerators(rng, n, gpd.num_arrows()),
+                              DENOMINATOR) for n in (6, 5)]
+    assert maxima == [max(first + second) for first, second in zip(*blocks)]
+    assert max(maxima) < TOL
 
 
 def test_normcheck_builds_no_fraction(capsys, monkeypatch):
@@ -770,7 +784,6 @@ def test_float_conversion_is_float_of_the_fraction():
     values += [Fraction(0)] * (gpd.num_arrows() - len(values))
     fs = [GroupoidFunction(gpd, tuple(values)),
           random_groupoid_function(random.Random(3), gpd)]
-    block = block_of(fs)
-    for f, row in zip(fs, block.floats):
+    for f, row in zip(fs, norms._row_floats(*rows_of(fs))):
         assert row.tolist() == [float(v) for v in f.values]
         assert function_floats(f).tolist() == [float(v) for v in f.values]
