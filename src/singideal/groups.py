@@ -130,30 +130,45 @@ class FiniteGroup:
 def _associativity_failure(table: np.ndarray) -> Optional[int]:
     """A generator a with (x a) y != x (a y) for some x, y; None if associative.
 
-    Light's test: the elements a with (x a) y = x (a y) for all x, y are
-    closed under the product and contain the identity, so testing a
-    generating set suffices.  Generators are chosen greedily, each the
-    smallest element outside the product closure of the identity and those
-    chosen so far.  The closure grows by squaring, R <- R u R R, so it
-    needs O(log n) rounds, the last of which gathers |R|^2 <= n^2 products;
-    each generator costs one O(n^2) check.
+    Light's test: the elements a with (x a) y = x (a y) for all x, y hold
+    the identity and are closed under the product, since (x (a b)) y =
+    ((x a) b) y = (x a) (b y) = x (a (b y)) = x ((a b) y).  So when the
+    generators pass, so does each of their left products, ``_closure``, and
+    testing generators whose closure is the whole table suffices.  They are
+    chosen greedily, each the smallest element outside the closure of those
+    chosen so far; on a loop that is no group, left products may close up
+    differently from all products, which changes the generators but not the
+    verdict.  Each closure looks up |R| products per generator, with no
+    |R|^2 gather, and each generator costs one O(n^2) check.
     """
     n = table.shape[0]
-    reached = np.zeros(n, dtype=bool)
-    reached[0] = True
-    gens = []
-    while not reached.all():
-        gens.append(int(np.argmin(reached)))
-        reached[gens[-1]] = True
-        while True:
-            closure = np.flatnonzero(reached)
-            reached[table[closure[:, None], closure]] = True
-            if reached.sum() == closure.size:
-                break
+    gens, reached = [], {0}
+    while len(reached) < n:
+        gens.append(next(x for x in range(n) if x not in reached))
+        reached = _closure(table, gens)
     for a in gens:
         if not np.array_equal(table[table[:, a]], table[:, table[a]]):
             return a
     return None
+
+
+def _closure(table: np.ndarray, gens: Iterable[int]) -> set:
+    """The identity and every left product g_1 (g_2 (... g_k)) of the
+    generators, walked one frontier at a time with the identity left out
+    of the multipliers: in a finite group, the subgroup they generate.
+    """
+    gens = sorted(set(gens) - {0})
+    elems, frontier = {0}, [0]
+    while frontier:
+        new = []
+        for b in frontier:
+            for a in gens:
+                c = table.item(a, b)
+                if c not in elems:
+                    elems.add(c)
+                    new.append(c)
+        frontier = new
+    return elems
 
 
 # ---------------------------------------------------------------------------
@@ -288,25 +303,13 @@ def _spec_int(value, what: str) -> int:
 # subgroups
 
 def subgroup_generated(group: FiniteGroup, gens: Iterable[int]) -> tuple:
-    """Smallest subgroup containing ``gens``, as a sorted index tuple."""
+    """Smallest subgroup containing ``gens``, as a sorted index tuple: the
+    left products of the generators, ``_closure``."""
     gens = sorted(set(gens))
     for g in gens:
         if not 0 <= g < group.order:
             raise IndexError(f"generator {g} out of range for order {group.order}")
-    elems = {0, *gens}
-    gen_set = sorted(elems)
-    frontier = list(elems)
-    table = group.table
-    while frontier:
-        new = []
-        for b in frontier:
-            for a in gen_set:
-                c = int(table[a, b])
-                if c not in elems:
-                    elems.add(c)
-                    new.append(c)
-        frontier = new
-    return tuple(sorted(elems))
+    return tuple(sorted(_closure(group.table, gens)))
 
 
 def element_orders(group: FiniteGroup) -> np.ndarray:
@@ -356,11 +359,17 @@ def _require_subgroup(group: FiniteGroup, sub: Sequence[int]) -> None:
 
 
 def enumerate_subgroups(group: FiniteGroup) -> list:
-    """All subgroups, each once, sorted by size then lexicographically."""
+    """All subgroups, each once, sorted by size then lexicographically.
+
+    Each subgroup is kept with the generators it was first found from, and
+    grows by one element g outside it at a time into the ``_closure`` of
+    those generators and g, so a walk multiplies by a few generators rather
+    than by every element of the subgroup.
+    """
     if group.order > DEFAULT_LATTICE_CAP:
         raise SizeCapError(f"subgroup enumeration capped at order "
                            f"{DEFAULT_LATTICE_CAP}; got {group.order}")
-    found = {(0,)}
+    found = {(0,): ()}      # subgroup -> the generators it was found from
     frontier = [(0,)]
     while frontier:
         new = []
@@ -369,9 +378,10 @@ def enumerate_subgroups(group: FiniteGroup) -> list:
             for g in range(1, group.order):
                 if g in have:
                     continue
-                bigger = subgroup_generated(group, sub + (g,))
+                gens = found[sub] + (g,)
+                bigger = tuple(sorted(_closure(group.table, gens)))
                 if bigger not in found:
-                    found.add(bigger)
+                    found[bigger] = gens
                     new.append(bigger)
         frontier = new
     return sorted(found, key=lambda s: (len(s), s))
@@ -456,22 +466,18 @@ def conjugation_closure(group: FiniteGroup, seeds: Iterable[Sequence[int]]) -> S
 def minimal_subgroups(group: FiniteGroup) -> SubgroupFamily:
     """The cyclic subgroups of prime order, as an invariant family.
 
-    An element of prime order p lies in exactly one subgroup of order p,
-    its own powers, so an element that a found subgroup holds is skipped.
+    An element g of prime order p lies in exactly one subgroup of order p,
+    ``_closure`` of g, so an element that a found subgroup holds is skipped.
     """
     orders = element_orders(group)
     covered = np.zeros(group.order, dtype=bool)
-    table = group.table
     members = []
     for g in np.flatnonzero(_prime_mask(orders)).tolist():
         if covered[g]:
             continue
-        powers, x = [0], g
-        while x:
-            powers.append(x)
-            x = int(table[x, g])
-        covered[powers] = True
-        members.append(powers)
+        sub = list(_closure(group.table, (g,)))
+        covered[sub] = True
+        members.append(sub)
     return SubgroupFamily(group, _canonical_members(members))
 
 

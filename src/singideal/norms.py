@@ -99,8 +99,12 @@ NORM_BATCH = 1 << 14
 # 0.5-1.0 s, S5 minimal 4.9e7 in 0.7 s, D50 minimal 8.8e7 in 1.2 s, D70
 # minimal 4.6e8 in 2.6 s, C2000 {[0]} 1.6e10 in 1.9 s, D100 minimal 2.65e9
 # in 3.4-4.1 s at 50 MiB.  D200 minimal and C5040 {[0]} need 8.2e10 and
-# 2.6e11.
+# 2.6e11.  A whole run is capped too, at trials x max(trial's work,
+# NORMCHECK_TRIAL_FLOOR): a trial costs at least its draw and bookkeeping,
+# 6.4-8.3 us in process on C6 {[0,3]} (work 54) over 10^5-10^6 trials,
+# which D100 minimal's 1.3 ns per unit (3.4 s for 2.65e9) prices at 5000.
 NORMCHECK_WORK_CAP = 2 * 10 ** 10
+NORMCHECK_TRIAL_FLOOR = 5000
 
 
 def _out_of_range(exponent: int) -> ValueError:

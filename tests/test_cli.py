@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -563,12 +564,47 @@ def test_normcheck_work_past_the_cap_exits_1_before_the_build(capsys, monkeypatc
     assert captured.err.count("\n") == 1
 
 
+def test_normcheck_trials_past_the_cap_exit_1_before_the_build(capsys, monkeypatch):
+    # C6 {[0,3]} takes 54 units of work a trial, priced at the floor: 10^8
+    # trials would run for minutes, each trial under the per-trial cap
+    real_build = cli.build_coset_groupoid
+
+    def no_build(*args):
+        raise AssertionError("the groupoid is built past the cap")
+    monkeypatch.setattr(cli, "build_coset_groupoid", no_build)
+
+    def run(n, members, trials):
+        code = main(["normcheck", "--group", json.dumps({"kind": "cyclic", "n": n}),
+                     "--family", json.dumps({"subgroups": members}),
+                     "--trials", str(trials)])
+        return code, capsys.readouterr()
+
+    start = time.perf_counter()
+    code, captured = run(6, [[0, 3]], 10 ** 8)
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_PARSE and captured.out == ""
+    assert captured.err == (f"error: normcheck --trials 100000000 on C6 costs 5e+11, at least "
+                            f"{norms.NORMCHECK_TRIAL_FLOOR} a trial, over the cap 2e+10\n")
+    # the bound is trials x max(work, floor): C6 {[0,3]} at the floor, and
+    # C20 {[0]} (two 20 x 20 blocks, 16000) above it
+    assert norms.NORMCHECK_TRIAL_FLOOR == 5000
+    monkeypatch.setattr(cli, "build_coset_groupoid", real_build)
+    for n, members, work in ((6, [[0, 3]], 5000), (20, [[0]], 16000)):
+        monkeypatch.setattr(norms, "NORMCHECK_WORK_CAP", 3 * work)
+        assert run(n, members, 3)[0] == EXIT_OK
+        code, captured = run(n, members, 4)
+        assert code == EXIT_PARSE and captured.out == ""
+        assert captured.err.startswith(f"error: normcheck --trials 4 on C{n} costs {4 * work:.2g}, ")
+        assert captured.err.count("\n") == 1
+
+
 @settings(max_examples=60)
 @given(group_spec=_valid_group_specs, family_spec=_valid_family_specs,
        cap=st.one_of(st.integers(0, 3000), st.integers(0, 10 ** 6)))
 def test_normcheck_work_cap_fuzz(group_spec, family_spec, cap):
     # the CLI fuzz specs under caps that bite: exit 1 with one line exactly
-    # when the trial's work, counted on the groupoid, passes the cap
+    # when the trial's work, counted on the groupoid, passes the cap, or
+    # the one trial's floor does
     assume(_order_or_zero(group_spec) <= 40)
     try:
         group, family = _build_inputs(RunConfig("normcheck", group_spec=group_spec,
@@ -576,7 +612,7 @@ def test_normcheck_work_cap_fuzz(group_spec, family_spec, cap):
     except (SpecError, ValueError):
         assume(False)
     work = sweep_work(build_coset_groupoid(group, family))
-    event("refused" if work > cap else "admitted")
+    event("refused" if max(work, norms.NORMCHECK_TRIAL_FLOOR) > cap else "admitted")
     argv = ["normcheck", "--group", json.dumps(group_spec),
             "--family", json.dumps(family_spec), "--trials", "1"]
     out, err = io.StringIO(), io.StringIO()
@@ -587,9 +623,10 @@ def test_normcheck_work_cap_fuzz(group_spec, family_spec, cap):
             code = main(argv)
     finally:
         norms.NORMCHECK_WORK_CAP = real_cap
-    if work > cap:
+    if max(work, norms.NORMCHECK_TRIAL_FLOOR) > cap:
         assert code == EXIT_PARSE and out.getvalue() == ""
-        assert err.getvalue().startswith("error: the coset groupoid of ")
+        assert err.getvalue().startswith("error: the coset groupoid of " if work > cap
+                                         else "error: normcheck --trials 1 on ")
         assert err.getvalue().count("\n") == 1
     else:
         assert code == EXIT_OK and json.loads(out.getvalue())["within_tol"]

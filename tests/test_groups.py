@@ -235,10 +235,17 @@ def test_atlas_builds_each_cyclic_factor_once(monkeypatch):
 
 
 def loop_minimal_subgroups(group):
-    """Reference: the subgroup generated by each element of prime order."""
-    orders = [brute_force_order(group, g) for g in group.elements()]
-    subs = {subgroup_generated(group, (g,)) for g, k in enumerate(orders)
-            if k > 1 and all(k % d for d in range(2, k))}
+    """Reference: the powers of each element of prime order, one ``mul`` at
+    a time."""
+    subs = set()
+    for g in group.elements():
+        powers, x = [0], g
+        while x:
+            powers.append(x)
+            x = group.mul(x, g)
+        k = len(powers)
+        if k > 1 and all(k % d for d in range(2, k)):
+            subs.add(tuple(sorted(powers)))
     return tuple(sorted(subs, key=lambda s: (len(s), s)))
 
 
@@ -339,10 +346,13 @@ def test_light_associativity_check_matches_brute_force(catalog):
     for group in catalog:
         assert _associativity_failure(group.table) is None
         assert brute_force_associative(group.table)
-    # cyclic tables, and tables that need more than one generator
+    # cyclic tables, and tables that need more than one generator: three
+    # for C2^3 and C2 x C2 x C3, where left products of the generators
+    # can close a loop differently from all products
     bases = [cyclic(4), cyclic(6), cyclic(8), direct_product([cyclic(2)] * 2),
              direct_product([cyclic(2)] * 3), direct_product([cyclic(2), cyclic(4)]),
-             dihedral(4), quaternion_group()]
+             direct_product([cyclic(2), cyclic(2), cyclic(3)]),
+             direct_product([cyclic(2), cyclic(6)]), dihedral(4), quaternion_group()]
     rng = random.Random(11)
     verdicts = []
     for trial in range(80):
@@ -399,7 +409,17 @@ def test_library_constructors_refuse_past_the_cap_before_allocating():
     assert dihedral(DEFAULT_ORDER_CAP // 2).order == DEFAULT_ORDER_CAP
 
 
-def test_subgroup_generated():
+def product_closure(group, gens):
+    """Oracle: all products of the elements reached, until nothing is new."""
+    elems = {0, *gens}
+    while True:
+        more = elems | {group.mul(a, b) for a in elems for b in elems}
+        if more == elems:
+            return tuple(sorted(elems))
+        elems = more
+
+
+def test_subgroup_generated(catalog):
     g6 = cyclic(6)
     assert subgroup_generated(g6, {3}) == (0, 3)
     assert subgroup_generated(g6, set()) == (0,)
@@ -409,6 +429,11 @@ def test_subgroup_generated():
     assert subgroup_generated(s3, {t, three_cycle}) == tuple(range(6))
     with pytest.raises(IndexError):
         subgroup_generated(g6, {7})
+    # every generator pair, one element when the two are equal
+    for group in catalog:
+        for a in group.elements():
+            for b in range(a, group.order):
+                assert subgroup_generated(group, {a, b}) == product_closure(group, {a, b})
 
 
 @pytest.mark.parametrize("group,count", [(cyclic(6), 4), (cyclic(1), 1),
