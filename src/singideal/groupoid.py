@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -180,7 +180,17 @@ class GroupoidFunction:
         return all(v == 0 for v in self.values)
 
 
+def _check_range(indices: Iterable[int], count: int, what: str) -> None:
+    """Raise ValueError "<what> <i> out of range" on the first index i
+    outside 0..count-1, so that a negative unit or arrow cannot wrap round
+    to the last."""
+    for i in indices:
+        if not 0 <= i < count:
+            raise ValueError(f"{what} {i} out of range")
+
+
 def delta(groupoid: FiniteGroupoid, arrow: int) -> GroupoidFunction:
+    _check_range([arrow], groupoid.num_arrows(), "arrow")
     vals = [Fraction(0)] * groupoid.num_arrows()
     vals[arrow] = Fraction(1)
     return GroupoidFunction(groupoid, tuple(vals))
@@ -190,6 +200,7 @@ def unit_indicator(groupoid: FiniteGroupoid,
                    units: Optional[Sequence[int]] = None) -> GroupoidFunction:
     """Indicator of the identity arrows over the given units (default: all)."""
     chosen = range(len(groupoid.units)) if units is None else units
+    _check_range(chosen, len(groupoid.units), "unit")
     vals = [Fraction(0)] * groupoid.num_arrows()
     for u in chosen:
         vals[groupoid.unit_arrows[u]] = Fraction(1)
@@ -312,9 +323,7 @@ def reduction_groupoid(groupoid: FiniteGroupoid, units: Sequence[int]):
     units = sorted(set(units))
     if not units:
         raise ValueError("unit subset must be non-empty")
-    for u in units:
-        if not 0 <= u < len(groupoid.units):
-            raise ValueError(f"unit {u} out of range")
+    _check_range(units, len(groupoid.units), "unit")
     unit_pos = np.full(len(groupoid.units), -1, dtype=np.intp)
     unit_pos[units] = np.arange(len(units))
     sources, ranges = unit_pos[groupoid._sources], unit_pos[groupoid._ranges]

@@ -28,11 +28,6 @@ import numpy as np
 DEFAULT_ORDER_CAP = 5040
 DEFAULT_LATTICE_CAP = 48
 
-# FiniteGroup runs Light's associativity test by default only up to this
-# order; cayley_group always runs it, and the generated tables above the
-# cap are associative by construction
-_ASSOC_CHECK_CAP = 512
-
 
 class GroupTableError(ValueError):
     """A supplied Cayley table violates a group axiom."""
@@ -50,50 +45,20 @@ class FiniteGroup:
     """A finite group given by its Cayley table.
 
     ``table[a, b]`` is the index of the product a*b, the identity is
-    index 0 and ``inverse[a]`` is the index of a^-1.
+    index 0 and ``inverse[a]`` is the index of a^-1, read as the position
+    of 0 in row a.  The table must already be a group table with identity
+    0: nothing is checked here.  The constructors below build one, and
+    ``cayley_group`` validates a table from outside the library.
     """
 
     __slots__ = ("order", "table", "inverse", "name", "_orders")
 
-    def __init__(self, table, name: str = "G", check_associativity: Optional[bool] = None):
-        try:
-            table = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
-        except OverflowError as exc:
-            raise GroupTableError("table entries out of range") from exc
-        if table.ndim != 2 or table.shape[0] != table.shape[1]:
-            raise GroupTableError("Cayley table must be square")
-        n = int(table.shape[0])
-        if n == 0:
-            raise GroupTableError("empty Cayley table")
-        if table.min() < 0 or table.max() >= n:
-            raise GroupTableError("table entries out of range")
-        idx = np.arange(n, dtype=np.int32)
-        if not np.array_equal(table[0], idx) or not np.array_equal(table[:, 0], idx):
-            raise GroupTableError("index 0 is not a two-sided identity")
-        # Latin square: n entries per row (column) that hit all n values
-        hit = np.zeros((n, n), dtype=bool)
-        hit[idx[:, None], table] = True
-        rows_ok = hit.all()
-        hit[...] = False
-        hit[table, idx] = True
-        if not (rows_ok and hit.all()):
-            raise GroupTableError("table rows/columns are not permutations")
-        del hit
-        # each row holds one 0, at the right inverse; it must be two-sided
+    def __init__(self, table, name: str = "G"):
+        table = np.ascontiguousarray(table, dtype=np.int32)
         inv = np.argmin(table, axis=1).astype(np.int32)
-        left = table[inv, idx]
-        if left.any():
-            a = int(np.flatnonzero(left)[0])
-            raise GroupTableError(f"element {a} has no two-sided inverse")
-        if check_associativity is None:
-            check_associativity = n <= _ASSOC_CHECK_CAP
-        if check_associativity:
-            a = _associativity_failure(table)
-            if a is not None:
-                raise GroupTableError(f"associativity fails involving element {a}")
         table.setflags(write=False)
         inv.setflags(write=False)
-        self.order = n
+        self.order = int(table.shape[0])
         self.table = table
         self.inverse = inv
         self.name = name
@@ -174,10 +139,11 @@ def _closure(table: np.ndarray, gens: Iterable[int]) -> set:
 # ---------------------------------------------------------------------------
 # constructors
 
-# Every constructor goes through FiniteGroup, so each pays the identity,
-# Latin-square and inverse checks; Light's associativity test runs up to
-# order _ASSOC_CHECK_CAP (all of S1-S5, Q8 and D_n for n <= 256).  The
-# tables are built with whole-array index arithmetic.
+# The constructors build group tables with whole-array index arithmetic,
+# associative by construction, and FiniteGroup checks none of them; the
+# tests check each against a per-entry loop reference and run every
+# cayley_group check on it.  cayley_group checks every axiom of a table
+# from outside.
 
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
@@ -250,12 +216,49 @@ def direct_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
 
 
 def cayley_group(table) -> FiniteGroup:
+    """A group from a Cayley table the library did not build, checked
+    against every group axiom: integer entries in range, identity 0 on
+    both sides, a Latin square, two-sided inverses and Light's
+    associativity test.  Raises GroupTableError on the first that fails.
+    """
     table = np.asarray(table)
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise GroupTableError("Cayley table must be square")
-    if table.shape[0] > DEFAULT_ORDER_CAP:
+    n = int(table.shape[0])
+    if n > DEFAULT_ORDER_CAP:
         raise SizeCapError(f"explicit table order exceeds cap {DEFAULT_ORDER_CAP}")
-    return FiniteGroup(table, name=f"cayley[{table.shape[0]}]", check_associativity=True)
+    if n == 0:
+        raise GroupTableError("empty Cayley table")
+    # range first, on the uncast entries: Python ints past int64 arrive as
+    # float64 or object arrays, and an int32 cast wraps 2^32 to 0
+    if table.dtype.kind in "biufO" and (table.min() < 0 or table.max() >= n):
+        raise GroupTableError("table entries out of range")
+    if table.dtype.kind not in "iu":
+        raise GroupTableError(f"table entries must be integers, got {table.dtype}")
+    # a copy: FiniteGroup freezes the array it stores, which is not the caller's
+    group = FiniteGroup(table.astype(np.int32), name=f"cayley[{n}]")
+    table, inv = group.table, group.inverse
+    idx = np.arange(n, dtype=np.int32)
+    if not np.array_equal(table[0], idx) or not np.array_equal(table[:, 0], idx):
+        raise GroupTableError("index 0 is not a two-sided identity")
+    # Latin square: n entries per row (column) that hit all n values
+    hit = np.zeros((n, n), dtype=bool)
+    hit[idx[:, None], table] = True
+    rows_ok = hit.all()
+    hit[...] = False
+    hit[table, idx] = True
+    if not (rows_ok and hit.all()):
+        raise GroupTableError("table rows/columns are not permutations")
+    del hit
+    # each row holds one 0, at the right inverse; it must be two-sided
+    left = table[inv, idx]
+    if left.any():
+        a = int(np.flatnonzero(left)[0])
+        raise GroupTableError(f"element {a} has no two-sided inverse")
+    a = _associativity_failure(table)
+    if a is not None:
+        raise GroupTableError(f"associativity fails involving element {a}")
+    return group
 
 
 def make_group(spec: dict) -> FiniteGroup:

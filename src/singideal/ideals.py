@@ -20,11 +20,13 @@ back this up.  ``_check_entry_sets`` confirms the identity above from the
 Cayley table and the family's coset table.  It gathers row i = 0 only,
 the sets X c_j^-1, and checks that each is a left coset of its range;
 row i is the left translate by c_i of row 0, so by associativity it is
-a coset of the same range.  A transversal check, c_i in the coset
-numbered i, makes column j = 0 the k cosets of X, so every family coset
-occurs.  The kernel comes certified: full column rank mod p proves it
-trivial, and otherwise ``exact._certify_kernel`` proves that the integer
-basis read back from the RREF mod p is the canonical basis of ker M:
+a coset of the same range: the library's constructors build associative
+tables, and ``groups.cayley_group`` runs Light's test on any other.  A
+transversal check, c_i in the coset numbered i, makes column j = 0 the k
+cosets of X, so every family coset occurs.  The kernel comes certified:
+full column rank mod p proves it trivial, and otherwise
+``exact._certify_kernel`` proves that the integer basis read back from
+the RREF mod p is the canonical basis of ker M:
 M B = 0 exactly, each vector ends at its own free column and is zero at
 the others, and d = |G| - r_p, r_p the pivot count of the same pass (the
 argument is in the ``exact`` module docstring).  A failure of either
@@ -183,12 +185,12 @@ def _check_entry_sets(group: FiniteGroup, family: SubgroupFamily) -> None:
     translation maps a left coset a Y to the left coset (c_i a) Y, so by
     associativity row i, c_i (X c_j^-1), is a coset of the conjugate that
     row 0 is a coset of.  Every group the library builds is associative:
-    Light's test runs up to order ``groups._ASSOC_CHECK_CAP`` and on every
-    ``cayley_group``, the generated tables above the cap are associative by
-    construction, and ``subgroup_as_group`` takes a sub-table of an
-    associative table.  Coverage is a transversal check: c_i lies in the
-    coset numbered start + i, so c_0 lies in X, column j = 0 is c_i X, and
-    the k cosets of X all occur there.
+    the constructors build associative tables (the tests check each against
+    a per-entry loop reference and Light's test), ``cayley_group`` runs
+    Light's test on every table from outside, and ``subgroup_as_group``
+    takes a sub-table of an associative table.  Coverage is a transversal
+    check: c_i lies in the coset numbered start + i, so c_0 lies in X,
+    column j = 0 is c_i X, and the k cosets of X all occur there.
     """
     table, inverse, n, members = group.table, group.inverse, group.order, family.members
     index, reps, ranges, _ = coset_table(group, family)

@@ -76,7 +76,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .exact import _max_abs, integer_rows
-from .groupoid import (FiniteGroupoid, GroupoidFunction, convolve_rows,
+from .groupoid import (FiniteGroupoid, GroupoidFunction, _check_range, convolve_rows,
                        function_from_row, reduction_groupoid)
 from .groups import FiniteGroup, SizeCapError, SubgroupFamily
 from .ideals import InternalInconsistencyError
@@ -141,8 +141,7 @@ def regular_rep_matrix(groupoid: FiniteGroupoid, f: GroupoidFunction,
     Basis vectors are the arrows in canonical order; entry (g, h) is
     f(g h^-1).
     """
-    if not 0 <= unit < len(groupoid.units):
-        raise ValueError(f"unit {unit} not found")
+    _check_range([unit], len(groupoid.units), "unit")
     return function_floats(f)[groupoid._rep_blocks[unit]]
 
 
@@ -209,6 +208,7 @@ def _compress(groupoid: FiniteGroupoid, nums: np.ndarray,
 def compress_to_units(groupoid: FiniteGroupoid, f: GroupoidFunction,
                       units: Sequence[int]) -> GroupoidFunction:
     """p f p for p the indicator of the identity arrows over the unit subset."""
+    _check_range(units, len(groupoid.units), "unit")
     nums, den = integer_rows([f.values])
     return function_from_row(groupoid, _compress(groupoid, nums, units)[0], den)
 
@@ -232,10 +232,9 @@ def _orbit_parts(label: np.ndarray, subsets: Sequence[Sequence[int]]):
     label = label.tolist()
     parts, members = {}, []
     for units in subsets:
+        _check_range(units, n, "unit")
         split = {}
         for u in units:
-            if not 0 <= u < n:
-                raise ValueError(f"unit {u} out of range")
             split.setdefault(label[u], []).append(u)
         members.append([parts.setdefault(tuple(part), len(parts)) for part in split.values()])
     orbits = {}

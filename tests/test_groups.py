@@ -25,6 +25,7 @@ from singideal.groups import (Coset, FamilyNotInvariantError, FiniteGroup,
 from singideal.groups import (DEFAULT_LATTICE_CAP, DEFAULT_ORDER_CAP,
                               _associativity_failure, _prime_mask)
 import singideal.atlas
+import singideal.groups
 from singideal.atlas import abelian_groups_of_order
 
 
@@ -192,7 +193,7 @@ def test_constructors_match_the_loop_builders():
 
 
 def test_cyclic_5040_memory():
-    # an int32 table built in place and a scattered Latin-square check:
+    # an int32 table built in place, which FiniteGroup stores as it is:
     # the table itself is 96.9 MiB
     tracemalloc.start()
     try:
@@ -287,9 +288,9 @@ def test_coset_index_is_one_read_only_array_per_family():
 
 
 def test_invalid_tables_rejected():
-    with pytest.raises(GroupTableError):
+    with pytest.raises(GroupTableError, match="not permutations"):
         cayley_group([[0, 1], [1, 1]])  # not a Latin square
-    with pytest.raises(GroupTableError):
+    with pytest.raises(GroupTableError, match="not a two-sided identity"):
         cayley_group([[1, 0], [0, 1]])  # 0 not the identity
     # intercalate swap inside the C6 table keeps the Latin property,
     # the identity and all inverses, but destroys associativity:
@@ -297,20 +298,69 @@ def test_invalid_tables_rejected():
     loop = [[(a + b) % 6 for b in range(6)] for a in range(6)]
     loop[1][1], loop[1][4] = loop[1][4], loop[1][1]
     loop[4][1], loop[4][4] = loop[4][4], loop[4][1]
-    with pytest.raises(GroupTableError):
+    with pytest.raises(GroupTableError, match="associativity fails"):
         cayley_group(loop)
+    # entries that are not integers are refused, not truncated or parsed
+    # into C2
+    for table in ([[0, 1], [1, 0.7]], [[0.0, 1.9], [1.2, 0.4]],
+                  [["0", "1"], ["1", "0"]], [[False, True], [True, False]]):
+        with pytest.raises(GroupTableError, match="^table entries must be integers"):
+            cayley_group(table)
+    # the range is checked before the int32 cast, which wraps 2^32 to 0;
+    # Python ints past int64 arrive as float64 or object arrays
+    with pytest.raises(GroupTableError, match="^table entries out of range$"):
+        cayley_group(np.array([[0, 1], [1, 2 ** 32]]))
+    for big in (2, -1, 2 ** 31, 2 ** 63, 2 ** 64, 2 ** 70, -2 ** 63 - 1, -2 ** 70):
+        with pytest.raises(GroupTableError, match="^table entries out of range$"):
+            cayley_group([[0, 1], [1, big]])
+    with pytest.raises(GroupTableError, match="^empty Cayley table$"):
+        cayley_group(np.zeros((0, 0)))
 
 
 def test_whole_array_checks_reject_each_axiom():
     rows_only = [[0, 1, 2, 3], [1, 0, 2, 3], [2, 0, 1, 3], [3, 0, 1, 2]]
     for table in (rows_only, np.array(rows_only).T):
         with pytest.raises(GroupTableError, match="not permutations"):
-            FiniteGroup(table)
+            cayley_group(table)
     # a Latin square with identity in which 2 * 3 = 0 but 3 * 2 = 1
     one_sided = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1],
                  [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
     with pytest.raises(GroupTableError, match="element 2 has no two-sided inverse"):
-        FiniteGroup(one_sided)
+        cayley_group(one_sided)
+
+
+def test_every_constructor_builds_a_valid_table(catalog):
+    # FiniteGroup checks nothing, so every table the library builds must
+    # pass every cayley_group check, Light's test included
+    s4 = symmetric_group(4)
+    groups = [*catalog, *(subgroup_as_group(s4, sub) for sub in enumerate_subgroups(s4)),
+              symmetric_group(5), dihedral(50), direct_product([cyclic(2)] * 6), cyclic(360),
+              dihedral(256), direct_product([cyclic(2)] * 9), cyclic(5040)]
+    for group in groups:
+        checked = cayley_group(group.table)
+        assert np.array_equal(checked.table, group.table), group.name
+        assert np.array_equal(checked.inverse, group.inverse), group.name
+
+
+def test_only_cayley_group_validates(monkeypatch):
+    calls = []
+    real = singideal.groups._associativity_failure
+
+    def counting(table):
+        calls.append(table.shape[0])
+        return real(table)
+    monkeypatch.setattr(singideal.groups, "_associativity_failure", counting)
+    s4 = symmetric_group(4)
+    a4 = next(sub for sub in enumerate_subgroups(s4) if len(sub) == 12)
+    cyclic(12), dihedral(5), quaternion_group(), direct_product([s4, cyclic(2)])
+    subgroup_as_group(s4, a4), make_group({"kind": "cyclic", "n": 360})
+    assert calls == []
+    assert cayley_group(s4.table).order == 24
+    assert make_group({"kind": "cayley", "table": [[0, 1], [1, 0]]}).order == 2
+    assert calls == [24, 2]
+    # FiniteGroup takes a table that is no group without a check
+    assert FiniteGroup([[0, 1], [1, 1]]).order == 2
+    assert calls == [24, 2]
 
 
 def brute_force_associative(table):
@@ -385,6 +435,9 @@ def test_make_group_specs_and_caps():
                        match=f"^explicit table order exceeds cap {DEFAULT_ORDER_CAP}$"):
         cayley_group(np.broadcast_to(np.int32(0), (5041, 5041)))
     assert cayley_group([[0, 1], [1, 0]]).name == "cayley[2]"
+    # the caller's array is copied, not frozen
+    mine = np.array([[0, 1], [1, 0]], dtype=np.int32)
+    assert cayley_group(mine).table is not mine and mine.flags.writeable
     with pytest.raises(ValueError):
         make_group({"kind": "symmetric", "n": 6})
     with pytest.raises(ValueError):

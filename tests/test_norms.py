@@ -576,6 +576,32 @@ def test_norm_equation_rejects_units_out_of_range():
             norm_equation_residuals(gpd, [], fs)
 
 
+def test_units_and_arrows_out_of_range_are_refused():
+    # a negative unit or arrow must not wrap round to the last one, and one
+    # past the end must raise the same ValueError, not an IndexError
+    gpd = s3_groupoid()
+    f = random_groupoid_function(random.Random(5), gpd)
+    units, arrows = len(gpd.units), gpd.num_arrows()
+    assert (units, arrows) == (3, 9)
+    for bad in (-1, -units, units, units + 4):
+        for call in (lambda: unit_indicator(gpd, [bad]),
+                     lambda: unit_indicator(gpd, [0, bad]),
+                     lambda: compress_to_units(gpd, f, [bad]),
+                     lambda: compress_to_units(gpd, f, [0, bad]),
+                     lambda: reduction_groupoid(gpd, [0, bad]),
+                     lambda: regular_rep_matrix(gpd, f, bad)):
+            with pytest.raises(ValueError, match=f"^unit {bad} out of range$"):
+                call()
+    for bad in (-1, -arrows, arrows, arrows + 4):
+        with pytest.raises(ValueError, match=f"^arrow {bad} out of range$"):
+            delta(gpd, bad)
+    # the last unit and arrow are still in range
+    last = gpd.unit_arrows[units - 1]
+    assert unit_indicator(gpd, [units - 1]).values == delta(gpd, last).values
+    assert delta(gpd, arrows - 1).values[-1] == 1
+    assert compress_to_units(gpd, unit_indicator(gpd), [units - 1]).values[last] == 1
+
+
 # S3 as a one-unit groupoid: the one left-regular block carries the norm
 NORMCHECK_S3 = ["normcheck", "--group", '{"kind":"symmetric","n":3}',
                 "--family", '{"subgroups":[[0]]}', "--trials", "2"]
