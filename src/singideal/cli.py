@@ -152,13 +152,7 @@ def cmd_ai_atlas(config: RunConfig) -> int:
 
 def cmd_normcheck(config: RunConfig) -> int:
     group, family = _build_inputs(config)
-    # a run's work is its trials' work, each priced at the floor or more
-    work = config.trials * max(norms.check_sweep_work(group, family),
-                               norms.NORMCHECK_TRIAL_FLOOR)
-    if work > norms.NORMCHECK_WORK_CAP:
-        raise SizeCapError(
-            f"normcheck --trials {config.trials} on {group.name} costs {work:.2g}, at least "
-            f"{norms.NORMCHECK_TRIAL_FLOOR} a trial, over the cap {norms.NORMCHECK_WORK_CAP:.2g}")
+    norms.check_sweep_work(group, family, config.trials)
     groupoid = build_coset_groupoid(group, family)
     subsets, maxima = norms.norm_sweep(groupoid, config.trials, config.seed)
     keys = [",".join(map(str, subset)) for subset in subsets]

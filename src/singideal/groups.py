@@ -272,18 +272,16 @@ def make_group(spec: dict) -> FiniteGroup:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("group spec must be a dict with a 'kind' key")
     kind = spec["kind"]
-    if kind == "cyclic":
-        return cyclic(_spec_int(spec["n"], "n"))
+    if kind in ("cyclic", "symmetric", "dihedral"):
+        n = _spec_int(_spec_field(spec, "n", f"{kind} group spec"), "n")
+        return {"cyclic": cyclic, "symmetric": symmetric_group, "dihedral": dihedral}[kind](n)
     if kind == "product":
-        return direct_product([make_group(f) for f in spec["factors"]])
-    if kind == "symmetric":
-        return symmetric_group(_spec_int(spec["n"], "n"))
-    if kind == "dihedral":
-        return dihedral(_spec_int(spec["n"], "n"))
+        factors = _spec_list(_spec_field(spec, "factors", "product group spec"), "factors")
+        return direct_product([make_group(f) for f in factors])
     if kind == "quaternion8":
         return quaternion_group()
     if kind == "cayley":
-        rows = spec["table"]
+        rows = _spec_field(spec, "table", "cayley group spec")
         if not (isinstance(rows, list) and rows and all(
                 isinstance(row, list) and len(row) == len(rows) for row in rows)):
             raise GroupTableError("Cayley table must be square")
@@ -291,6 +289,20 @@ def make_group(spec: dict) -> FiniteGroup:
             raise SizeCapError(f"explicit table order exceeds cap {DEFAULT_ORDER_CAP}")
         return cayley_group([[_spec_int(x, "table entry") for x in row] for row in rows])
     raise ValueError(f"unknown group kind {kind!r}")
+
+
+def _spec_field(spec: dict, key: str, what: str):
+    """spec[key], or ValueError naming the missing key."""
+    if key not in spec:
+        raise ValueError(f"{what} has no {key!r} key")
+    return spec[key]
+
+
+def _spec_list(value, what: str) -> list:
+    """A JSON list: a dict, a string, a number or null does not pass."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
 
 
 def _spec_int(value, what: str) -> int:
@@ -628,10 +640,11 @@ def parse_family(group: FiniteGroup, spec: dict, auto_close: bool = True) -> Sub
     if spec.get("minimal"):
         return minimal_subgroups(group)
     if "conjugacy_class_of" in spec:
-        seed = [_spec_int(x, "subgroup element") for x in spec["conjugacy_class_of"]]
+        seed = [_spec_int(x, "subgroup element")
+                for x in _spec_list(spec["conjugacy_class_of"], "conjugacy_class_of")]
         return conjugation_closure(group, [seed])
     if "subgroups" in spec:
-        subs = [tuple(_spec_int(x, "subgroup element") for x in s)
-                for s in spec["subgroups"]]
+        subs = [tuple(_spec_int(x, "subgroup element") for x in _spec_list(s, "subgroups entry"))
+                for s in _spec_list(spec["subgroups"], "subgroups")]
         return make_family(group, subs, auto_close=auto_close)
     raise ValueError("family spec needs 'subgroups', 'minimal' or 'conjugacy_class_of'")

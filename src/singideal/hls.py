@@ -8,11 +8,12 @@ Every verdict is read off the family in closed form.  The tail point
 member X', which forces X' = X and gamma in X.  So the limit set of the
 constant tail (X, n) is X x {inf}, the essential fibre is the family, and
 the unit at infinity is extremely dangerous iff (0,) is not a member.
-The basic neighbourhoods and level groupoids are built only when read.
-Reading the neighbourhoods at a depth where they would hold more than
-NEIGHBORHOOD_POINT_CAP points, or lifting a witness to more level points
-than that, raises SizeCapError before anything is built; a report that
-reads neither answers at any depth.
+The units, basic neighbourhoods and level groupoids are built only when
+read.  Reading any of them at a depth where it would hold more than
+NEIGHBORHOOD_POINT_CAP entries (units, points or groupoid references),
+or lifting a witness to more level points than that, raises SizeCapError
+before anything is built or checked; a report that reads none of them
+answers at any depth.
 """
 
 from __future__ import annotations
@@ -35,6 +36,14 @@ INFINITY = "inf"
 NEIGHBORHOOD_POINT_CAP = 10 ** 6
 
 
+def _check_cap(depth: int, count: int, needs: str) -> None:
+    """Raise SizeCapError "hls depth <depth> <needs with the count>, over
+    the cap" when ``count`` entries pass NEIGHBORHOOD_POINT_CAP."""
+    if count > NEIGHBORHOOD_POINT_CAP:
+        raise SizeCapError(f"hls depth {depth} {needs.format(count)}, "
+                           f"over the cap {NEIGHBORHOOD_POINT_CAP}")
+
+
 class NotAWitnessError(ValueError):
     """The supplied element fails a coset-sum constraint."""
 
@@ -48,7 +57,12 @@ class TruncatedHLS:
 
     @functools.cached_property
     def level_groupoids(self) -> tuple:
-        """depth references to one coset groupoid, built on first read."""
+        """depth references to one coset groupoid, built on first read.
+
+        Raises SizeCapError, before building anything, when the depth
+        passes NEIGHBORHOOD_POINT_CAP.
+        """
+        _check_cap(self.depth, self.depth, "needs {} level groupoids")
         return (build_coset_groupoid(self.group, self.family),) * self.depth
 
     @functools.cached_property
@@ -64,9 +78,7 @@ class TruncatedHLS:
         # depth
         depth, members = self.depth, len(self.family.members)
         points = self.group.order * depth * (2 + members * (depth + 1)) // 2
-        if points > NEIGHBORHOOD_POINT_CAP:
-            raise SizeCapError(f"hls depth {depth} needs {points} neighbourhood points, "
-                               f"over the cap {NEIGHBORHOOD_POINT_CAP}")
+        _check_cap(depth, points, "needs {} neighbourhood points")
         payloads = [c.elements for c in distinct_cosets(self.group, self.family)]
         neighborhoods = {}
         for gamma, ids in enumerate(coset_index(self.group, self.family).T.tolist()):
@@ -80,7 +92,12 @@ class TruncatedHLS:
 
     @property
     def units(self) -> tuple:
-        """The unit at infinity followed by (subgroup, level) pairs."""
+        """The unit at infinity followed by (subgroup, level) pairs.
+
+        Raises SizeCapError, before building anything, when there would be
+        more than NEIGHBORHOOD_POINT_CAP of them.
+        """
+        _check_cap(self.depth, 1 + len(self.family.members) * self.depth, "needs {} units")
         out = [(0, INFINITY)]
         for level in range(1, self.depth + 1):
             out.extend((sub, level) for sub in self.family.members)
@@ -149,9 +166,10 @@ def singular_function_from_witness(hls: TruncatedHLS, witness, cutoff: int) -> S
     Only a witness whose coset sums all vanish (``ideals.check_witness``)
     is lifted, so every level value is 0 while the infinity values are
     not: the finite rendering of a non-zero function whose zero set is dense.
-    Raises SizeCapError, before building the level values, when there
-    would be more than NEIGHBORHOOD_POINT_CAP of them: one per coset and
-    level, the sum of [G:X] over the members times the depth.
+    Raises SizeCapError, before the witness is checked or the level values
+    are built, when there would be more than NEIGHBORHOOD_POINT_CAP of
+    them: one per coset and level, the sum of [G:X] over the members times
+    the depth.
     """
     coeffs = tuple(getattr(witness, "coeffs", witness))
     if len(coeffs) != hls.group.order:
@@ -160,12 +178,10 @@ def singular_function_from_witness(hls: TruncatedHLS, witness, cutoff: int) -> S
         raise ValueError("cutoff must lie between 1 and the depth")
     if all(c == 0 for c in coeffs):
         raise NotAWitnessError("witness must be non-zero")
+    points = sum(hls.group.order // len(sub) for sub in hls.family.members) * hls.depth
+    _check_cap(hls.depth, points, "lifts the witness to {} level points")
     if not check_witness(hls.group, hls.family, coeffs):
         raise NotAWitnessError("element fails a coset-sum constraint")
-    points = sum(hls.group.order // len(sub) for sub in hls.family.members) * hls.depth
-    if points > NEIGHBORHOOD_POINT_CAP:
-        raise SizeCapError(f"hls depth {hls.depth} lifts the witness to {points} level "
-                           f"points, over the cap {NEIGHBORHOOD_POINT_CAP}")
     zero = Fraction(0)
     level_values = {(coset.elements, n): zero
                     for coset in distinct_cosets(hls.group, hls.family)

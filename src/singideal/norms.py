@@ -76,8 +76,8 @@ from typing import List, Sequence
 import numpy as np
 
 from .exact import _max_abs, integer_rows
-from .groupoid import (FiniteGroupoid, GroupoidFunction, _check_range, convolve_rows,
-                       function_from_row, reduction_groupoid)
+from .groupoid import (FiniteGroupoid, GroupoidFunction, _check_range, _invariant_cosets,
+                       convolve_rows, function_from_row, reduction_groupoid)
 from .groups import FiniteGroup, SizeCapError, SubgroupFamily
 from .ideals import InternalInconsistencyError
 from .sampling import DENOMINATOR, random_numerators
@@ -99,8 +99,8 @@ NORM_BATCH = 1 << 14
 # 0.5-1.0 s, S5 minimal 4.9e7 in 0.7 s, D50 minimal 8.8e7 in 1.2 s, D70
 # minimal 4.6e8 in 2.6 s, C2000 {[0]} 1.6e10 in 1.9 s, D100 minimal 2.65e9
 # in 3.4-4.1 s at 50 MiB.  D200 minimal and C5040 {[0]} need 8.2e10 and
-# 2.6e11.  A whole run is capped too, at trials x max(trial's work,
-# NORMCHECK_TRIAL_FLOOR): a trial costs at least its draw and bookkeeping,
+# 2.6e11.  ``check_sweep_work`` caps a whole run at trials x max(trial's
+# work, NORMCHECK_TRIAL_FLOOR): a trial costs at least its draw and bookkeeping,
 # 6.4-8.3 us in process on C6 {[0,3]} (work 54) over 10^5-10^6 trials,
 # which D100 minimal's 1.3 ns per unit (3.4 s for 2.65e9) prices at 5000.
 NORMCHECK_WORK_CAP = 2 * 10 ** 10
@@ -360,9 +360,9 @@ def unit_subsets(num_units: int):
     """The configured subset list: singletons, pairs, and all units."""
     subsets = [[u] for u in range(num_units)]
     subsets.extend([list(c) for c in itertools.combinations(range(num_units), 2)])
-    full = list(range(num_units))
-    if full not in subsets:
-        subsets.append(full)
+    # all units is a subset of its own once it is neither a singleton nor a pair
+    if num_units >= 3:
+        subsets.append(list(range(num_units)))
     return subsets
 
 
@@ -387,11 +387,14 @@ def norm_sweep(groupoid: FiniteGroupoid, trials: int, seed: int) -> tuple:
     return subsets, maxima
 
 
-def check_sweep_work(group: FiniteGroup, family: SubgroupFamily) -> int:
+def check_sweep_work(group: FiniteGroup, family: SubgroupFamily, trials: int) -> int:
     """The work of one ``norm_sweep`` trial (every ``unit_subsets`` subset),
     the sum of d^3 over the d x d blocks it eigensolves, counted on the
-    coset table before the groupoid is built; raises SizeCapError past
-    NORMCHECK_WORK_CAP.
+    coset table before the groupoid is built: the whole admission rule of
+    a normcheck run.  Raises SizeCapError when ``trials`` trials, each
+    priced at its work or NORMCHECK_TRIAL_FLOOR, whichever is more, pass
+    NORMCHECK_WORK_CAP, and ValueError, as ``build_coset_groupoid`` does,
+    when a conjugate of a member is not a member.
 
     The ranges of the cosets of X_u are u's orbit O of k units, c = d_u / k
     at each.  The p f p side takes one block of O's dimension d_u per
@@ -401,17 +404,20 @@ def check_sweep_work(group: FiniteGroup, family: SubgroupFamily) -> int:
     The reduction to each distinct part S = X ∩ O with u in S has the
     block c |S| at u: {u}, the k - 1 pairs in O and, for k >= 3, O.
     """
+    table, sources = _invariant_cosets(group, family)
     d = (group.order // np.array([len(sub) for sub in family.members])).tolist()
     n = len(d)
-    label = _orbit_labels(np.repeat(np.arange(n), d), family.cosets.ranges, n)
+    label = _orbit_labels(sources, table.ranges, n)
     work = 0
     for u, (d_u, k) in enumerate(zip(d, np.bincount(label, minlength=n)[label].tolist())):
         if label[u] == u:
             work += (k + k * (k - 1) // 2 + (k >= 3)) * d_u ** 3
         work += (d_u // k) ** 3 * (1 + 8 * (k - 1)) + (d_u ** 3 if k >= 3 else 0)
-    if work > NORMCHECK_WORK_CAP:
+    run = trials * max(work, NORMCHECK_TRIAL_FLOOR)
+    if run > NORMCHECK_WORK_CAP:
         raise SizeCapError(
             f"the coset groupoid of {group.name} has {sum(d)} arrows and blocks of "
             f"dimension up to {max(d)}: a normcheck trial eigensolves blocks of "
-            f"sum d^3 = {work:.2g}, over the cap {NORMCHECK_WORK_CAP:.2g}")
+            f"sum d^3 = {work:.2g}, priced at least {NORMCHECK_TRIAL_FLOOR}, so "
+            f"--trials {trials} costs {run:.2g}, over the cap {NORMCHECK_WORK_CAP:.2g}")
     return work

@@ -227,10 +227,38 @@ def nested_product(depth):
 NON_SQUARE_TABLES = ('{"kind":"cayley","table":[]}',
                      '{"kind":"cayley","table":[0,1]}')
 
+C6 = '{"kind":"cyclic","n":6}'
+# a container of the wrong JSON type (a dict or a string iterates as its
+# keys or characters, a number not at all) and a missing required key:
+# the one line names the field
+FIELD_MESSAGES = {
+    ('{"kind":"product","factors":{}}', '{"minimal":true}'):
+        "bad group spec: factors must be a list, got {}",
+    ('{"kind":"product","factors":"ab"}', '{"minimal":true}'):
+        "bad group spec: factors must be a list, got 'ab'",
+    ('{"kind":"product","factors":5}', '{"minimal":true}'):
+        "bad group spec: factors must be a list, got 5",
+    ('{"kind":"product"}', '{"minimal":true}'):
+        "bad group spec: product group spec has no 'factors' key",
+    ('{"kind":"cyclic"}', '{"minimal":true}'): "bad group spec: cyclic group spec has no 'n' key",
+    ('{"kind":"symmetric"}', '{"minimal":true}'):
+        "bad group spec: symmetric group spec has no 'n' key",
+    ('{"kind":"dihedral"}', '{"minimal":true}'):
+        "bad group spec: dihedral group spec has no 'n' key",
+    ('{"kind":"cayley"}', '{"minimal":true}'):
+        "bad group spec: cayley group spec has no 'table' key",
+    (C6, '{"subgroups":5}'): "bad family spec: subgroups must be a list, got 5",
+    (C6, '{"subgroups":[5]}'): "bad family spec: subgroups entry must be a list, got 5",
+    (C6, '{"subgroups":[[0,3],{"0":0}]}'):
+        "bad family spec: subgroups entry must be a list, got {'0': 0}",
+    (C6, '{"conjugacy_class_of":5}'): "bad family spec: conjugacy_class_of must be a list, got 5",
+    (C6, '{"conjugacy_class_of":null}'):
+        "bad family spec: conjugacy_class_of must be a list, got None",
+}
+
 
 @pytest.mark.parametrize("group, family", [
-    ('{"kind":"product","factors":5}', '{"minimal":true}'),
-    ('{"kind":"cyclic","n":6}', '{"subgroups":5}'),
+    *FIELD_MESSAGES,
     ('{"kind":"cyclic","n":6}', '{"subgroups":[[0,99]]}'),
     ('{"kind":"cyclic","n":6}', '{"conjugacy_class_of":[0,99]}'),
     ('{"kind":"cyclic","n":2}', '{"subgroups":[[0,1,-1]]}'),
@@ -259,6 +287,15 @@ def test_malformed_specs_exit_1(capsys, group, family):
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
     if group in NON_SQUARE_TABLES:
         assert captured.err == "error: bad group spec: Cayley table must be square\n"
+    if (group, family) in FIELD_MESSAGES:
+        assert captured.err == f"error: {FIELD_MESSAGES[group, family]}\n"
+
+
+def test_an_empty_product_is_the_trivial_group(capsys):
+    code, out = run(capsys, ["analyze", "--group", '{"kind":"product","factors":[]}',
+                             "--family", '{"subgroups":[[0]]}'])
+    assert code == EXIT_OK
+    assert json.loads(out)["group"] == {"name": "C1", "order": 1}
 
 
 @pytest.mark.parametrize("case", ["group-is-a-directory", "group-not-utf8",
@@ -506,32 +543,35 @@ def test_sweep_work_counts_the_blocks_normcheck_eigensolves(monkeypatch, catalog
     cases += list(catalog_cases) + [(s5, minimal_subgroups(s5))]
     benchmark = [_build_inputs(RunConfig("normcheck", group_spec=group, family_spec=family))
                  for group, family in BENCHMARK_SPECS]
-    # the cap admits every case; the largest is D50 minimal, 50 reflections
-    # in 2 orbits of 25 with d = 50, at 8.8e7
-    works = [norms.check_sweep_work(group, family) for group, family in cases + benchmark]
+    # the cap admits one trial of every case; the largest is D50 minimal,
+    # 50 reflections in 2 orbits of 25 with d = 50, at 8.8e7
+    works = [norms.check_sweep_work(group, family, 1) for group, family in cases + benchmark]
     assert 8e7 < max(works) <= norms.NORMCHECK_WORK_CAP
     # C2^7 minimal: 127 one-unit orbits with d = 64 and one block of each
     # side per unit, where a reduction per subset counted 4.3e9
     c2_7 = _build_inputs(RunConfig("normcheck", group_spec={
         "kind": "product", "factors": [{"kind": "cyclic", "n": 2}] * 7},
         family_spec={"minimal": True}))
-    assert norms.check_sweep_work(*c2_7) == 127 * 2 * 64 ** 3
+    assert norms.check_sweep_work(*c2_7, 1) == 127 * 2 * 64 ** 3
     # D100 minimal, now admitted: 2 orbits of 50 reflections with d = 100
     # take 50 + 1225 + 1 p f p blocks each, and each reflection's
     # reductions {u}, 49 pairs and the orbit take c = 2 per unit; the
     # rotation subgroups of order 2 and 5 (d = 100, 40) are one-unit orbits
     d100 = _build_inputs(RunConfig("normcheck", group_spec={"kind": "dihedral", "n": 100},
                                    family_spec={"minimal": True}))
-    assert norms.check_sweep_work(*d100) == (2 * (50 + 1225 + 1) * 100 ** 3
-                                             + 100 * (2 ** 3 * (1 + 8 * 49) + 100 ** 3)
-                                             + 2 * (100 ** 3 + 40 ** 3)) < 2.7e9
+    assert norms.check_sweep_work(*d100, 1) == (2 * (50 + 1225 + 1) * 100 ** 3
+                                                + 100 * (2 ** 3 * (1 + 8 * 49) + 100 ** 3)
+                                                + 2 * (100 ** 3 + 40 ** 3)) < 2.7e9
+    # with the floor at 1, one trial is priced at its work: a cap at the
+    # work admits it and a cap one below refuses it
+    monkeypatch.setattr(norms, "NORMCHECK_TRIAL_FLOOR", 1)
     for group, family in cases:
         work = sweep_work(build_coset_groupoid(group, family))
         monkeypatch.setattr(norms, "NORMCHECK_WORK_CAP", work)
-        assert norms.check_sweep_work(group, family) == work
+        assert norms.check_sweep_work(group, family, 1) == work
         monkeypatch.setattr(norms, "NORMCHECK_WORK_CAP", work - 1)
         with pytest.raises(SizeCapError, match=f"^the coset groupoid of {group.name} "):
-            norms.check_sweep_work(group, family)
+            norms.check_sweep_work(group, family, 1)
 
 
 @pytest.mark.parametrize("group, family", [
@@ -547,7 +587,7 @@ def test_normcheck_work_past_the_cap_exits_1_before_the_build(capsys, monkeypatc
     tracemalloc.start()
     try:
         with pytest.raises(SizeCapError, match="over the cap"):
-            norms.check_sweep_work(built, family_obj)
+            norms.check_sweep_work(built, family_obj, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -583,8 +623,10 @@ def test_normcheck_trials_past_the_cap_exit_1_before_the_build(capsys, monkeypat
     code, captured = run(6, [[0, 3]], 10 ** 8)
     assert time.perf_counter() - start < 1
     assert code == EXIT_PARSE and captured.out == ""
-    assert captured.err == (f"error: normcheck --trials 100000000 on C6 costs 5e+11, at least "
-                            f"{norms.NORMCHECK_TRIAL_FLOOR} a trial, over the cap 2e+10\n")
+    assert captured.err == ("error: the coset groupoid of C6 has 3 arrows and blocks of "
+                            "dimension up to 3: a normcheck trial eigensolves blocks of sum "
+                            "d^3 = 54, priced at least 5000, so --trials 100000000 costs "
+                            "5e+11, over the cap 2e+10\n")
     # the bound is trials x max(work, floor): C6 {[0,3]} at the floor, and
     # C20 {[0]} (two 20 x 20 blocks, 16000) above it
     assert norms.NORMCHECK_TRIAL_FLOOR == 5000
@@ -594,7 +636,9 @@ def test_normcheck_trials_past_the_cap_exit_1_before_the_build(capsys, monkeypat
         assert run(n, members, 3)[0] == EXIT_OK
         code, captured = run(n, members, 4)
         assert code == EXIT_PARSE and captured.out == ""
-        assert captured.err.startswith(f"error: normcheck --trials 4 on C{n} costs {4 * work:.2g}, ")
+        assert captured.err.startswith(f"error: the coset groupoid of C{n} has ")
+        assert captured.err.endswith(f", so --trials 4 costs {4 * work:.2g}, "
+                                     f"over the cap {3 * work:.2g}\n")
         assert captured.err.count("\n") == 1
 
 
@@ -603,8 +647,8 @@ def test_normcheck_trials_past_the_cap_exit_1_before_the_build(capsys, monkeypat
        cap=st.one_of(st.integers(0, 3000), st.integers(0, 10 ** 6)))
 def test_normcheck_work_cap_fuzz(group_spec, family_spec, cap):
     # the CLI fuzz specs under caps that bite: exit 1 with one line exactly
-    # when the trial's work, counted on the groupoid, passes the cap, or
-    # the one trial's floor does
+    # when the one trial, priced at its work counted on the groupoid or at
+    # the floor, whichever is more, passes the cap
     assume(_order_or_zero(group_spec) <= 40)
     try:
         group, family = _build_inputs(RunConfig("normcheck", group_spec=group_spec,
@@ -625,8 +669,7 @@ def test_normcheck_work_cap_fuzz(group_spec, family_spec, cap):
         norms.NORMCHECK_WORK_CAP = real_cap
     if max(work, norms.NORMCHECK_TRIAL_FLOOR) > cap:
         assert code == EXIT_PARSE and out.getvalue() == ""
-        assert err.getvalue().startswith("error: the coset groupoid of " if work > cap
-                                         else "error: normcheck --trials 1 on ")
+        assert err.getvalue().startswith("error: the coset groupoid of ")
         assert err.getvalue().count("\n") == 1
     else:
         assert code == EXIT_OK and json.loads(out.getvalue())["within_tol"]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from singideal import groupoid as groupoid_module
+from singideal import norms
 from singideal.groupoid import (Arrow, FiniteGroupoid, GroupoidFunction,
                                 build_coset_groupoid, convolve, convolve_rows,
                                 delta, function_from_row, involution,
@@ -64,10 +65,15 @@ def test_whole_group_family_single_arrow():
 
 def test_non_invariant_family_is_rejected_with_a_message():
     s3 = symmetric_group(3)
-    # (0, 1) is a subgroup of order 2 whose conjugates are left out
-    with pytest.raises(ValueError,
-                       match=r"^a conjugate of \[0, 1\] in S3 is not a family member$"):
-        build_coset_groupoid(s3, SubgroupFamily(s3, ((0, 1),)))
+    # (0, 1) is a subgroup of order 2 whose conjugates are left out; the
+    # normcheck work count refuses it as the build does, before a coset of
+    # range -1 labels an orbit
+    family = SubgroupFamily(s3, ((0, 1),))
+    message = r"^a conjugate of \[0, 1\] in S3 is not a family member$"
+    with pytest.raises(ValueError, match=message):
+        build_coset_groupoid(s3, family)
+    with pytest.raises(ValueError, match=message):
+        norms.check_sweep_work(s3, family, 1)
 
 
 def test_s3_coset_groupoid_shape_and_axioms():

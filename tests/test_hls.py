@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import singideal.groupoid
+from singideal import hls as hls_module
 from singideal.cli import main
 from singideal.groups import (SizeCapError, conjugation_closure, cyclic,
                               distinct_cosets, make_family, subgroup_generated,
@@ -94,6 +95,35 @@ def test_neighborhood_point_count_and_cap(catalog_cases):
             tracemalloc.stop()
         assert peak < 2 ** 20
     assert NEIGHBORHOOD_POINT_CAP == 10 ** 6
+
+
+def test_units_levels_and_lift_past_the_cap_raise_before_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built or checked past the cap")
+    monkeypatch.setattr(hls_module, "check_witness", refuse)
+    monkeypatch.setattr(hls_module, "build_coset_groupoid", refuse)
+    g6 = cyclic(6)
+    fam = make_family(g6, [(0, 3)])
+    # C6 {[0, 3]}: one member of index 3, so 1 + depth units, depth level
+    # groupoids and 3 * depth lifted level points
+    for depth in (10 ** 6 + 1, 10 ** 20):
+        h = build_hls(g6, fam, depth)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError, match=(
+                    f"^hls depth {depth} needs {depth + 1} units, over the cap 1000000$")):
+                h.units
+            with pytest.raises(SizeCapError, match=(
+                    f"^hls depth {depth} needs {depth} level groupoids, over the cap 1000000$")):
+                h.level_groupoids
+            with pytest.raises(SizeCapError, match=(
+                    f"^hls depth {depth} lifts the witness to {3 * depth} level points, "
+                    "over the cap 1000000$")):
+                singular_function_from_witness(h, [1, 0, 0, -1, 0, 0], cutoff=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 def test_basic_neighborhoods():

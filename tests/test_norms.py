@@ -559,6 +559,13 @@ def test_normcheck_builds_one_reduction_per_part(capsys, monkeypatch):
     assert sorted(built) == [(u,) for u in range(127)]
 
 
+def test_unit_subsets_add_all_units_past_two():
+    # all units is a singleton at 1 unit and a pair at 2, so it is listed once
+    assert unit_subsets(1) == [[0]]
+    assert unit_subsets(2) == [[0], [1], [0, 1]]
+    assert unit_subsets(3) == [[0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]]
+
+
 def test_norm_equation_rejects_units_out_of_range():
     # units are checked before a subset is split by orbit: a unit past the
     # last must not index the orbit labels, nor a negative one wrap round
