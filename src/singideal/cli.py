@@ -3,10 +3,12 @@ truncated non-Hausdorff construction, norm-equation sweeps and witness
 extraction.  All reports are JSON with potentially-large integers (the
 witness coefficients) serialized as decimal strings.
 
-Exit codes: 0 success, 1 parse/usage error or size cap exceeded, 2
-internal inconsistency (every command but normcheck), 3 norm tolerance
-exceeded or internal inconsistency, such as an inexact compression
-p f p (normcheck).
+Exit codes: 0 success (``--help`` included), 1 parse/usage error or size
+cap exceeded, with one ``error:`` line on stderr, 2 internal inconsistency
+(every command but normcheck), 3 norm tolerance exceeded or internal
+inconsistency, such as an inexact compression p f p (normcheck).  Every
+run ends in ``main``: the handlers return the report and the exit code,
+and ``main`` writes the one report.
 """
 
 from __future__ import annotations
@@ -110,8 +112,7 @@ def _emit(report: dict, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def cmd_analyze(config: RunConfig) -> int:
-    group, family = _build_inputs(config)
+def cmd_analyze(config: RunConfig, group, family) -> tuple[dict, int]:
     report = class_I_check(group, family)
     data = report.to_json_dict()
     # the q-map rows are the coset rows (the coset groupoid's arrows are the
@@ -120,38 +121,30 @@ def cmd_analyze(config: RunConfig) -> int:
     data["cross_checks"]["q_kernel_agrees"] = True
     data["group"] = {"name": group.name, "order": group.order}
     data["family"] = [list(sub) for sub in family.members]
-    _emit(data, config.output)
-    return EXIT_OK
+    return data, EXIT_OK
 
 
-def cmd_witness(config: RunConfig) -> int:
-    group, family = _build_inputs(config)
+def cmd_witness(config: RunConfig, group, family) -> tuple[dict, int]:
     witness = integer_witness(group, family)
     data = {"witness": None}
     if witness is not None:
         data["witness"] = {"coeffs": [str(int(c)) for c in witness.coeffs]}
-    _emit(data, config.output)
-    return EXIT_OK
+    return data, EXIT_OK
 
 
-def cmd_hls(config: RunConfig) -> int:
-    group, family = _build_inputs(config)
+def cmd_hls(config: RunConfig, group, family) -> tuple[dict, int]:
     truncation = hls_mod.build_hls(group, family, config.depth)
     witness = integer_witness(group, family)
     report = hls_mod.hls_report(truncation, witness)
     report["group"] = {"name": group.name, "order": group.order}
-    _emit(report, config.output)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_ai_atlas(config: RunConfig) -> int:
-    report = ai_atlas(config.max_order)
-    _emit(report, config.output)
-    return EXIT_OK
+def cmd_ai_atlas(config: RunConfig) -> tuple[dict, int]:
+    return ai_atlas(config.max_order), EXIT_OK
 
 
-def cmd_normcheck(config: RunConfig) -> int:
-    group, family = _build_inputs(config)
+def cmd_normcheck(config: RunConfig, group, family) -> tuple[dict, int]:
     norms.check_sweep_work(group, family, config.trials)
     groupoid = build_coset_groupoid(group, family)
     subsets, maxima = norms.norm_sweep(groupoid, config.trials, config.seed)
@@ -167,14 +160,21 @@ def cmd_normcheck(config: RunConfig) -> int:
         "max_residual": worst,
         "within_tol": worst < config.tol,
     }
-    _emit(report, config.output)
-    return EXIT_OK if worst < config.tol else EXIT_TOLERANCE
+    return report, EXIT_OK if worst < config.tol else EXIT_TOLERANCE
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises SpecError, so that it ends as every malformed
+    input does: exit 1 and one line."""
+
+    def error(self, message):
+        raise SpecError(message)
 
 
 # parsing leaves the parser unchanged, and building one costs 20 parses
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="singideal",
         description="Vanishing tests, witnesses and norm checks for "
                     "singular-ideal analogues on finite groups and groupoids.")
@@ -209,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = vars(build_parser().parse_args(argv))
     try:
+        args = vars(build_parser().parse_args(argv))
         for what in ("group", "family"):
             if what in args:
                 args[f"{what}_spec"] = _load_json_arg(args.pop(what), what)
@@ -222,13 +222,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "ai-atlas": cmd_ai_atlas,
             "normcheck": cmd_normcheck,
         }[config.command]
+        inputs = () if config.command == "ai-atlas" else _build_inputs(config)
         try:
-            return handler(config)
+            report, code = handler(config, *inputs)
         except InternalInconsistencyError as exc:
             # a failed consistency check in any command; normcheck's exit
             # code reads it as a failed norm check
-            _emit({"error": "internal-inconsistency", "detail": str(exc)}, config.output)
-            return EXIT_TOLERANCE if config.command == "normcheck" else EXIT_INCONSISTENT
+            report = {"error": "internal-inconsistency", "detail": str(exc)}
+            code = EXIT_TOLERANCE if config.command == "normcheck" else EXIT_INCONSISTENT
+        _emit(report, config.output)
+        return code
     except (SpecError, FamilyNotInvariantError, SizeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

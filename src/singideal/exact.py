@@ -117,12 +117,6 @@ def integer_rows(rows) -> tuple:
         if any(len(r) != shape[1] for r in rows):
             raise ValueError("ragged rows")
         values = [x for r in rows for x in r]
-    if values and type(values[0]) is int:
-        # numpy reads an int matrix in one pass, as int64 only when every
-        # entry is an int that fits
-        ints = np.array(values)
-        if ints.dtype == np.int64:
-            return ints.reshape(shape), 1
     # ints are kept as they are: reading their denominator builds no Fraction
     if not set(map(type, values)) <= {int, Fraction}:
         if any(isinstance(x, float) and not isfinite(x) for x in values):

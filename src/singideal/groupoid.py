@@ -208,30 +208,32 @@ def unit_indicator(groupoid: FiniteGroupoid,
 
 
 def _invariant_cosets(group: FiniteGroup, family: SubgroupFamily) -> tuple:
-    """(table, sources): ``coset_table(group, family)`` and, per coset, the
-    index of its member; raises ValueError naming the first member with a
-    conjugate that is not a member."""
+    """(table, sources, index): ``coset_table(group, family)``, per coset the
+    index of its member, and per member its index in the group.  Raises
+    SizeCapError, from the member sizes before the table is built, when the
+    groupoid's regular index blocks would pass ENTRY_CAP entries, and
+    ValueError naming the first member with a conjugate that is not a
+    member."""
+    index = [group.order // len(sub) for sub in family.members]
+    entries = sum(d * d for d in index)
+    if entries > ENTRY_CAP:
+        raise SizeCapError(f"the coset groupoid of {group.name} has {sum(index)} arrows: "
+                           f"{entries} regular-block entries, over the cap {ENTRY_CAP}")
     table = coset_table(group, family)
-    sources = np.repeat(np.arange(len(family.members)),
-                        [group.order // len(sub) for sub in family.members])
+    sources = np.repeat(np.arange(len(index)), index)
     if (table.ranges < 0).any():
         sub = family.members[sources[np.argmax(table.ranges < 0)]]
         raise ValueError(f"a conjugate of {list(sub)} in {group.name} is not "
                          f"a family member")
-    return table, sources
+    return table, sources, index
 
 
 def build_coset_groupoid(group: FiniteGroup, family: SubgroupFamily) -> FiniteGroupoid:
     """The groupoid of distinct cosets over a conjugation-invariant family;
     raises SizeCapError, before building, when its regular index blocks
     would pass ENTRY_CAP entries."""
-    index = [group.order // len(sub) for sub in family.members]
-    count, entries = sum(index), sum(d * d for d in index)
-    if entries > ENTRY_CAP:
-        raise SizeCapError(f"the coset groupoid of {group.name} has {count} arrows: "
-                           f"{entries} regular-block entries, over the cap {ENTRY_CAP}")
     # coset_of[u, g]: the arrow g X_u; the cosets of X_u are numbered in a run
-    (coset_of, reps, ranges, _), sources = _invariant_cosets(group, family)
+    (coset_of, reps, ranges, _), sources, _ = _invariant_cosets(group, family)
     arrows = [Arrow(i, s, r, c.elements) for i, (s, r, c) in
               enumerate(zip(sources.tolist(), ranges.tolist(), distinct_cosets(group, family)))]
     # (y X)^-1 = X y^-1 = y^-1 (y X y^-1): the coset of the range containing y^-1

@@ -71,6 +71,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from decimal import ROUND_CEILING, Context
 from typing import List, Sequence
 
 import numpy as np
@@ -393,8 +394,11 @@ def check_sweep_work(group: FiniteGroup, family: SubgroupFamily, trials: int) ->
     coset table before the groupoid is built: the whole admission rule of
     a normcheck run.  Raises SizeCapError when ``trials`` trials, each
     priced at its work or NORMCHECK_TRIAL_FLOOR, whichever is more, pass
-    NORMCHECK_WORK_CAP, and ValueError, as ``build_coset_groupoid`` does,
-    when a conjugate of a member is not a member.
+    NORMCHECK_WORK_CAP.  As ``build_coset_groupoid`` does, it raises
+    SizeCapError, from the member sizes before the coset table is built,
+    when the groupoid's regular index blocks would pass
+    ``groupoid.ENTRY_CAP`` entries, and ValueError when a conjugate of a
+    member is not a member.
 
     The ranges of the cosets of X_u are u's orbit O of k units, c = d_u / k
     at each.  The p f p side takes one block of O's dimension d_u per
@@ -404,8 +408,7 @@ def check_sweep_work(group: FiniteGroup, family: SubgroupFamily, trials: int) ->
     The reduction to each distinct part S = X ∩ O with u in S has the
     block c |S| at u: {u}, the k - 1 pairs in O and, for k >= 3, O.
     """
-    table, sources = _invariant_cosets(group, family)
-    d = (group.order // np.array([len(sub) for sub in family.members])).tolist()
+    table, sources, d = _invariant_cosets(group, family)
     n = len(d)
     label = _orbit_labels(sources, table.ranges, n)
     work = 0
@@ -415,9 +418,13 @@ def check_sweep_work(group: FiniteGroup, family: SubgroupFamily, trials: int) ->
         work += (d_u // k) ** 3 * (1 + 8 * (k - 1)) + (d_u ** 3 if k >= 3 else 0)
     run = trials * max(work, NORMCHECK_TRIAL_FLOOR)
     if run > NORMCHECK_WORK_CAP:
+        try:
+            cost = f"{run:.2g}"
+        except OverflowError:  # past float range: Decimal's form, rounded up
+            cost = f"{Context(prec=2, rounding=ROUND_CEILING).create_decimal(run):.2g}"
         raise SizeCapError(
             f"the coset groupoid of {group.name} has {sum(d)} arrows and blocks of "
             f"dimension up to {max(d)}: a normcheck trial eigensolves blocks of "
             f"sum d^3 = {work:.2g}, priced at least {NORMCHECK_TRIAL_FLOOR}, so "
-            f"--trials {trials} costs {run:.2g}, over the cap {NORMCHECK_WORK_CAP:.2g}")
+            f"--trials {trials} costs {cost}, over the cap {NORMCHECK_WORK_CAP:.2g}")
     return work

@@ -16,7 +16,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import singideal
-from singideal import cli, exact, norms
+from singideal import cli, exact, groups, norms
 from singideal.cli import (EXIT_INCONSISTENT, EXIT_OK, EXIT_PARSE,
                            EXIT_TOLERANCE, RunConfig, SpecError, _build_inputs,
                            main)
@@ -105,6 +105,34 @@ def test_parse_errors(capsys):
     code, _ = run(capsys, ["analyze", "--group", '{"kind":"cyclic","n":6}',
                            "--family", '{"subgroups":[[0,1,2]]}'])
     assert code == EXIT_PARSE  # not a subgroup
+
+
+_C2 = ["--group", '{"kind":"cyclic","n":2}', "--family", '{"minimal":true}']
+
+
+@pytest.mark.parametrize("argv", [
+    ["normcheck", *_C2, "--trials", "abc"],
+    ["hls", *_C2, "--depth", "1.5"],
+    ["analyze", "--group", '{"kind":"cyclic","n":2}'],
+    ["bogus"],
+    ["analyze", *_C2, "--bogus"],
+    [],
+], ids=["trials-abc", "depth-1.5", "missing-family", "unknown-command",
+        "unknown-option", "no-arguments"])
+def test_usage_errors_exit_1_with_one_line(capsys, argv):
+    # argparse's own exit 2 and usage block would read as an internal
+    # inconsistency
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_PARSE and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: singideal ")
 
 
 def test_no_auto_close(capsys):
@@ -384,9 +412,13 @@ def test_hls_lift_past_the_cap_exits_1_without_allocating(capsys):
 
 
 @pytest.mark.parametrize("command", ["analyze", "witness", "normcheck"])
-def test_coset_counts_past_the_caps_exit_1_without_allocating(capsys, command):
+def test_coset_counts_past_the_caps_exit_1_without_allocating(capsys, monkeypatch, command):
     # C2^10 with its 1023 minimal subgroups has 523776 cosets: 5.4e8 coset
-    # matrix entries (512 MiB of int8) and 2.7e11 compose table entries
+    # matrix entries (512 MiB of int8) and 2.7e11 compose table entries;
+    # every command refuses it from the member sizes, before numbering a coset
+    def no_table(*args):
+        raise AssertionError("the coset table is built past the cap")
+    monkeypatch.setattr(groups, "_coset_table", no_table)
     group = json.dumps({"kind": "product", "factors": [{"kind": "cyclic", "n": 2}] * 10})
     tracemalloc.start()
     try:
@@ -640,6 +672,22 @@ def test_normcheck_trials_past_the_cap_exit_1_before_the_build(capsys, monkeypat
         assert captured.err.endswith(f", so --trials 4 costs {4 * work:.2g}, "
                                      f"over the cap {3 * work:.2g}\n")
         assert captured.err.count("\n") == 1
+
+
+def test_normcheck_trials_past_float_range_exit_1_with_one_line(capsys):
+    # the cost of 10^400 trials has no float; it is printed rounded up, and
+    # 5000 digits pass Python's int-string limit, so argparse refuses them
+    def run(trials):
+        code = main(["normcheck", "--group", '{"kind":"cyclic","n":6}',
+                     "--family", '{"subgroups":[[0,3]]}', "--trials", trials])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE and captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        return captured.err
+
+    assert run(str(10 ** 400)).endswith(" costs 5.0e+403, over the cap 2e+10\n")
+    assert run(str(10 ** 400 + 1)).endswith(" costs 5.1e+403, over the cap 2e+10\n")
+    assert run("1" + "0" * 5000).startswith("error: argument --trials: invalid int value: ")
 
 
 @settings(max_examples=60)
