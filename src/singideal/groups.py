@@ -196,15 +196,16 @@ def quaternion_group() -> FiniteGroup:
     return FiniteGroup(table, name="Q8")
 
 
+def _check_product_order(order: int) -> None:
+    if order > DEFAULT_ORDER_CAP:
+        raise SizeCapError(f"product order {order} exceeds cap {DEFAULT_ORDER_CAP}")
+
+
 def direct_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
     """Direct product with mixed-radix element indexing, leftmost factor most significant."""
     if not factors:
         return cyclic(1)
-    order = 1
-    for g in factors:
-        order *= g.order
-    if order > DEFAULT_ORDER_CAP:
-        raise SizeCapError(f"product order {order} exceeds cap {DEFAULT_ORDER_CAP}")
+    _check_product_order(math.prod(g.order for g in factors))
     table = np.zeros((1, 1), dtype=np.int32)
     for g in factors:
         m = g.order
@@ -267,7 +268,8 @@ def make_group(spec: dict) -> FiniteGroup:
     Supported kinds: {"kind": "cyclic", "n": 6}, {"kind": "product",
     "factors": [...]}, {"kind": "symmetric", "n": 4}, {"kind":
     "dihedral", "n": 5}, {"kind": "quaternion8"}, {"kind": "cayley",
-    "table": [[...]]}.
+    "table": [[...]]}.  A product is refused as soon as the factors built
+    so far pass DEFAULT_ORDER_CAP, before the next factor is built.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("group spec must be a dict with a 'kind' key")
@@ -276,8 +278,12 @@ def make_group(spec: dict) -> FiniteGroup:
         n = _spec_int(_spec_field(spec, "n", f"{kind} group spec"), "n")
         return {"cyclic": cyclic, "symmetric": symmetric_group, "dihedral": dihedral}[kind](n)
     if kind == "product":
-        factors = _spec_list(_spec_field(spec, "factors", "product group spec"), "factors")
-        return direct_product([make_group(f) for f in factors])
+        factors, order = [], 1
+        for f in _spec_list(_spec_field(spec, "factors", "product group spec"), "factors"):
+            factors.append(make_group(f))
+            order *= factors[-1].order
+            _check_product_order(order)
+        return direct_product(factors)
     if kind == "quaternion8":
         return quaternion_group()
     if kind == "cayley":
@@ -633,10 +639,14 @@ def parse_family(group: FiniteGroup, spec: dict, auto_close: bool = True) -> Sub
     """Build a family from a JSON-style spec.
 
     Supported forms: {"subgroups": [[0,3], ...]}, {"minimal": true},
-    {"conjugacy_class_of": [0,3]}.
+    {"conjugacy_class_of": [0,3]}.  A spec naming more than one of them is
+    refused.
     """
     if not isinstance(spec, dict):
         raise ValueError("family spec must be a dict")
+    forms = [form for form in ("subgroups", "minimal", "conjugacy_class_of") if form in spec]
+    if len(forms) > 1:
+        raise ValueError(f"family spec gives more than one form: {', '.join(map(repr, forms))}")
     if spec.get("minimal"):
         return minimal_subgroups(group)
     if "conjugacy_class_of" in spec:

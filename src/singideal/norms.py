@@ -11,15 +11,15 @@ groupoid over X.
 Every operator norm is the square root of the top eigenvalue of a Gram
 matrix, from one symmetric eigensolve at every dimension.  Norms are
 evaluated for a batch of functions at once, and every float block goes
-through one gather routine, ``_block_tops``: d x d blocks, given by their
-column indices, are gathered into C-contiguous (functions, blocks, d, d)
-chunks of at most ``NORM_BATCH`` entries (or one block), split over
-blocks first and then over functions, each taking one Gram product and
-one batched eigensolve.  A reduced norm gathers every index stack the
-groupoid tabulated at construction (the left-regular blocks of all units
-of one dimension).  The gather must be contiguous: a strided gather sends
-the Gram product down another matmul kernel, whose results differ in the
-last bits.
+through one gather routine, ``_block_tops``: d x d blocks, given by a
+(blocks, d, d) stack of column indices, are gathered into C-contiguous
+(functions, blocks, d, d) chunks of at most ``NORM_BATCH`` entries (or
+one block), split over blocks first and then over functions, each taking
+one Gram product and one batched eigensolve.  A reduced norm gathers
+every index stack the groupoid tabulated at construction (the
+left-regular blocks of all units of one dimension).  The gather must be
+contiguous: a strided gather sends the Gram product down another matmul
+kernel, whose results differ in the last bits.
 
 The norm equation is evaluated by ``block_residuals`` on a batch of
 functions, given as integer rows over one denominator and converted once
@@ -37,13 +37,14 @@ groupoid is built once; p f p for the whole batch is two ``convolve_rows``
 calls with the unit-indicator row, checked exactly to be the batch's rows
 masked to the reduction's arrows, and the part's left side reads the
 batch's floats gathered onto the reduction.  On the right, entry (g, h) of
-the block of p f p at a unit v survives iff r(g) and r(h) lie in X, and
-both lie in reach(v), the ranges of the arrows out of v, which is v's
-orbit; so the block is one matrix for every X with the same part
-X ∩ reach(v).  For an arrow t: v -> u, g -> g t maps the arrows out of u
-onto the arrows out of v, keeping ranges, and (g t)(h t)^-1 = g h^-1: the
-block at v is the block at u with rows and columns permuted, for every f
-and every part.  ``_check_translates`` checks that exactly on the integer
+the block of p f p at a unit v reads the arrow g h^-1, of range r(g) and
+source r(h); it survives iff the reduction keeps that arrow, that is iff
+r(g) and r(h) lie in X, and both lie in reach(v), the ranges of the
+arrows out of v, which is v's orbit; so the block is one matrix for every
+X with the same part X ∩ reach(v).  For an arrow t: v -> u, g -> g t
+maps the arrows out of u onto the arrows out of v, keeping ranges, and
+(g t)(h t)^-1 = g h^-1: the block at v is the block at u with rows and
+columns permuted, for every f and every part.  ``_check_translates`` checks that exactly on the integer
 index blocks, once per call and before any float is compared, so each part
 S takes one eigensolve, at its key: the least unit of S's orbit outside S,
 or S[0] when S is the whole orbit.  Outside S the key's block is a
@@ -51,11 +52,11 @@ permuted, zero-padded copy of a reduction block, so the float residual
 still compares two different eigensolves.  A subset's left side is the
 largest over its parts, and its right side the largest over its parts'
 keys.  The bits are those of one reduction over X and, at each key, of
-``spectral_norm`` of ``regular_rep_matrix`` of p f p: each block is that
-matrix entry for entry, +0.0 where masked (its index is -1, which reads a
-+0.0 column appended to the floats), in a C-contiguous chunk; matmul and
-eigvalsh act matrix by matrix; and sqrt is monotone and max exact.  Floats
-are always float(Fraction), correctly rounded: numerator rows are divided
+``spectral_norm`` of ``regular_rep_matrix`` of p f p: each block, p f p's
+floats (+0.0 off the reduction) at the key's index block, is that matrix
+entry for entry, in a C-contiguous chunk; matmul and eigvalsh act matrix
+by matrix; and sqrt is monotone and max exact.  Floats are always
+float(Fraction), correctly rounded: numerator rows are divided
 in float64 only when the numerators and the denominator are below 2^53,
 and as Python ints otherwise.  The Gram product squares every entry, so
 a float norm takes a row or matrix only when its largest |entry| is 0 or
@@ -168,16 +169,17 @@ def spectral_norm(m) -> float:
     return math.sqrt(max(float(_gram_tops(a).max()), 0.0))
 
 
-def _block_tops(floats: np.ndarray, count: int, d: int, index) -> np.ndarray:
-    """(functions, count) top Gram eigenvalues of ``count`` d x d blocks of
-    the rows of ``floats``, ``index(s)`` the column indices of the blocks
-    in the slice s.  The blocks are gathered in C-contiguous chunks of at
-    most NORM_BATCH entries (or one block), split over blocks first, then
-    over functions; each chunk's indices are built only when it is."""
+def _block_tops(floats: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """(functions, blocks) top Gram eigenvalues of the d x d blocks of the
+    rows of ``floats`` whose column indices are the (blocks, d, d) index
+    ``stack``.  The blocks are gathered in C-contiguous chunks of at most
+    NORM_BATCH entries (or one block), split over blocks first, then over
+    functions."""
+    count, d = len(stack), stack.shape[-1]
     tops = np.empty((len(floats), count))
     per = max(1, NORM_BATCH // (d * d))
     for lo in range(0, count, per):
-        cols = index(slice(lo, lo + per))
+        cols = stack[lo:lo + per]
         fs = max(1, NORM_BATCH // cols.size)
         for f in range(0, len(floats), fs):
             # take, not floats[:, cols]: the gather must be C-contiguous
@@ -187,8 +189,7 @@ def _block_tops(floats: np.ndarray, count: int, d: int, index) -> np.ndarray:
 
 def _reduced_norms(groupoid: FiniteGroupoid, vals: np.ndarray) -> np.ndarray:
     """Reduced norm of every row of the (functions x arrows) floats ``vals``."""
-    tops = np.concatenate([_block_tops(vals, len(stack), stack.shape[-1], stack.__getitem__)
-                           for stack in groupoid._rep_stacks], axis=1)
+    tops = np.concatenate([_block_tops(vals, stack) for stack in groupoid._rep_stacks], axis=1)
     return np.sqrt(np.maximum(0.0, tops.max(axis=1)))
 
 
@@ -272,34 +273,6 @@ def _check_translates(groupoid: FiniteGroupoid, label: np.ndarray) -> None:
                 f"the block at unit {x} is not the block at unit {u} translated")
 
 
-def _masked_index(groupoid: FiniteGroupoid, index: np.ndarray, parts) -> np.ndarray:
-    """The unit's index block ``index`` once per unit subset S in ``parts``,
-    -1 at the entries without source and range in S."""
-    # entry (g, h) is the arrow g h^-1, of range r(g) and source r(h);
-    # column 0 holds the ranges r(g) of the rows
-    inside = np.zeros((len(parts), len(groupoid.units)), dtype=bool)
-    for i, part in enumerate(parts):
-        inside[i, list(part)] = True
-    row = inside[:, groupoid._ranges[index[:, 0]]]
-    return np.where(row[:, :, None] & row[:, None, :], index, -1)
-
-
-def _key_tops(groupoid: FiniteGroupoid, keys, floats: np.ndarray) -> np.ndarray:
-    """(functions, keys) top Gram eigenvalues: key (v, S) is the block of
-    the ``floats`` at v, zero at the arrows without source and range in S,
-    where its index is -1 and reads a +0.0 column appended to the floats."""
-    tops = np.empty((len(floats), len(keys)))
-    padded = np.concatenate((floats, np.zeros((len(floats), 1))), axis=1)
-    by_unit = {}
-    for k, (v, _) in enumerate(keys):
-        by_unit.setdefault(v, []).append(k)
-    for v, ks in by_unit.items():
-        index = groupoid._rep_blocks[v]
-        tops[:, ks] = _block_tops(padded, len(ks), len(index), lambda s: _masked_index(
-            groupoid, index, [keys[k][1] for k in ks[s]]))
-    return tops
-
-
 def block_residuals(groupoid: FiniteGroupoid, subsets: Sequence[Sequence[int]],
                     nums: np.ndarray, den: int) -> List[List[float]]:
     """The norm-equation residual of every function whose integer row over
@@ -321,19 +294,29 @@ def block_residuals(groupoid: FiniteGroupoid, subsets: Sequence[Sequence[int]],
     _check_translates(groupoid, label)
     if not len(nums):
         return [[] for _ in subsets]
-    lhs = []
+    lhs, kepts = [], []
     for _, part in keys:
         reduced, kept = reduction_groupoid(groupoid, part)
+        kept = np.asarray(kept, dtype=np.intp)
         masked = np.zeros_like(nums)
         masked[:, kept] = nums[:, kept]
         if not np.array_equal(_compress(groupoid, nums, part), masked):
             raise InternalInconsistencyError(
                 f"p f p over units {list(part)} is not f restricted to the reduction")
         lhs.append(_reduced_norms(reduced, floats[:, kept]))
+        kepts.append(kept)
     lhs = np.stack(lhs, axis=1)
     # the translates make every unit of a part's orbit one key: its block
-    # at each unit is the block at the key, permuted
-    rhs = np.sqrt(np.maximum(0.0, _key_tops(groupoid, keys, floats)))
+    # at each unit is the block at the key, permuted.  p f p's floats are
+    # the part's kept floats and +0.0 elsewhere, gathered at the key's
+    # block; interleaved with the reductions loop, these eigensolves made
+    # D100 minimal's call 20-30% slower
+    pfp, rhs = np.zeros_like(floats), np.empty_like(lhs)
+    for k, ((v, _), kept) in enumerate(zip(keys, kepts)):
+        pfp[:, kept] = floats[:, kept]
+        rhs[:, k] = _block_tops(pfp, groupoid._rep_blocks[v][None])[:, 0]
+        pfp[:, kept] = 0.0
+    rhs = np.sqrt(np.maximum(0.0, rhs))
     return [np.abs(lhs[:, m].max(axis=1) - rhs[:, m].max(axis=1)).tolist() for m in members]
 
 

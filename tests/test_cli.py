@@ -282,6 +282,16 @@ FIELD_MESSAGES = {
     (C6, '{"conjugacy_class_of":5}'): "bad family spec: conjugacy_class_of must be a list, got 5",
     (C6, '{"conjugacy_class_of":null}'):
         "bad family spec: conjugacy_class_of must be a list, got None",
+    # two or more family forms: none is silently dropped
+    (C6, '{"subgroups":[[0,3]],"minimal":true}'):
+        "bad family spec: family spec gives more than one form: 'subgroups', 'minimal'",
+    (C6, '{"minimal":false,"subgroups":[[0,3]]}'):
+        "bad family spec: family spec gives more than one form: 'subgroups', 'minimal'",
+    (C6, '{"minimal":true,"conjugacy_class_of":[0,3]}'):
+        "bad family spec: family spec gives more than one form: 'minimal', 'conjugacy_class_of'",
+    (C6, '{"conjugacy_class_of":[0,3],"subgroups":[[0,3]],"minimal":true}'):
+        "bad family spec: family spec gives more than one form: "
+        "'subgroups', 'minimal', 'conjugacy_class_of'",
 }
 
 

@@ -458,6 +458,20 @@ def test_library_constructors_refuse_past_the_cap_before_allocating():
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20, f"{build.__name__}({n}) peaked at {peak / 2 ** 20:.1f} MiB"
+
+
+def test_product_spec_is_refused_once_its_factors_pass_the_cap():
+    # building all thirty C1000 factors before the check took 115 MiB;
+    # the second one passes the cap
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError,
+                           match=f"^product order 1000000 exceeds cap {DEFAULT_ORDER_CAP}$"):
+            make_group({"kind": "product", "factors": [{"kind": "cyclic", "n": 1000}] * 30})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, f"peaked at {peak / 2 ** 20:.1f} MiB"
     assert cyclic(DEFAULT_ORDER_CAP).order == DEFAULT_ORDER_CAP
     assert dihedral(DEFAULT_ORDER_CAP // 2).order == DEFAULT_ORDER_CAP
 
