@@ -64,9 +64,11 @@ class RunConfig:
 
 
 def _load_json_arg(arg: str, what: str) -> dict:
-    """Accept inline JSON or a path to a JSON file."""
+    """Accept inline JSON or a path to a JSON file: an argument that starts
+    with ``{`` or ``[`` is inline, so that an inline array is refused as
+    not an object rather than read as a path."""
     text = arg
-    if not arg.lstrip().startswith("{"):
+    if not arg.lstrip().startswith(("{", "[")):
         try:
             with open(arg, encoding="utf-8") as fh:
                 text = fh.read()
@@ -83,7 +85,8 @@ def _load_json_arg(arg: str, what: str) -> dict:
 
 
 def _build_inputs(config: RunConfig):
-    # TypeError: a spec value of the wrong JSON type (say, "factors": 5);
+    # TypeError: a guard for a spec value of a JSON type that no field
+    # check covers (those raise ValueError, "factors": 5 included);
     # RecursionError: products nested too deeply
     try:
         group = make_group(config.group_spec)

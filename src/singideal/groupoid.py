@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from . import exact
 from .exact import _matching
 from .groups import (FiniteGroup, SizeCapError, SubgroupFamily, coset_table,
                      distinct_cosets)
-from .ideals import _coset_matrix, _coset_sums
+from .ideals import _coset_matrix, _coset_sums, algebraic_ideal_kernel
 
 # int32 entries a groupoid allocates at once, 512 MiB at the cap: the
 # regular index blocks Σ_X [G:X]^2 when building, the compose table m^2 on read
@@ -321,9 +321,8 @@ def kernel_of_q_dimension(group: FiniteGroup, family: SubgroupFamily) -> int:
     return exact.kernel_dim(_coset_matrix(group, family))
 
 
-def kernel_of_q_basis(group: FiniteGroup, family: SubgroupFamily) -> List[tuple]:
-    """Exact basis of {a : q(a) = 0}; the third kernel route."""
-    return exact.kernel_basis(_coset_matrix(group, family))
+# {a : q(a) = 0} is the algebraic kernel: q's rows are the coset matrix's
+kernel_of_q_basis = algebraic_ideal_kernel
 
 
 def reduction_groupoid(groupoid: FiniteGroupoid, units: Sequence[int]):

@@ -145,11 +145,30 @@ def _closure(table: np.ndarray, gens: Iterable[int]) -> set:
 # cayley_group check on it.  cayley_group checks every axiom of a table
 # from outside.
 
-def cyclic(n: int) -> FiniteGroup:
+def _leaf_order(kind: str, n: int) -> int:
+    """The order of ``cyclic(n)``, ``dihedral(n)`` or ``symmetric_group(n)``
+    (``kind`` as in ``make_group``), or the constructor's refusal of an n
+    it does not build, raised before anything is allocated."""
+    if kind == "symmetric":
+        if not 1 <= n <= 5:
+            raise ValueError("symmetric groups are supported for 1 <= n <= 5")
+        return math.factorial(n)
     if n < 1:
-        raise ValueError("cyclic order must be >= 1")
-    if n > DEFAULT_ORDER_CAP:
-        raise SizeCapError(f"order {n} exceeds cap {DEFAULT_ORDER_CAP}")
+        raise ValueError("cyclic order must be >= 1" if kind == "cyclic"
+                         else "dihedral parameter must be >= 1")
+    return _check_order(n if kind == "cyclic" else 2 * n, "order {}")
+
+
+def _check_order(order: int, what: str) -> int:
+    """``order``, or SizeCapError "<what, formatted with the order> exceeds
+    cap <DEFAULT_ORDER_CAP>" when it passes the cap."""
+    if order > DEFAULT_ORDER_CAP:
+        raise SizeCapError(f"{what.format(order)} exceeds cap {DEFAULT_ORDER_CAP}")
+    return order
+
+
+def cyclic(n: int) -> FiniteGroup:
+    _leaf_order("cyclic", n)
     idx = np.arange(n, dtype=np.int32)
     table = np.add.outer(idx, idx)
     np.remainder(table, n, out=table)
@@ -158,8 +177,7 @@ def cyclic(n: int) -> FiniteGroup:
 
 def symmetric_group(n: int) -> FiniteGroup:
     """S_n on lexicographically ordered permutation tuples; (p*q)(i) = p[q[i]]."""
-    if not 1 <= n <= 5:
-        raise ValueError("symmetric groups are supported for 1 <= n <= 5")
+    _leaf_order("symmetric", n)
     perms = np.array(list(permutations(range(n))), dtype=np.int64).reshape(-1, n)
     # a permutation's base-n digits, most significant first, increase in
     # lexicographic order, so its index is the rank of that number
@@ -170,15 +188,16 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 
 def dihedral(n: int) -> FiniteGroup:
-    """Dihedral group of order 2n; element f*n + k encodes flip^f rot^k."""
-    if n < 1:
-        raise ValueError("dihedral parameter must be >= 1")
-    if 2 * n > DEFAULT_ORDER_CAP:
-        raise SizeCapError(f"order {2 * n} exceeds cap {DEFAULT_ORDER_CAP}")
-    k, f = np.divmod(np.arange(2 * n), n)[::-1]
-    # flip^f1 rot^k1 flip^f2 rot^k2 = flip^(f1^f2) rot^(k1 -+ k2)
-    rot = np.where(f[:, None] == 1, k[:, None] - k[None, :], k[:, None] + k[None, :]) % n
-    return FiniteGroup((f[:, None] ^ f[None, :]) * n + rot, name=f"D{n}")
+    """Dihedral group of order 2n; element f*n + k encodes flip^f rot^k.
+
+    flip^f1 rot^k1 flip^f2 rot^k2 = flip^(f1 xor f2) rot^(k1 -+ k2), so the
+    table is four blocks read from C_n's: entry (k1, k2) of ``c`` is k1 + k2
+    and of ``neg`` k1 - k2, mod n, and the flipped blocks add n.
+    """
+    _leaf_order("dihedral", n)
+    c = cyclic(n).table
+    neg = c[:, -np.arange(n)]
+    return FiniteGroup(np.block([[c, c + n], [neg + n, neg]]), name=f"D{n}")
 
 
 _Q8_AXIS = np.array(((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)))
@@ -196,16 +215,11 @@ def quaternion_group() -> FiniteGroup:
     return FiniteGroup(table, name="Q8")
 
 
-def _check_product_order(order: int) -> None:
-    if order > DEFAULT_ORDER_CAP:
-        raise SizeCapError(f"product order {order} exceeds cap {DEFAULT_ORDER_CAP}")
-
-
 def direct_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
     """Direct product with mixed-radix element indexing, leftmost factor most significant."""
     if not factors:
         return cyclic(1)
-    _check_product_order(math.prod(g.order for g in factors))
+    _check_order(math.prod(g.order for g in factors), "product order {}")
     table = np.zeros((1, 1), dtype=np.int32)
     for g in factors:
         m = g.order
@@ -225,9 +239,7 @@ def cayley_group(table) -> FiniteGroup:
     table = np.asarray(table)
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise GroupTableError("Cayley table must be square")
-    n = int(table.shape[0])
-    if n > DEFAULT_ORDER_CAP:
-        raise SizeCapError(f"explicit table order exceeds cap {DEFAULT_ORDER_CAP}")
+    n = _check_order(int(table.shape[0]), "explicit table order")
     if n == 0:
         raise GroupTableError("empty Cayley table")
     # range first, on the uncast entries: Python ints past int64 arrive as
@@ -268,32 +280,42 @@ def make_group(spec: dict) -> FiniteGroup:
     Supported kinds: {"kind": "cyclic", "n": 6}, {"kind": "product",
     "factors": [...]}, {"kind": "symmetric", "n": 4}, {"kind":
     "dihedral", "n": 5}, {"kind": "quaternion8"}, {"kind": "cayley",
-    "table": [[...]]}.  A product is refused as soon as the factors built
-    so far pass DEFAULT_ORDER_CAP, before the next factor is built.
+    "table": [[...]]}.  The whole spec is priced before anything is built
+    (``_priced_spec``): a product is refused at the first factor whose
+    running order passes DEFAULT_ORDER_CAP, with no factor built.
+    """
+    return _priced_spec(spec)[1]()
+
+
+def _priced_spec(spec) -> tuple:
+    """(order, build): the order of the group a spec describes, read from
+    the spec with every field check, size cap and message of the build, and
+    a callable that builds the group.  Only a Cayley table's entries and
+    axioms are left to ``build``.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("group spec must be a dict with a 'kind' key")
     kind = spec["kind"]
     if kind in ("cyclic", "symmetric", "dihedral"):
         n = _spec_int(_spec_field(spec, "n", f"{kind} group spec"), "n")
-        return {"cyclic": cyclic, "symmetric": symmetric_group, "dihedral": dihedral}[kind](n)
+        build = {"cyclic": cyclic, "symmetric": symmetric_group, "dihedral": dihedral}[kind]
+        return _leaf_order(kind, n), lambda: build(n)
     if kind == "product":
-        factors, order = [], 1
+        order, builds = 1, []
         for f in _spec_list(_spec_field(spec, "factors", "product group spec"), "factors"):
-            factors.append(make_group(f))
-            order *= factors[-1].order
-            _check_product_order(order)
-        return direct_product(factors)
+            factor_order, factor_build = _priced_spec(f)
+            order = _check_order(order * factor_order, "product order {}")
+            builds.append(factor_build)
+        return order, lambda: direct_product([build() for build in builds])
     if kind == "quaternion8":
-        return quaternion_group()
+        return 8, quaternion_group
     if kind == "cayley":
         rows = _spec_field(spec, "table", "cayley group spec")
         if not (isinstance(rows, list) and rows and all(
                 isinstance(row, list) and len(row) == len(rows) for row in rows)):
             raise GroupTableError("Cayley table must be square")
-        if len(rows) > DEFAULT_ORDER_CAP:
-            raise SizeCapError(f"explicit table order exceeds cap {DEFAULT_ORDER_CAP}")
-        return cayley_group([[_spec_int(x, "table entry") for x in row] for row in rows])
+        return _check_order(len(rows), "explicit table order"), lambda: cayley_group(
+            [[_spec_int(x, "table entry") for x in row] for row in rows])
     raise ValueError(f"unknown group kind {kind!r}")
 
 
@@ -432,11 +454,6 @@ class SubgroupFamily:
     def cosets(self) -> CosetTable:
         """The members' coset table in ``self.group``, shared by every reader."""
         return _coset_table(self.group, self.members)
-
-    @property
-    def coset_index(self) -> np.ndarray:
-        """``coset_index(self.group, self)``, the read-only numbering of ``cosets``."""
-        return self.cosets.index
 
     def __len__(self) -> int:
         return len(self.members)

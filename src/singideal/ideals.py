@@ -132,7 +132,9 @@ def coset_constraint_matrix(group: FiniteGroup, family: SubgroupFamily) -> Ratio
 
 
 def algebraic_ideal_kernel(group: FiniteGroup, family: SubgroupFamily) -> List[tuple]:
-    """Basis of {a : all coset sums of a over the family vanish}."""
+    """Basis of {a : all coset sums of a over the family vanish}, the
+    canonical Fraction basis of the coset matrix's kernel.  The coset sums
+    are the values of q, so ``groupoid.kernel_of_q_basis`` is this function."""
     return exact.kernel_basis(_coset_matrix(group, family))
 
 
@@ -241,8 +243,9 @@ def full_ideal_kernel(group: FiniteGroup, family: SubgroupFamily) -> List[tuple]
 
 def weak_containment_regular(group: FiniteGroup, family: SubgroupFamily) -> bool:
     """True iff the stacked quasi-regular representation is faithful on the
-    group algebra, i.e. the full kernel is trivial."""
-    return len(full_ideal_kernel(group, family)) == 0
+    group algebra, i.e. the full kernel is trivial: the verdict of
+    ``class_I_check``, from the same entry-set check and certified kernel."""
+    return class_I_check(group, family).weak_containment
 
 
 def class_I_check(group: FiniteGroup, family: SubgroupFamily) -> IdealReport:

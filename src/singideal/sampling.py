@@ -1,7 +1,9 @@
 """Seeded random rational inputs for property tests and batch sweeps.
 
 All randomness flows through ``random.Random`` (the Mersenne Twister
-MT19937), so a seed pins every report byte for byte across platforms.
+MT19937), so a seed pins the sampled values on every platform.  Reports
+built from them by exact arithmetic repeat byte for byte; ``normcheck``'s
+float residuals also follow the OpenBLAS kernel of the machine.
 Numerators are uniform in [-9, 9] and denominators in {1, 2, 3, 4}:
 small enough to keep exact arithmetic fast and float conditioning good.
 Each value n / d is drawn as the integer n (12 / d) over one common

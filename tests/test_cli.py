@@ -72,6 +72,8 @@ def test_analyze_round_trip(capsys):
     group = make_group({"kind": "cyclic", "n": 2})
     report = IdealReport.from_json_dict(data, group=group)
     assert report.to_json_dict() == {k: data[k] for k in report.to_json_dict()}
+    with pytest.raises(ValueError, match="^a group is required to rebuild the witness$"):
+        IdealReport.from_json_dict(data)
 
 
 def test_determinism(capsys):
@@ -108,6 +110,8 @@ def test_parse_errors(capsys):
 
 
 _C2 = ["--group", '{"kind":"cyclic","n":2}', "--family", '{"minimal":true}']
+# the exact line, where one is pinned
+USAGE_MESSAGES = {("normcheck", *_C2, "--trials", "0"): "trials must be >= 1"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -115,9 +119,11 @@ _C2 = ["--group", '{"kind":"cyclic","n":2}', "--family", '{"minimal":true}']
     ["hls", *_C2, "--depth", "1.5"],
     ["analyze", "--group", '{"kind":"cyclic","n":2}'],
     ["bogus"],
+    *map(list, USAGE_MESSAGES),
     ["analyze", *_C2, "--bogus"],
     [],
 ], ids=["trials-abc", "depth-1.5", "missing-family", "unknown-command",
+        "trials-0",
         "unknown-option", "no-arguments"])
 def test_usage_errors_exit_1_with_one_line(capsys, argv):
     # argparse's own exit 2 and usage block would read as an internal
@@ -126,6 +132,8 @@ def test_usage_errors_exit_1_with_one_line(capsys, argv):
     captured = capsys.readouterr()
     assert code == EXIT_PARSE and captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    if tuple(argv) in USAGE_MESSAGES:
+        assert captured.err == f"error: {USAGE_MESSAGES[tuple(argv)]}\n"
 
 
 def test_help_exits_0(capsys):
@@ -292,6 +300,9 @@ FIELD_MESSAGES = {
     (C6, '{"conjugacy_class_of":[0,3],"subgroups":[[0,3]],"minimal":true}'):
         "bad family spec: family spec gives more than one form: "
         "'subgroups', 'minimal', 'conjugacy_class_of'",
+    # inline JSON that is no object is read as JSON, not as a path
+    ('[1, 2]', '{"minimal":true}'): "group JSON must be an object",
+    (C6, '[1, 2]'): "family JSON must be an object",
 }
 
 

@@ -260,6 +260,8 @@ def test_kernel_of_q_examples():
 
 
 def test_q_kernel_matches_algebraic_kernel(catalog_cases):
+    # q's rows are the coset matrix's rows: one function computes both
+    assert kernel_of_q_basis is algebraic_ideal_kernel
     for group, family in catalog_cases:
         if group.order > 12:
             continue

@@ -205,6 +205,21 @@ def test_cyclic_5040_memory():
     assert peak < 192 * 2 ** 20, f"cyclic(5040) peaked at {peak / 2 ** 20:.1f} MiB"
 
 
+def test_dihedral_2520_memory():
+    # four blocks of C2520's table, 96.9 MiB again; the int64 outer sums
+    # the table was once reduced from peaked at 581.5 MiB
+    tracemalloc.start()
+    try:
+        group = dihedral(2520)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert group.table.dtype == np.int32
+    # flip rot^1 . rot^2 = flip rot^-1, and rot^2 . flip rot^1 = flip rot^3
+    assert group.table[2521, 2] == 2520 + 2519 and group.table[2, 2521] == 2523
+    assert peak < 256 * 2 ** 20, f"dihedral(2520) peaked at {peak / 2 ** 20:.1f} MiB"
+
+
 def test_element_orders_match_brute_force(catalog):
     for group in [*catalog, symmetric_group(5), dihedral(50), cyclic(360)]:
         orders = element_orders(group)
@@ -274,7 +289,8 @@ def test_coset_index_is_one_read_only_array_per_family():
     s4 = symmetric_group(4)
     family = minimal_subgroups(s4)
     index = coset_index(s4, family)
-    assert coset_index(s4, family) is index is family.coset_index
+    assert coset_index(s4, family) is index is family.cosets.index
+    assert not hasattr(family, "coset_index")
     assert not index.flags.writeable
     with pytest.raises(ValueError):
         index[0, 0] = 1
@@ -315,6 +331,8 @@ def test_invalid_tables_rejected():
             cayley_group([[0, 1], [1, big]])
     with pytest.raises(GroupTableError, match="^empty Cayley table$"):
         cayley_group(np.zeros((0, 0)))
+    with pytest.raises(GroupTableError, match="^Cayley table must be square$"):
+        cayley_group(np.zeros((2, 3), dtype=np.int32))
 
 
 def test_whole_array_checks_reject_each_axiom():
@@ -434,6 +452,12 @@ def test_make_group_specs_and_caps():
     with pytest.raises(SizeCapError,
                        match=f"^explicit table order exceeds cap {DEFAULT_ORDER_CAP}$"):
         cayley_group(np.broadcast_to(np.int32(0), (5041, 5041)))
+    # a spec's table is refused by its row count, before an entry is read
+    with pytest.raises(SizeCapError,
+                       match=f"^explicit table order exceeds cap {DEFAULT_ORDER_CAP}$"):
+        make_group({"kind": "cayley", "table": [[0] * 5041] * 5041})
+    with pytest.raises(ValueError, match="^dihedral parameter must be >= 1$"):
+        dihedral(0)
     assert cayley_group([[0, 1], [1, 0]]).name == "cayley[2]"
     # the caller's array is copied, not frozen
     mine = np.array([[0, 1], [1, 0]], dtype=np.int32)
@@ -474,6 +498,24 @@ def test_product_spec_is_refused_once_its_factors_pass_the_cap():
     assert peak < 16 * 2 ** 20, f"peaked at {peak / 2 ** 20:.1f} MiB"
     assert cyclic(DEFAULT_ORDER_CAP).order == DEFAULT_ORDER_CAP
     assert dihedral(DEFAULT_ORDER_CAP // 2).order == DEFAULT_ORDER_CAP
+
+
+@pytest.mark.parametrize("factors, order", [
+    ([{"kind": "cyclic", "n": 5040}] * 3, 25401600),
+    ([{"kind": "dihedral", "n": 2520}, {"kind": "cyclic", "n": 2}], 10080),
+])
+def test_product_spec_is_priced_before_any_factor_is_built(factors, order):
+    # each factor's order is read from its spec: building the factors up to
+    # the one past the cap took 194 MiB for three C5040 and 581 MiB for D2520
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError,
+                           match=f"^product order {order} exceeds cap {DEFAULT_ORDER_CAP}$"):
+            make_group({"kind": "product", "factors": factors})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, f"peaked at {peak / 2 ** 20:.1f} MiB"
 
 
 def product_closure(group, gens):

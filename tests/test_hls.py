@@ -14,6 +14,7 @@ from singideal.cli import main
 from singideal.groups import (SizeCapError, conjugation_closure, cyclic,
                               distinct_cosets, make_family, subgroup_generated,
                               symmetric_group)
+from singideal.groups import SubgroupFamily
 from singideal.hls import (INFINITY, NEIGHBORHOOD_POINT_CAP, NotAWitnessError,
                            SingularCandidate, build_hls, essential_fiber,
                            hls_report, is_extremely_dangerous, limit_set,
@@ -48,6 +49,8 @@ def test_build_shapes():
 
     with pytest.raises(ValueError):
         build_hls(g2, make_family(g2, [(0, 1)]), 0)
+    with pytest.raises(ValueError, match="^family must be non-empty$"):
+        build_hls(g2, SubgroupFamily(g2, ()), 1)
 
 
 def test_hls_builds_no_groupoid_until_one_is_read(monkeypatch, capsys):
@@ -286,6 +289,8 @@ def test_witness_lifts_to_singular_function():
     assert all(v == 0 for v in cand.level_values.values())
     assert list(cand.level_values) == [((0, 1), n) for n in (1, 2, 3)]
     assert verify_singular(h, cand)
+    with pytest.raises(ValueError, match="^candidate lives on a different truncation$"):
+        verify_singular(build_hls(g2, fam, 3), cand)
 
     s3 = symmetric_group(3)
     fam3 = transposition_family(s3)
@@ -307,6 +312,8 @@ def test_non_witness_rejected():
         singular_function_from_witness(h, (1, 1), 1)
     with pytest.raises(NotAWitnessError):
         singular_function_from_witness(h, (0, 0), 1)
+    with pytest.raises(ValueError, match="^witness length must equal the group order$"):
+        singular_function_from_witness(h, (1, -1, 0), 1)
     with pytest.raises(ValueError):
         singular_function_from_witness(h, integer_witness(g2, fam), 5)
 

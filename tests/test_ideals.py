@@ -686,6 +686,7 @@ def test_class_I_report_invariants(catalog_cases):
         assert report.algebraic_kernel_dim == report.full_kernel_dim
         assert (report.witness is not None) == (report.algebraic_kernel_dim > 0)
         assert report.weak_containment == (report.full_kernel_dim == 0)
+        assert weak_containment_regular(group, family) is report.weak_containment
         assert report.in_class_I
 
 

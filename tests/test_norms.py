@@ -52,6 +52,7 @@ def test_spectral_norm_basics():
     assert spectral_norm(perm) == pytest.approx(1.0, abs=1e-12)
     assert spectral_norm(np.array([[1.0, 1.0]])) == pytest.approx(math.sqrt(2), abs=1e-12)
     assert spectral_norm(np.zeros((3, 3))) == 0.0
+    assert spectral_norm(np.zeros((0, 3))) == 0.0
     with pytest.raises(ValueError):
         spectral_norm(np.array([[np.nan]]))
 
