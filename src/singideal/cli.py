@@ -129,10 +129,7 @@ def cmd_analyze(config: RunConfig, group, family) -> tuple[dict, int]:
 
 def cmd_witness(config: RunConfig, group, family) -> tuple[dict, int]:
     witness = integer_witness(group, family)
-    data = {"witness": None}
-    if witness is not None:
-        data["witness"] = {"coeffs": [str(int(c)) for c in witness.coeffs]}
-    return data, EXIT_OK
+    return {"witness": None if witness is None else witness.to_json_dict()}, EXIT_OK
 
 
 def cmd_hls(config: RunConfig, group, family) -> tuple[dict, int]:

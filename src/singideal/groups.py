@@ -657,14 +657,16 @@ def parse_family(group: FiniteGroup, spec: dict, auto_close: bool = True) -> Sub
 
     Supported forms: {"subgroups": [[0,3], ...]}, {"minimal": true},
     {"conjugacy_class_of": [0,3]}.  A spec naming more than one of them is
-    refused.
+    refused, and so is "minimal" with any value but JSON true.
     """
     if not isinstance(spec, dict):
         raise ValueError("family spec must be a dict")
     forms = [form for form in ("subgroups", "minimal", "conjugacy_class_of") if form in spec]
     if len(forms) > 1:
         raise ValueError(f"family spec gives more than one form: {', '.join(map(repr, forms))}")
-    if spec.get("minimal"):
+    if "minimal" in spec:
+        if spec["minimal"] is not True:
+            raise ValueError(f"minimal must be true, got {spec['minimal']!r}")
         return minimal_subgroups(group)
     if "conjugacy_class_of" in spec:
         seed = [_spec_int(x, "subgroup element")

@@ -137,7 +137,7 @@ def essential_fiber(hls: TruncatedHLS) -> SubgroupFamily:
     For finite families every convergent unit sequence has an eventually
     constant subgroup subnet, so constant tails exhaust the fibre.
     """
-    return SubgroupFamily(hls.group, hls.family.members)
+    return hls.family
 
 
 def is_extremely_dangerous(hls: TruncatedHLS) -> bool:

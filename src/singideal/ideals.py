@@ -68,6 +68,10 @@ class GroupAlgebraElement:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
+    def to_json_dict(self) -> dict:
+        """{"coeffs": [...]}, each integer coefficient as a decimal string."""
+        return {"coeffs": [str(int(c)) for c in self.coeffs]}
+
 
 @dataclass
 class IdealReport:
@@ -80,17 +84,14 @@ class IdealReport:
     cross_checks: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        witness = None
-        if self.witness is not None:
-            witness = {"coeffs": [str(int(c)) for c in self.witness.coeffs]}
         return {
             "algebraic_kernel_dim": self.algebraic_kernel_dim,
             "full_kernel_dim": self.full_kernel_dim,
-            "witness": witness,
+            "witness": None if self.witness is None else self.witness.to_json_dict(),
             "weak_containment": self.weak_containment,
             "in_class_I": self.in_class_I,
             "ai_verdict": self.ai_verdict,
-            "cross_checks": self.cross_checks,
+            "cross_checks": dict(self.cross_checks),
         }
 
     @classmethod

@@ -11,11 +11,14 @@ groupoid over X.
 Every operator norm is the square root of the top eigenvalue of a Gram
 matrix, from one symmetric eigensolve at every dimension.  Norms are
 evaluated for a batch of functions at once, and every float block goes
-through one gather routine, ``_block_tops``: d x d blocks, given by a
+through one gather routine, ``_block_norms``: d x d blocks, given by a
 (blocks, d, d) stack of column indices, are gathered into C-contiguous
 (functions, blocks, d, d) chunks of at most ``NORM_BATCH`` entries (or
 one block), split over blocks first and then over functions, each taking
-one Gram product and one batched eigensolve.  A reduced norm gathers
+one Gram product and one batched eigensolve.  The root is taken in one
+place, ``_gram_norms``, per matrix and clamped at 0; sqrt is correctly
+rounded and monotone, so the largest root is the root of the largest top
+eigenvalue, bit for bit.  A reduced norm gathers
 every index stack the groupoid tabulated at construction (the
 left-regular blocks of all units of one dimension).  The gather must be
 contiguous: a strided gather sends the Gram product down another matmul
@@ -147,9 +150,10 @@ def regular_rep_matrix(groupoid: FiniteGroupoid, f: GroupoidFunction,
     return function_floats(f)[groupoid._rep_blocks[unit]]
 
 
-def _gram_tops(a: np.ndarray) -> np.ndarray:
-    """Top Gram eigenvalue of every matrix in the stack ``a``."""
-    return np.linalg.eigvalsh(np.swapaxes(a, -1, -2) @ a)[..., -1]
+def _gram_norms(a: np.ndarray) -> np.ndarray:
+    """Operator norm of every matrix in the stack ``a``: the root of its
+    Gram matrix's top eigenvalue, clamped at 0."""
+    return np.sqrt(np.maximum(0.0, np.linalg.eigvalsh(np.swapaxes(a, -1, -2) @ a)[..., -1]))
 
 
 def spectral_norm(m) -> float:
@@ -166,31 +170,30 @@ def spectral_norm(m) -> float:
     top = np.abs(a).max()
     if top and not 2.0 ** -FLOAT_RANGE_BITS <= top <= 2.0 ** FLOAT_RANGE_BITS:
         raise _out_of_range(math.frexp(top)[1] - 1)
-    return math.sqrt(max(float(_gram_tops(a).max()), 0.0))
+    return float(_gram_norms(a).max())
 
 
-def _block_tops(floats: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """(functions, blocks) top Gram eigenvalues of the d x d blocks of the
+def _block_norms(floats: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """(functions, blocks) operator norms of the d x d blocks of the
     rows of ``floats`` whose column indices are the (blocks, d, d) index
     ``stack``.  The blocks are gathered in C-contiguous chunks of at most
     NORM_BATCH entries (or one block), split over blocks first, then over
     functions."""
     count, d = len(stack), stack.shape[-1]
-    tops = np.empty((len(floats), count))
+    norms = np.empty((len(floats), count))
     per = max(1, NORM_BATCH // (d * d))
     for lo in range(0, count, per):
         cols = stack[lo:lo + per]
         fs = max(1, NORM_BATCH // cols.size)
         for f in range(0, len(floats), fs):
             # take, not floats[:, cols]: the gather must be C-contiguous
-            tops[f:f + fs, lo:lo + per] = _gram_tops(np.take(floats[f:f + fs], cols, axis=1))
-    return tops
+            norms[f:f + fs, lo:lo + per] = _gram_norms(np.take(floats[f:f + fs], cols, axis=1))
+    return norms
 
 
 def _reduced_norms(groupoid: FiniteGroupoid, vals: np.ndarray) -> np.ndarray:
     """Reduced norm of every row of the (functions x arrows) floats ``vals``."""
-    tops = np.concatenate([_block_tops(vals, stack) for stack in groupoid._rep_stacks], axis=1)
-    return np.sqrt(np.maximum(0.0, tops.max(axis=1)))
+    return np.hstack([_block_norms(vals, stack) for stack in groupoid._rep_stacks]).max(axis=1)
 
 
 def reduced_norm(groupoid: FiniteGroupoid, f: GroupoidFunction) -> float:
@@ -314,9 +317,8 @@ def block_residuals(groupoid: FiniteGroupoid, subsets: Sequence[Sequence[int]],
     pfp, rhs = np.zeros_like(floats), np.empty_like(lhs)
     for k, ((v, _), kept) in enumerate(zip(keys, kepts)):
         pfp[:, kept] = floats[:, kept]
-        rhs[:, k] = _block_tops(pfp, groupoid._rep_blocks[v][None])[:, 0]
+        rhs[:, k] = _block_norms(pfp, groupoid._rep_blocks[v][None])[:, 0]
         pfp[:, kept] = 0.0
-    rhs = np.sqrt(np.maximum(0.0, rhs))
     return [np.abs(lhs[:, m].max(axis=1) - rhs[:, m].max(axis=1)).tolist() for m in members]
 
 

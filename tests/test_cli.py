@@ -300,6 +300,10 @@ FIELD_MESSAGES = {
     (C6, '{"conjugacy_class_of":[0,3],"subgroups":[[0,3]],"minimal":true}'):
         "bad family spec: family spec gives more than one form: "
         "'subgroups', 'minimal', 'conjugacy_class_of'",
+    # "minimal" takes JSON true and nothing else
+    (C6, '{"minimal":"false"}'): "bad family spec: minimal must be true, got 'false'",
+    (C6, '{"minimal":false}'): "bad family spec: minimal must be true, got False",
+    (C6, '{"minimal":1}'): "bad family spec: minimal must be true, got 1",
     # inline JSON that is no object is read as JSON, not as a path
     ('[1, 2]', '{"minimal":true}'): "group JSON must be an object",
     (C6, '[1, 2]'): "family JSON must be an object",

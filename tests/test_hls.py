@@ -197,6 +197,7 @@ def test_closed_forms_match_the_neighbourhoods(catalog_cases):
                 assert limit_set(h, sub) == reference_limit_set(h, sub)
             fiber = reference_essential_fiber(h)
             assert essential_fiber(h).members == fiber
+            assert essential_fiber(h) is h.family
             assert is_extremely_dangerous(h) == ((0,) not in fiber)
             dangerous.add(is_extremely_dangerous(h))
     assert dangerous == {True, False}

@@ -801,6 +801,15 @@ def test_report_json_round_trip():
     assert data["witness"]["coeffs"] == ["1", "-1"]
 
 
+def test_report_json_dict_copies_the_cross_checks():
+    g2 = cyclic(2)
+    report = class_I_check(g2, make_family(g2, [(0, 1)]))
+    before = dict(report.cross_checks)
+    data = report.to_json_dict()
+    data["cross_checks"]["q_kernel_agrees"] = True
+    assert report.cross_checks == before
+
+
 def test_group_algebra_element_validation():
     g2 = cyclic(2)
     with pytest.raises(ValueError):

@@ -401,7 +401,7 @@ def test_block_residuals_match_the_full_groupoid_rhs(catalog, monkeypatch):
     # of a unit
     monkeypatch.setattr(norms, "NORM_BATCH", 64)
     chunks = []
-    real = norms._gram_tops
+    real = norms._gram_norms
 
     def recording(a):
         # the gathered chunks; the reference's single matrices are 2-d
@@ -409,7 +409,7 @@ def test_block_residuals_match_the_full_groupoid_rhs(catalog, monkeypatch):
             chunks.append(a.shape)
         return real(a)
 
-    monkeypatch.setattr(norms, "_gram_tops", recording)
+    monkeypatch.setattr(norms, "_gram_norms", recording)
     cases = [(g, minimal_subgroups(g)) for g in catalog if g.order > 1]
     cases += [(s4, conjugation_closure(s4, [(0, 1)])),
               (dihedral(12), minimal_subgroups(dihedral(12)))]
@@ -424,8 +424,8 @@ def test_every_chunk_holds_at_most_norm_batch_entries_or_one_block(monkeypatch):
     # entries a chunk holds one 8 x 8 block, or one 12 x 12 block past the cap
     monkeypatch.setattr(norms, "NORM_BATCH", 64)
     chunks = []
-    real = norms._gram_tops
-    monkeypatch.setattr(norms, "_gram_tops", lambda a: chunks.append(a.shape) or real(a))
+    real = norms._gram_norms
+    monkeypatch.setattr(norms, "_gram_norms", lambda a: chunks.append(a.shape) or real(a))
     s4 = symmetric_group(4)
     gpd = build_coset_groupoid(s4, minimal_subgroups(s4))
     rng = random.Random(4)
@@ -472,8 +472,8 @@ def test_compression_side_eigensolves_each_key_once(monkeypatch):
     assert [sorted(u for p in m for u in parts[p]) for m in members] == subsets
     assert sum(map(len, parts)) == 74
     matrices = []
-    real = norms._gram_tops
-    monkeypatch.setattr(norms, "_gram_tops",
+    real = norms._gram_norms
+    monkeypatch.setattr(norms, "_gram_norms",
                         lambda a: matrices.append(a.size // a.shape[-1] ** 2) or real(a))
     rng = random.Random(3)
     fs = [random_groupoid_function(rng, gpd) for _ in range(3)]
@@ -497,8 +497,8 @@ def test_translation_check_catches_two_swapped_block_entries(capsys, monkeypatch
     orbit = sorted(next(r for r in reaches(build_coset_groupoid(
         s4, minimal_subgroups(s4))) if len(r) == 6))
     tops = []
-    real = norms._gram_tops
-    monkeypatch.setattr(norms, "_gram_tops", lambda a: tops.append(a.shape) or real(a))
+    real = norms._gram_norms
+    monkeypatch.setattr(norms, "_gram_norms", lambda a: tops.append(a.shape) or real(a))
     for x, named in ((orbit[-1], f"unit {orbit[-1]} is not the block at unit {orbit[0]}"),
                      (orbit[0], f"the block at unit {orbit[1]} is not the block at "
                                 f"unit {orbit[0]} translated")):
